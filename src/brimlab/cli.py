@@ -43,23 +43,19 @@ def _parse_trange(text):
     return int(lo), int(hi)
 
 
-def _merged_options(spec, args):
+def _merged_options(args, file_options=()):
     """File options with command line flags taking precedence."""
-    opts = dict(spec.options)
-    if getattr(args, "t_range", None):
+    opts = dict(file_options)
+    if getattr(args, "t_range", None) is not None:
         opts["tmin"], opts["tmax"] = _parse_trange(args.t_range)
-    if getattr(args, "nmax", None):
-        opts["nmax"] = args.nmax
-    if getattr(args, "budget_pairs", None):
-        opts["pairs"] = args.budget_pairs
-    if getattr(args, "budget_degree", None):
-        opts["degree"] = args.budget_degree
-    if getattr(args, "format", None):
-        opts["format"] = args.format
-    if getattr(args, "samples", None):
-        opts["samples"] = args.samples
-    if getattr(args, "seed", None) is not None:
-        opts["seed"] = args.seed
+    for flag, key in (("nmax", "nmax"), ("budget_pairs", "pairs"), ("budget_degree", "degree"),
+                      ("format", "format"), ("samples", "samples"), ("seed", "seed")):
+        value = getattr(args, flag, None)
+        if value is not None:
+            opts[key] = value
+    for key in ("nmax", "samples"):
+        if key in opts and opts[key] < 1:
+            raise ContractError("%s must be at least 1, got %d" % (key, opts[key]))
     return opts
 
 
@@ -80,7 +76,7 @@ def _trange(opts):
 
 def cmd_analyze(args):
     spec = parse(_read_text(args.file))
-    opts = _merged_options(spec, args)
+    opts = _merged_options(args, spec.options)
     budget = _budget(opts)
     ring, matrix = build(spec, budget)
     started = time.monotonic()
@@ -111,13 +107,13 @@ def _mutator(flip):
 
 def cmd_verify(args):
     if args.corpus:
-        rows, violations = check_corpus(budget=_budget(_merged_options_bare(args)))
+        rows, violations = check_corpus(budget=_budget(_merged_options(args)))
         sys.stdout.write(corpus_table(rows))
     else:
         if not args.file:
             raise ContractError("verify needs a problem file or --corpus")
         spec = parse(_read_text(args.file))
-        opts = _merged_options(spec, args)
+        opts = _merged_options(args, spec.options)
         budget = _budget(opts)
         ring, matrix = build(spec, budget)
         mutate = _mutator(args.flip_sign) if args.flip_sign else None
@@ -140,27 +136,18 @@ def cmd_corpus(args):
         if unknown:
             raise ContractError("unknown corpus entries: %s" % ", ".join(sorted(unknown)))
         entries = tuple(e for e in entries if e.name in wanted)
-    rows, violations = check_corpus(entries, budget=_budget(_merged_options_bare(args)))
+    rows, violations = check_corpus(entries, budget=_budget(_merged_options(args)))
     sys.stdout.write(corpus_table(rows))
     for v in violations:
         sys.stdout.write(str(v) + "\n")
     return EXIT_VIOLATION if violations else EXIT_OK
 
 
-def _merged_options_bare(args):
-    opts = {}
-    if getattr(args, "budget_pairs", None):
-        opts["pairs"] = args.budget_pairs
-    if getattr(args, "budget_degree", None):
-        opts["degree"] = args.budget_degree
-    return opts
-
-
 def cmd_spread(args):
     spec = parse(_read_text(args.file))
-    opts = _merged_options(spec, args)
+    opts = _merged_options(args, spec.options)
     samples = opts.get("samples")
-    if not samples:
+    if samples is None:
         raise ContractError("spread needs --samples (or a samples option)")
     seed = opts.get("seed", 0)
     budget = _budget(opts)

@@ -7,6 +7,10 @@ with ties broken by graded reverse lex on the monomial part.  That single
 order serves membership, colength counting and, through tag components
 appended behind the original ones, syzygies and kernels by elimination.
 
+Normal forms pop leading terms from a heap (Monagan and Pearce, CASC
+2007).  S-pairs leave a heap by least sugar, then largest lcm (Giovini et
+al., ISSAC 1991); sugar is the lcm degree on homogeneous input.
+
 Pair handling follows the Gebauer-Moeller update.  The coprime-lead-term
 shortcut is only sound for vectors concentrated in a single component
 (the classical one-variable-at-a-time proof multiplies the two inputs,
@@ -15,10 +19,13 @@ which has no meaning for genuine vectors), so it is applied exactly then.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
+
 from .poly import (
     INFINITE,
     AlgebraError,
     BudgetExceededError,
+    ContractError,
     Polynomial,
     VectorPolynomial,
 )
@@ -28,7 +35,7 @@ DEFAULT_MAX_DEGREE = 60
 
 
 class Budget:
-    """Caps for one logical run plus a tally of work done under them.
+    """Caps on the total work of every run given it, plus a tally of that work.
 
     The tally fields are the one deliberately mutable spot in the library;
     concurrent computations must use distinct Budget instances.
@@ -37,7 +44,8 @@ class Budget:
     __slots__ = ("max_pairs", "max_degree", "pairs_used", "max_degree_seen")
 
     def __init__(self, max_pairs=DEFAULT_MAX_PAIRS, max_degree=DEFAULT_MAX_DEGREE):
-        assert max_pairs > 0 and max_degree > 0
+        if not (max_pairs > 0 and max_degree > 0):
+            raise ContractError("budget caps must be positive: %r, %r" % (max_pairs, max_degree))
         self.max_pairs = max_pairs
         self.max_degree = max_degree
         self.pairs_used = 0
@@ -47,6 +55,11 @@ class Budget:
 def term_key(t):
     """Sort key for flat terms: larger key = larger term (component 0 wins)."""
     return (-t[0], sum(t[1:]), tuple(-e for e in t[:0:-1]))
+
+
+def _neg_key(t):
+    """term_key(t) with every entry negated: smaller key = larger term."""
+    return (t[0], -sum(t[1:]), t[:0:-1])
 
 
 def _divides(a, b):
@@ -80,31 +93,39 @@ def _dict_to_vec(ctx, rank, d):
 
 
 class _Row:
-    __slots__ = ("vec", "lt", "single")
+    __slots__ = ("vec", "lt", "single", "sugar")
 
-    def __init__(self, vec, lt, single):
+    def __init__(self, vec, lt, single, sugar):
         self.vec = vec          # dict, monic at lt
         self.lt = lt
         self.single = single    # all terms share lt's component
+        self.sugar = sugar      # degree the row would have if kept homogeneous
 
 
-def _make_row(d, p):
+def _make_row(d, p, sugar):
     lt = max(d, key=term_key)
     inv = pow(d[lt], -1, p)
     if inv != 1:
         d = {t: (c * inv) % p for t, c in d.items()}
     comp = lt[0]
     single = all(t[0] == comp for t in d)
-    return _Row(d, lt, single)
+    return _Row(d, lt, single, sugar)
 
 
 def _normal_form_dict(vec, by_comp, p):
-    """Full normal form of a dict-vector against rows grouped by component."""
+    """Full normal form of a dict-vector against rows grouped by component.
+
+    Terms wait in a max-heap; one popped after leaving work is skipped.
+    """
     work = dict(vec)
+    heap = [(_neg_key(t), t) for t in work]
+    heapify(heap)
     rem = {}
-    while work:
-        t = max(work, key=term_key)
-        c = work[t]
+    while heap:
+        t = heappop(heap)[1]
+        c = work.get(t)
+        if c is None:
+            continue
         row = None
         tail = t[1:]
         for r in by_comp.get(t[0], ()):
@@ -125,11 +146,14 @@ def _normal_form_dict(vec, by_comp, p):
         # work -= c * x^shift * row  (cancels t because row is monic)
         for u, a in row.vec.items():
             nt = (u[0],) + tuple(e + s for e, s in zip(u[1:], shift))
-            b = (work.get(nt, 0) - a * c) % p
-            if b:
+            b = work.get(nt)
+            if b is None:
+                work[nt] = (-a * c) % p
+                heappush(heap, (_neg_key(nt), nt))
+            elif b := (b - a * c) % p:
                 work[nt] = b
             else:
-                work.pop(nt, None)
+                del work[nt]
     return rem
 
 
@@ -151,10 +175,11 @@ def _spoly(f, g, lcm_t, p):
 
 
 def _update_pairs(G, P, new_idx):
-    """Gebauer-Moeller pair update after appending G[new_idx]."""
+    """Gebauer-Moeller pair update after appending G[new_idx]; returns a heap."""
     f = G[new_idx]
     ltf = f.lt
     comp = ltf[0]
+    f_excess = f.sugar - sum(ltf[1:])
     kept = []
     for rec in P:
         _, i, j, lcm_t = rec
@@ -190,12 +215,17 @@ def _update_pairs(G, P, new_idx):
         if skip:
             continue
         i = min(idxs)
-        kept.append((term_key(L), i, new_idx, L))
+        sugar = max(G[i].sugar - sum(G[i].lt[1:]), f_excess) + sum(L[1:])
+        kept.append(((sugar, _neg_key(L)), i, new_idx, L))
+    heapify(kept)
     return kept
 
 
 def _autoreduce(G, p):
-    """Minimalize lead terms, then fully reduce tails (reduced basis)."""
+    """Minimalize lead terms, then fully reduce tails (reduced basis).
+
+    One pass suffices: no lead term changes after minimalization.
+    """
     rows = sorted(G, key=lambda r: term_key(r.lt))
     keep = []
     for i, r in enumerate(rows):
@@ -206,18 +236,14 @@ def _autoreduce(G, p):
                 break
         if not covered:
             keep.append(r)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(keep)):
-            others = {}
-            for j, s in enumerate(keep):
-                if j != i:
-                    others.setdefault(s.lt[0], []).append(s)
-            nf = _normal_form_dict(keep[i].vec, others, p)
-            if nf != keep[i].vec:
-                keep[i] = _make_row(nf, p)
-                changed = True
+    for i in range(len(keep)):
+        others = {}
+        for j, s in enumerate(keep):
+            if j != i:
+                others.setdefault(s.lt[0], []).append(s)
+        nf = _normal_form_dict(keep[i].vec, others, p)
+        if nf != keep[i].vec:
+            keep[i] = _make_row(nf, p, keep[i].sugar)
     return sorted(keep, key=lambda r: term_key(r.lt))
 
 
@@ -226,7 +252,8 @@ class GroebnerBasis:
 
     Immutable after construction.  generators are monic, fully reduced
     against one another, and sorted by lead term, so equal submodules
-    produce identical objects under the fixed order.
+    produce identical objects under the fixed order.  pairs_used counts
+    the S-pairs of this run alone.
     """
 
     __slots__ = ("ctx", "rank", "generators", "lead_terms", "pairs_used", "_by_comp")
@@ -288,9 +315,10 @@ def buchberger(gens, budget=None):
     G = []
     by_comp = {}
     P = []
+    start = budget.pairs_used
 
-    def add(d):
-        row = _make_row(d, p)
+    def add(d, sugar):
+        row = _make_row(d, p, sugar)
         G.append(row)
         by_comp.setdefault(row.lt[0], []).append(row)
         return _update_pairs(G, P, len(G) - 1)
@@ -298,11 +326,9 @@ def buchberger(gens, budget=None):
     for g in gens:
         d = _normal_form_dict(_vec_to_dict(g), by_comp, p)
         if d:
-            P = add(d)
+            P = add(d, max(sum(t[1:]) for t in d))
     while P:
-        rec = min(P)
-        P.remove(rec)
-        _, i, j, lcm_t = rec
+        (sugar, _), i, j, lcm_t = heappop(P)
         deg = sum(lcm_t[1:])
         if deg > budget.max_degree:
             raise BudgetExceededError(
@@ -319,14 +345,9 @@ def buchberger(gens, budget=None):
             )
         h = _normal_form_dict(_spoly(G[i], G[j], lcm_t, p), by_comp, p)
         if h:
-            P = add(h)
+            P = add(h, sugar)
     rows = _autoreduce(G, p)
-    return GroebnerBasis(ctx, rank, rows, budget.pairs_used)
-
-
-def normal_form(v, gb):
-    """Normal form of a VectorPolynomial against a GroebnerBasis."""
-    return gb.normal_form(v)
+    return GroebnerBasis(ctx, rank, rows, budget.pairs_used - start)
 
 
 def syzygy_basis(gens, budget=None):

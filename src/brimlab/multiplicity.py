@@ -164,13 +164,14 @@ def _solve_coefficients(D, n0, window):
 
 
 def br_function_table(matrix, ring_dim, budget=None, n_max=None, cap=MAX_POWER_GENERATORS):
-    """Compute lambda incrementally until it provably behaves polynomially.
+    """Compute lambda incrementally until a window of values fits a polynomial.
 
-    Stop at the first argument where some window start n0 satisfies:
-    the D-th difference is constant over n0, n0+1, n0+2 (equivalently the
-    (D+1)-th difference vanishes twice), the exact refit on
-    lambda(n0..n0+D) has integer coefficients, and the refit reproduces
-    every computed value from n0 on.  Raises StabilizationError past n_max.
+    Stop at the first argument where some window start n0 satisfies: the
+    D-th difference is constant over n0, n0+1, n0+2 (the (D+1)-th vanishes
+    twice), the exact refit on lambda(n0..n0+D) has integer coefficients,
+    and the refit reproduces every computed value from n0 on.  This window
+    rule is a heuristic, not a proof that lambda has reached its
+    polynomial.  Raises StabilizationError past n_max.
     """
     D = ring_dim + matrix.r - 1
     if n_max is None:

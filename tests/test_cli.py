@@ -144,6 +144,26 @@ def test_budget_exhaustion_exits_3(problem, capsys):
     assert code == EXIT_BUDGET and "budget" in err
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ["analyze", "{file}", "--budget-pairs"],
+    ["analyze", "{file}", "--budget-degree"],
+    ["analyze", "{file}", "--nmax"],
+    ["corpus", "E2", "--budget-pairs"],
+    ["spread", "{file}", "--samples"],
+])
+def test_nonpositive_flags_are_input_errors(problem, capsys, argv, value):
+    path = problem(GOOD)
+    code, out, err = run(capsys, [a.format(file=path) for a in argv] + [value])
+    assert code == EXIT_INPUT and "input error" in err
+    assert out == ""
+
+
+def test_nonpositive_file_option_is_input_error(problem, capsys):
+    code, _, err = run(capsys, ["analyze", problem(GOOD + "options { nmax = 0 }\n")])
+    assert code == EXIT_INPUT and "nmax" in err
+
+
 def test_spread_deterministic(problem, capsys):
     argv = ["spread", problem(GOOD), "--samples", "3", "--seed", "5"]
     code1, out1, _ = run(capsys, argv)

@@ -1,5 +1,8 @@
 """Groebner engine: reduced bases, normal forms, budgets, determinism."""
 
+import pathlib
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,11 +11,20 @@ from brimlab.groebner import (
     buchberger,
     count_standard_monomials,
     monomial_ideal_dimension,
-    normal_form,
     syzygy_basis,
     term_key,
 )
-from brimlab.poly import INFINITE, BudgetExceededError, PolyContext, Polynomial, VectorPolynomial
+from brimlab.poly import (
+    INFINITE,
+    BudgetExceededError,
+    ContractError,
+    PolyContext,
+    Polynomial,
+    VectorPolynomial,
+)
+
+sys.path.insert(0, str(pathlib.Path(__file__).parent))
+import oracles
 
 CTX = PolyContext(101, ["x", "y"])
 X = CTX.variable(0)
@@ -130,6 +142,73 @@ def test_budget_tally_reports_usage():
     assert budget.max_degree_seen >= 2
 
 
+def test_pairs_used_counts_its_own_run():
+    budget = Budget()
+    gens = [vec(X * X - Y), vec(X * Y)]
+    first = buchberger(gens, budget)
+    second = buchberger(gens, budget)
+    assert first.pairs_used == second.pairs_used > 0
+    assert budget.pairs_used == first.pairs_used + second.pairs_used
+
+
+@pytest.mark.parametrize("caps", [{"max_pairs": 0}, {"max_pairs": -1},
+                                  {"max_degree": 0}, {"max_degree": -1}])
+def test_budget_rejects_nonpositive_caps(caps):
+    with pytest.raises(ContractError):
+        Budget(**caps)
+
+
+def _random_form(draw, ctx, degree):
+    """A homogeneous form of the given degree with drawn coefficients."""
+    items = [(e, draw(st.integers(0, ctx.p - 1)))
+             for e in oracles.monomials_of_degree(ctx.nvars, degree)]
+    return Polynomial.from_terms(ctx, items)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_colength_matches_degreewise_oracle(data):
+    draw = data.draw
+    p = draw(st.sampled_from([2, 3, 5, 101]), label="p")
+    ctx = PolyContext(p, ["x", "y"])
+    rank = draw(st.integers(1, 3), label="rank")
+    columns = []
+    for _ in range(draw(st.integers(rank, rank + 2), label="columns")):
+        degree = draw(st.integers(1, 3))
+        columns.append(VectorPolynomial(tuple(_random_form(draw, ctx, degree)
+                                              for _ in range(rank))))
+    ideal = [_random_form(draw, ctx, draw(st.integers(1, 3)))
+             for _ in range(draw(st.integers(0, 2), label="ideal generators"))]
+    zero = ctx.zero()
+    gens = columns + [VectorPolynomial(tuple(g if c == k else zero for k in range(rank)))
+                      for g in ideal for c in range(rank)]
+    got = buchberger(gens).colength()
+    # F/N is generated in degree 0, so its top degree is below its length
+    cap = 12 if got is INFINITE else got + 1
+    want = oracles.module_length(p, 2, rank, [[c.terms for c in v.components] for v in columns],
+                                 [g.terms for g in ideal], max_degree=cap)
+    assert want == (oracles.INF if got is INFINITE else got)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_inhomogeneous_basis_is_order_free(data):
+    draw = data.draw
+    p = draw(st.sampled_from([2, 3, 5, 101]), label="p")
+    ctx = PolyContext(p, ["x", "y"])
+    rank = draw(st.integers(1, 2), label="rank")
+    term = st.tuples(st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(1, p - 1))
+    entry = st.lists(term, max_size=3).map(lambda items: Polynomial.from_terms(ctx, items))
+    gens = draw(st.lists(st.tuples(*[entry] * rank).map(VectorPolynomial),
+                         min_size=1, max_size=4), label="generators")
+    order = draw(st.permutations(range(len(gens))), label="order")
+    gb = buchberger(gens)
+    again = buchberger([gens[i] for i in order])
+    assert again.generators == gb.generators
+    for g in gens:
+        assert gb.normal_form(g).is_zero()
+
+
 def test_syzygy_substitution_property():
     gens = [vec(X * X), vec(X * Y), vec(Y * Y)]
     syz = syzygy_basis(gens)
@@ -163,11 +242,6 @@ def test_colength_splits_components():
 
 
 def test_standard_monomials_against_enumeration():
-    import sys, pathlib
-
-    sys.path.insert(0, str(pathlib.Path(__file__).parent))
-    import oracles
-
     cases = [
         [(3, 0), (0, 2)],
         [(2, 1), (1, 2), (4, 0), (0, 4)],
