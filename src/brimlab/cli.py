@@ -18,7 +18,7 @@ import time
 from . import corpus as corpus_mod
 from . import report as report_mod
 from .dsl import ParseError, build, parse
-from .groebner import Budget
+from .groebner import MAX_DEGREE, Budget
 from .multiplicity import SamplingError, StabilizationError, buchsbaum_spread, theorem_check
 from .poly import AlgebraError, BudgetExceededError, ContractError
 from .verify import check_corpus, corpus_table, verify_instance
@@ -99,7 +99,8 @@ def _mutator(flip):
 
     def mutate(cx):
         mat = cx.differentials.get(p)
-        assert mat is not None and 0 <= row < len(mat) and 0 <= col < len(mat[0])
+        if mat is None or not (0 <= row < len(mat) and 0 <= col < len(mat[0])):
+            raise ContractError("--flip-sign %s: the complex at t = %d has no such entry" % (flip, cx.t))
         mat[row][col] = -mat[row][col]
 
     return mutate
@@ -175,7 +176,8 @@ def _add_budget_flags(sub):
     sub.add_argument("--budget-pairs", type=int, metavar="N",
                      help="abort Groebner runs after N S-pairs (default %d)" % Budget().max_pairs)
     sub.add_argument("--budget-degree", type=int, metavar="N",
-                     help="abort Groebner runs past degree N (default %d)" % Budget().max_degree)
+                     help="abort Groebner runs past degree N (default %d, at most %d)"
+                     % (Budget().max_degree, MAX_DEGREE))
 
 
 def make_parser():

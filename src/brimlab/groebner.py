@@ -1,20 +1,44 @@
 """Buchberger engine for submodules of free modules over F_p[x1..xm].
 
-Inside the engine a vector is a dict from flat terms to coefficients,
-where a flat term is (component, e1, ..., em).  The module order is
-position-over-term: component 0 dominates all of component 1 and so on,
-with ties broken by graded reverse lex on the monomial part.  That single
-order serves membership, colength counting and, through tag components
-appended behind the original ones, syzygies and kernels by elimination.
+The module order is position-over-term: component 0 dominates all of
+component 1 and so on, with ties broken by graded reverse lex on the
+monomial part.  That single order serves membership, colength counting
+and, through tag components appended behind the original ones, syzygies
+and kernels by elimination.
 
-Normal forms pop leading terms from a heap (Monagan and Pearce, CASC
-2007).  S-pairs leave a heap by least sugar, then largest lcm (Giovini et
-al., ISSAC 1991); sugar is the lcm degree on homogeneous input.
+Inside the engine a term (component, e1, ..., em) is one int (Monagan and
+Pearce, CASC 2007).  From the top down it holds the component, then
+TOP - (total degree), then e_m, ..., e_1.  Every field below the
+component is _W = 16 bits wide, and its top bit is a guard that a stored
+term leaves 0.  A smaller int is a larger term, so a heap of ints pops
+the leading term first.  Multiplying u by the monomial t / lt is the
+addition u + (t - lt), and lt divides t (same component) exactly when
+t - lt borrows from no exponent field, that is when
+(t - lt) & guard == 0.  Terms of basis rows and normal forms stay at
+degree <= MAX_DEGREE, half of TOP, so the lcm of any two of them still
+fits; a term that would pass MAX_DEGREE raises BudgetExceededError
+("degree") instead of wrapping.
 
-Pair handling follows the Gebauer-Moeller update.  The coprime-lead-term
-shortcut is only sound for vectors concentrated in a single component
-(the classical one-variable-at-a-time proof multiplies the two inputs,
-which has no meaning for genuine vectors), so it is applied exactly then.
+Normal forms pop leading terms from a heap.  S-pairs leave a heap by
+least sugar, then largest lcm (Giovini et al., ISSAC 1991); sugar is the
+lcm degree on homogeneous input.  Pair handling follows the
+Gebauer-Moeller update.  The coprime-lead-term shortcut is only sound for
+vectors concentrated in a single component (the classical
+one-variable-at-a-time proof multiplies the two inputs, which has no
+meaning for genuine vectors), so it is applied exactly then.
+
+When every input vector is homogeneous under the unshifted grading (all
+its terms, in every component, of one total degree), S-polynomials and
+their normal forms are homogeneous too and pairs leave the heap by
+degree.  If at the start of degree d every component's lead terms
+generate all monomials of degree d, every remaining pair reduces to zero
+term by term, so the run stops there with a Groebner basis.  Inputs of
+mixed degree run to the end.
+
+buchberger returns the minimal basis.  Normal forms, membership and
+colengths need nothing more, since the full normal form against any
+Groebner basis is the same; GroebnerBasis.generators reduces the tails
+the first time it is read.
 """
 
 from __future__ import annotations
@@ -33,12 +57,23 @@ from .poly import (
 DEFAULT_MAX_PAIRS = 200_000
 DEFAULT_MAX_DEGREE = 60
 
+_W = 16                         # bits per packed field, guard bit included
+_FIELD = (1 << _W) - 1
+TOP = (1 << (_W - 1)) - 1       # largest value a field holds below its guard
+MAX_DEGREE = TOP // 2           # largest total degree of a term in a row
+
+
+def _too_high(what):
+    return BudgetExceededError(
+        "degree", "degree budget exceeded: %s passes the engine limit %d" % (what, MAX_DEGREE))
+
 
 class Budget:
     """Caps on the total work of every run given it, plus a tally of that work.
 
-    The tally fields are the one deliberately mutable spot in the library;
-    concurrent computations must use distinct Budget instances.
+    max_degree may not exceed MAX_DEGREE.  The tally fields are the one
+    deliberately mutable spot in the library; concurrent computations
+    must use distinct Budget instances.
     """
 
     __slots__ = ("max_pairs", "max_degree", "pairs_used", "max_degree_seen")
@@ -46,126 +81,152 @@ class Budget:
     def __init__(self, max_pairs=DEFAULT_MAX_PAIRS, max_degree=DEFAULT_MAX_DEGREE):
         if not (max_pairs > 0 and max_degree > 0):
             raise ContractError("budget caps must be positive: %r, %r" % (max_pairs, max_degree))
+        if max_degree > MAX_DEGREE:
+            raise ContractError("degree cap %r is above the engine limit %d" % (max_degree, MAX_DEGREE))
         self.max_pairs = max_pairs
         self.max_degree = max_degree
         self.pairs_used = 0
         self.max_degree_seen = 0
 
 
-def term_key(t):
-    """Sort key for flat terms: larger key = larger term (component 0 wins)."""
-    return (-t[0], sum(t[1:]), tuple(-e for e in t[:0:-1]))
+class _Layout:
+    """Packing of flat terms (component, e1..em) into ints for m variables."""
+
+    __slots__ = ("m", "deg_shift", "comp_shift", "ones", "guard", "exp_mask")
+
+    def __init__(self, m):
+        self.m = m
+        self.deg_shift = m * _W
+        self.comp_shift = (m + 1) * _W
+        self.ones = sum(1 << (i * _W) for i in range(m))
+        self.guard = self.ones << (_W - 1)
+        self.exp_mask = (1 << self.deg_shift) - 1
+
+    def pack(self, t):
+        deg = sum(t) - t[0]
+        if deg > MAX_DEGREE:
+            raise _too_high("input term of degree %d" % deg)
+        x = (t[0] << _W) | (TOP - deg)
+        for e in reversed(t[1:]):
+            x = (x << _W) | e
+        return x
+
+    def unpack(self, x):
+        exps = []
+        for _ in range(self.m):
+            exps.append(x & _FIELD)
+            x >>= _W
+        return (x >> _W,) + tuple(exps)
+
+    def degree(self, x):
+        return TOP - ((x >> self.deg_shift) & _FIELD)
+
+    def lcm(self, a, b):
+        """lcm of two terms of one component."""
+        ea = a & self.exp_mask
+        eb = b & self.exp_mask
+        sel = ((ea | self.guard) - eb) & self.guard  # guard set where a_i >= b_i
+        sel -= sel >> (_W - 1)                        # ... widened to the value bits
+        e = (ea & sel) | (eb & ~sel)
+        deg = ((e * self.ones) >> (self.deg_shift - _W)) & _FIELD  # sum of the fields
+        cs = self.comp_shift
+        return ((a >> cs) << cs) | ((TOP - deg) << self.deg_shift) | e
 
 
-def _neg_key(t):
-    """term_key(t) with every entry negated: smaller key = larger term."""
-    return (t[0], -sum(t[1:]), t[:0:-1])
-
-
-def _divides(a, b):
-    """Does flat term a divide flat term b (same component, exps <=)."""
-    if a[0] != b[0]:
-        return False
-    for x, y in zip(a[1:], b[1:]):
-        if x > y:
-            return False
-    return True
-
-
-def _lcm(a, b):
-    assert a[0] == b[0]
-    return (a[0],) + tuple(x if x >= y else y for x, y in zip(a[1:], b[1:]))
-
-
-def _vec_to_dict(v):
+def _vec_to_dict(v, lay):
     out = {}
+    pack = lay.pack
     for comp, poly in enumerate(v.components):
         for exps, c in poly.terms.items():
-            out[(comp,) + exps] = c
+            out[pack((comp,) + exps)] = c
     return out
 
 
-def _dict_to_vec(ctx, rank, d):
+def _dict_to_vec(ctx, rank, items, lay):
     polys = [{} for _ in range(rank)]
-    for t, c in d.items():
+    for x, c in items:
+        t = lay.unpack(x)
         polys[t[0]][t[1:]] = c
     return VectorPolynomial(tuple(Polynomial(ctx, terms) for terms in polys))
 
 
 class _Row:
-    __slots__ = ("vec", "lt", "single", "sugar")
+    __slots__ = ("lt", "tail", "single", "sugar", "deg", "floor")
 
-    def __init__(self, vec, lt, single, sugar):
-        self.vec = vec          # dict, monic at lt
-        self.lt = lt
+    def __init__(self, lt, tail, single, sugar, deg, floor):
+        self.lt = lt            # the row is monic at lt
+        self.tail = tail        # [(term, coefficient)] below lt
         self.single = single    # all terms share lt's component
         self.sugar = sugar      # degree the row would have if kept homogeneous
+        self.deg = deg          # total degree of lt
+        self.floor = floor      # t >= floor: the row times t / lt stays packable
 
 
-def _make_row(d, p, sugar):
-    lt = max(d, key=term_key)
+def _make_row(d, p, sugar, lay):
+    lt = min(d)
     inv = pow(d[lt], -1, p)
-    if inv != 1:
-        d = {t: (c * inv) % p for t, c in d.items()}
-    comp = lt[0]
-    single = all(t[0] == comp for t in d)
-    return _Row(d, lt, single, sugar)
+    tail = [(u, c * inv % p) for u, c in d.items() if u != lt]
+    cs = lay.comp_shift
+    comp = lt >> cs
+    single = all(u >> cs == comp for u, _ in tail)
+    deg = lay.degree(lt)
+    top = max([deg] + [lay.degree(u) for u, _ in tail])
+    # t * row keeps every term within MAX_DEGREE iff TOP - deg(t) >= this
+    excess = TOP - MAX_DEGREE + top - deg
+    return _Row(lt, tail, single, sugar, deg, (comp << cs) | (excess << lay.deg_shift))
 
 
-def _normal_form_dict(vec, by_comp, p):
+def _normal_form_dict(vec, by_comp, p, lay):
     """Full normal form of a dict-vector against rows grouped by component.
 
-    Terms wait in a max-heap; one popped after leaving work is skipped.
+    Terms wait in a min-heap of ints (the largest term first); one popped
+    after leaving work is skipped.
     """
     work = dict(vec)
-    heap = [(_neg_key(t), t) for t in work]
+    heap = list(work)
     heapify(heap)
     rem = {}
+    guard = lay.guard
+    cs = lay.comp_shift
     while heap:
-        t = heappop(heap)[1]
-        c = work.get(t)
+        t = heappop(heap)
+        c = work.pop(t, None)
         if c is None:
             continue
-        row = None
-        tail = t[1:]
-        for r in by_comp.get(t[0], ()):
-            le = r.lt
-            ok = True
-            for x, y in zip(le[1:], tail):
-                if x > y:
-                    ok = False
-                    break
-            if ok:
-                row = r
+        for r in by_comp.get(t >> cs, ()):
+            if not (t - r.lt) & guard:
                 break
-        if row is None:
+        else:
             rem[t] = c
-            del work[t]
             continue
-        shift = tuple(y - x for x, y in zip(row.lt[1:], tail))
-        # work -= c * x^shift * row  (cancels t because row is monic)
-        for u, a in row.vec.items():
-            nt = (u[0],) + tuple(e + s for e, s in zip(u[1:], shift))
+        if t < r.floor:
+            raise _too_high("a reduction step")
+        s = t - r.lt
+        c = p - c
+        # work -= c * x^s * row; its lead term cancels t, already removed
+        for u, a in r.tail:
+            nt = u + s
             b = work.get(nt)
             if b is None:
-                work[nt] = (-a * c) % p
-                heappush(heap, (_neg_key(nt), nt))
-            elif b := (b - a * c) % p:
-                work[nt] = b
+                work[nt] = a * c % p
+                heappush(heap, nt)
             else:
-                del work[nt]
+                b = (b + a * c) % p
+                if b:
+                    work[nt] = b
+                else:
+                    del work[nt]
     return rem
 
 
 def _spoly(f, g, lcm_t, p):
-    out = {}
-    sf = tuple(y - x for x, y in zip(f.lt[1:], lcm_t[1:]))
-    for u, a in f.vec.items():
-        nt = (u[0],) + tuple(e + s for e, s in zip(u[1:], sf))
-        out[nt] = a
-    sg = tuple(y - x for x, y in zip(g.lt[1:], lcm_t[1:]))
-    for u, a in g.vec.items():
-        nt = (u[0],) + tuple(e + s for e, s in zip(u[1:], sg))
+    if lcm_t < f.floor or lcm_t < g.floor:
+        raise _too_high("an S-polynomial")
+    sf = lcm_t - f.lt
+    out = {u + sf: a for u, a in f.tail}
+    sg = lcm_t - g.lt
+    for u, a in g.tail:
+        nt = u + sg
         b = (out.get(nt, 0) - a) % p
         if b:
             out[nt] = b
@@ -174,112 +235,158 @@ def _spoly(f, g, lcm_t, p):
     return out
 
 
-def _update_pairs(G, P, new_idx):
-    """Gebauer-Moeller pair update after appending G[new_idx]; returns a heap."""
+def _update_pairs(G, P, new_idx, lay):
+    """Gebauer-Moeller pair update after appending G[new_idx]; returns a heap
+    of (sugar, lcm, i, j)."""
     f = G[new_idx]
     ltf = f.lt
-    comp = ltf[0]
-    f_excess = f.sugar - sum(ltf[1:])
+    cs = lay.comp_shift
+    guard = lay.guard
+    lcm = lay.lcm
+    comp = ltf >> cs
     kept = []
     for rec in P:
-        _, i, j, lcm_t = rec
+        L = rec[1]
         if (
-            lcm_t[0] == comp
-            and _divides(ltf, lcm_t)
-            and lcm_t != _lcm(G[i].lt, ltf)
-            and lcm_t != _lcm(G[j].lt, ltf)
+            L >> cs == comp
+            and not (L - ltf) & guard
+            and L != lcm(G[rec[2]].lt, ltf)
+            and L != lcm(G[rec[3]].lt, ltf)
         ):
             continue  # chain criterion: the new lead term covers this pair
         kept.append(rec)
     groups = {}
     for i in range(new_idx):
         lti = G[i].lt
-        if lti[0] != comp:
-            continue
-        groups.setdefault(_lcm(lti, ltf), []).append(i)
+        if lti >> cs == comp:
+            groups.setdefault(lcm(lti, ltf), []).append(i)
     minimal = []
-    for L in sorted(groups, key=term_key):
-        if not any(_divides(M, L) for M in minimal):
+    for L in sorted(groups, reverse=True):  # smallest term first
+        if not any(not (L - M) & guard for M in minimal):
             minimal.append(L)
+    mask = lay.exp_mask
+    f_excess = f.sugar - f.deg
     for L in minimal:
         idxs = groups[L]
         skip = False
         for i in idxs:
-            if (
-                G[i].single
-                and f.single
-                and all(x == 0 or y == 0 for x, y in zip(G[i].lt[1:], ltf[1:]))
-            ):
+            if G[i].single and f.single and (G[i].lt & mask) + (ltf & mask) == L & mask:
                 skip = True  # coprime shortcut, sound for one-component rows
                 break
         if skip:
             continue
         i = min(idxs)
-        sugar = max(G[i].sugar - sum(G[i].lt[1:]), f_excess) + sum(L[1:])
-        kept.append(((sugar, _neg_key(L)), i, new_idx, L))
+        kept.append((max(G[i].sugar - G[i].deg, f_excess) + lay.degree(L), L, i, new_idx))
     heapify(kept)
     return kept
 
 
-def _autoreduce(G, p):
-    """Minimalize lead terms, then fully reduce tails (reduced basis).
+def _minimal_rows(G, lay):
+    """Rows whose lead term no other row's divides, largest lead term last.
 
-    One pass suffices: no lead term changes after minimalization.
+    Lead terms are distinct: each row is a normal form against the rows
+    before it.
     """
-    rows = sorted(G, key=lambda r: term_key(r.lt))
-    keep = []
-    for i, r in enumerate(rows):
-        covered = False
-        for j, s in enumerate(rows):
-            if i != j and _divides(s.lt, r.lt) and not (s.lt == r.lt and j > i):
-                covered = True
-                break
-        if not covered:
-            keep.append(r)
-    for i in range(len(keep)):
-        others = {}
-        for j, s in enumerate(keep):
-            if j != i:
-                others.setdefault(s.lt[0], []).append(s)
-        nf = _normal_form_dict(keep[i].vec, others, p)
-        if nf != keep[i].vec:
-            keep[i] = _make_row(nf, p, keep[i].sugar)
-    return sorted(keep, key=lambda r: term_key(r.lt))
+    cs = lay.comp_shift
+    guard = lay.guard
+    keep = [
+        r for r in G
+        if not any(s is not r and s.lt >> cs == r.lt >> cs and not (r.lt - s.lt) & guard for s in G)
+    ]
+    keep.sort(key=lambda r: r.lt, reverse=True)
+    return keep
+
+
+def _reduce_tails(rows, p, lay):
+    """The reduced basis of a minimal one, in the same order.
+
+    Only a row with a smaller lead term can divide a tail term, so going
+    up from the smallest lead term, each row reduces against rows already
+    reduced.
+    """
+    by_comp = {}
+    out = []
+    cs = lay.comp_shift
+    for r in rows:
+        tail = _normal_form_dict(dict(r.tail), by_comp, p, lay)
+        tail[r.lt] = 1
+        row = _make_row(tail, p, r.sugar, lay)
+        by_comp.setdefault(r.lt >> cs, []).append(row)
+        out.append(row)
+    return out
+
+
+def _fills_degree(exps, nvars, d):
+    """Does the monomial ideal generated by exps hold every monomial of
+    degree d?  Recursion on the last variable, as in
+    count_standard_monomials; exponents of it at or past its pure power
+    are covered outright."""
+    if nvars == 1:
+        return any(g[0] <= d for g in exps)
+    pure = min((g[-1] for g in exps if not any(g[:-1])), default=d + 1)
+    for e in range(min(pure, d + 1)):
+        level = [g[:-1] for g in exps if g[-1] <= e]
+        if not level or not _fills_degree(level, nvars - 1, d - e):
+            return False
+    return True
 
 
 class GroebnerBasis:
-    """Reduced Groebner basis of a submodule of F_p[x]^rank.
+    """Groebner basis of a submodule of F_p[x]^rank.
 
-    Immutable after construction.  generators are monic, fully reduced
-    against one another, and sorted by lead term, so equal submodules
-    produce identical objects under the fixed order.  pairs_used counts
-    the S-pairs of this run alone.
+    Read-only.  lead_terms are the flat tuples (component, e1..em) of the
+    minimal basis, sorted from the smallest term up; generators is the
+    reduced basis in that order, monic and computed on first read, so
+    equal submodules give equal generators.  pairs_used counts the
+    S-pairs of this run alone.
     """
 
-    __slots__ = ("ctx", "rank", "generators", "lead_terms", "pairs_used", "_by_comp")
+    __slots__ = ("ctx", "rank", "lead_terms", "pairs_used", "_lay", "_rows", "_by_comp",
+                 "_generators")
 
-    def __init__(self, ctx, rank, rows, pairs_used):
+    def __init__(self, ctx, rank, rows, pairs_used, lay):
         self.ctx = ctx
         self.rank = rank
-        self.generators = tuple(_dict_to_vec(ctx, rank, r.vec) for r in rows)
-        self.lead_terms = tuple(r.lt for r in rows)
+        self.lead_terms = tuple(lay.unpack(r.lt) for r in rows)
         self.pairs_used = pairs_used
+        self._lay = lay
+        self._rows = rows
         by_comp = {}
         for r in rows:
-            by_comp.setdefault(r.lt[0], []).append(r)
+            by_comp.setdefault(r.lt >> lay.comp_shift, []).append(r)
         self._by_comp = by_comp
+        self._generators = None
+
+    @property
+    def generators(self):
+        if self._generators is None:
+            self._generators = self._reduced(self._rows)
+        return self._generators
+
+    def _reduced(self, rows):
+        """Reduced vectors of rows, which must hold every row whose lead
+        term divides one of their terms."""
+        lay = self._lay
+        return tuple(_dict_to_vec(self.ctx, self.rank, [(r.lt, 1)] + r.tail, lay)
+                     for r in _reduce_tails(rows, self.ctx.p, lay))
+
+    def _nf(self, v):
+        if v.ctx != self.ctx or v.rank != self.rank:
+            raise ContractError("vector of rank %d over %r against a basis of rank %d over %r"
+                                % (v.rank, v.ctx, self.rank, self.ctx))
+        return _normal_form_dict(_vec_to_dict(v, self._lay), self._by_comp, self.ctx.p, self._lay)
 
     def normal_form(self, v):
         """Canonical remainder of v: no term divisible by a basis lead term."""
-        assert v.rank == self.rank
-        return _dict_to_vec(self.ctx, self.rank, _normal_form_dict(_vec_to_dict(v), self._by_comp, self.ctx.p))
+        return _dict_to_vec(self.ctx, self.rank, self._nf(v).items(), self._lay)
 
     def normal_form_poly(self, poly):
-        assert self.rank == 1
+        if self.rank != 1:
+            raise ContractError("normal_form_poly needs a basis of rank 1, not %d" % self.rank)
         return self.normal_form(VectorPolynomial((poly,))).components[0]
 
     def contains(self, v):
-        return not _normal_form_dict(_vec_to_dict(v), self._by_comp, self.ctx.p)
+        return not self._nf(v)
 
     def colength(self):
         """Number of standard monomials of the lead term module, or INFINITE."""
@@ -296,11 +403,11 @@ class GroebnerBasis:
 
 
 def buchberger(gens, budget=None):
-    """Reduced Groebner basis of the submodule generated by gens.
+    """Groebner basis of the submodule generated by gens.
 
     gens: nonempty sequence of VectorPolynomial of one common rank.
     Zero generators are skipped.  Raises BudgetExceededError when the
-    pair count or lcm degree cap is hit.
+    pair count or lcm degree cap is hit, or a term would pass MAX_DEGREE.
     """
     gens = list(gens)
     if not gens:
@@ -308,28 +415,45 @@ def buchberger(gens, budget=None):
     ctx = gens[0].ctx
     rank = gens[0].rank
     for g in gens:
-        assert g.ctx == ctx and g.rank == rank
+        if g.ctx != ctx or g.rank != rank:
+            raise ContractError("generators of rank %d over %r and rank %d over %r mixed"
+                                % (rank, ctx, g.rank, g.ctx))
     if budget is None:
         budget = Budget()
     p = ctx.p
+    m = ctx.nvars
+    lay = _Layout(m)
+    cs = lay.comp_shift
+    homogeneous = all(len({sum(e) for f in g.components for e in f.terms}) <= 1 for g in gens)
     G = []
     by_comp = {}
     P = []
     start = budget.pairs_used
 
     def add(d, sugar):
-        row = _make_row(d, p, sugar)
+        row = _make_row(d, p, sugar, lay)
         G.append(row)
-        by_comp.setdefault(row.lt[0], []).append(row)
-        return _update_pairs(G, P, len(G) - 1)
+        by_comp.setdefault(row.lt >> cs, []).append(row)
+        return _update_pairs(G, P, len(G) - 1, lay)
 
     for g in gens:
-        d = _normal_form_dict(_vec_to_dict(g), by_comp, p)
+        d = _normal_form_dict(_vec_to_dict(g, lay), by_comp, p, lay)
         if d:
-            P = add(d, max(sum(t[1:]) for t in d))
+            P = add(d, max(lay.degree(t) for t in d))
+    open_comps = range(rank)
+    deg_done = 0
     while P:
-        (sugar, _), i, j, lcm_t = heappop(P)
-        deg = sum(lcm_t[1:])
+        sugar, lcm_t, i, j = P[0]
+        if homogeneous and sugar > deg_done:
+            # every pair below this degree is done: stop if nothing is left
+            # to find from here up
+            deg_done = sugar
+            open_comps = [c for c in open_comps if not _fills_degree(
+                [lay.unpack(r.lt)[1:] for r in by_comp.get(c, ())], m, sugar)]
+            if not open_comps:
+                break
+        heappop(P)
+        deg = lay.degree(lcm_t)
         if deg > budget.max_degree:
             raise BudgetExceededError(
                 "degree",
@@ -343,19 +467,18 @@ def buchberger(gens, budget=None):
                 "pairs",
                 "pair budget exceeded: more than %d S-pairs" % budget.max_pairs,
             )
-        h = _normal_form_dict(_spoly(G[i], G[j], lcm_t, p), by_comp, p)
+        h = _normal_form_dict(_spoly(G[i], G[j], lcm_t, p), by_comp, p, lay)
         if h:
             P = add(h, sugar)
-    rows = _autoreduce(G, p)
-    return GroebnerBasis(ctx, rank, rows, budget.pairs_used - start)
+    return GroebnerBasis(ctx, rank, _minimal_rows(G, lay), budget.pairs_used - start, lay)
 
 
 def syzygy_basis(gens, budget=None):
     """Generators of the syzygy module of gens in F_p[x]^len(gens).
 
     Each generator g_i is tagged with a fresh component behind the
-    original ones; basis elements of the tagged module whose original
-    components vanish are exactly the syzygies.
+    original ones; the reduced basis elements of the tagged module whose
+    original components vanish, in basis order, are the syzygies.
     """
     gens = list(gens)
     if not gens:
@@ -366,16 +489,16 @@ def syzygy_basis(gens, budget=None):
     zero = ctx.zero()
     ext = []
     for i, g in enumerate(gens):
-        assert g.ctx == ctx and g.rank == rank
         tags = [zero] * k
         tags[i] = ctx.one()
         ext.append(VectorPolynomial(g.components + tuple(tags)))
     gb = buchberger(ext, budget)
-    out = []
-    for v in gb.generators:
-        if all(c.is_zero() for c in v.components[:rank]):
-            out.append(VectorPolynomial(v.components[rank:]))
-    return out
+    # Under position over term, the rows with a lead term in a tag
+    # component are zero in the original ones, and only they divide
+    # their terms, so they are reduced alone.
+    cs = gb._lay.comp_shift
+    tagged = gb._reduced([r for r in gb._rows if r.lt >> cs >= rank])
+    return [VectorPolynomial(v.components[rank:]) for v in tagged]
 
 
 def count_standard_monomials(exp_vectors, nvars):

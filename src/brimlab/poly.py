@@ -304,7 +304,8 @@ class VectorPolynomial:
         return hash(self.components)
 
     def __add__(self, other):
-        assert self.rank == other.rank
+        if self.rank != other.rank:
+            raise ContractError("cannot add vectors of rank %d and %d" % (self.rank, other.rank))
         return VectorPolynomial(tuple(a + b for a, b in zip(self.components, other.components)))
 
     def __neg__(self):

@@ -237,6 +237,11 @@ def min_generators(ring, sub, budget=None):
     ln = submodule_colength(ring, sub, budget)
     if ln is INFINITE:
         raise AlgebraError("minimal generator count needs finite colength")
+    return _min_generators(ring, sub, ln, budget)
+
+
+def _min_generators(ring, sub, ln, budget):
+    """min_generators given ln = l(A^rank / N), finite."""
     scaled = []
     for vec in sub.lifted_generators():
         for i in range(ring.ctx.nvars):
@@ -274,6 +279,6 @@ def is_parameter_module(ring, sub, budget=None):
     ln = submodule_colength(ring, sub, budget)
     if ln is INFINITE:
         return ParameterVerdict(False, inside, False, INFINITE, None)
-    mu = min_generators(ring, sub, budget)
+    mu = _min_generators(ring, sub, ln, budget)
     target = ring.dimension + sub.rank - 1
     return ParameterVerdict(True, inside, mu == target, ln, mu)

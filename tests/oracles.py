@@ -47,17 +47,21 @@ def rank_mod_p(rows, p):
     return rank
 
 
-def module_length(p, nvars, rank, gen_vectors, ideal_polys, max_degree=60):
+def module_length(p, nvars, rank, gen_vectors, ideal_polys, max_degree=60, shifts=None):
     """Length of F_p[x]^rank / (gen_vectors + ideal_polys * basis).
 
     gen_vectors: list of vectors, each a list of rank term-dicts
-    (exponent tuple -> coefficient); every vector must be homogeneous of
-    one total degree across its nonzero entries (components unshifted).
-    ideal_polys: list of homogeneous term-dicts.  Counts the Hilbert
-    function degree by degree until it vanishes; INF past max_degree.
+    (exponent tuple -> coefficient).  shifts: the degree of each basis
+    vector (default all 0), so a term x^e in component c has degree
+    |e| + shifts[c]; every vector must be homogeneous of one degree
+    across its nonzero entries.  ideal_polys: list of homogeneous
+    term-dicts.  Counts the Hilbert function degree by degree until it
+    vanishes; INF past max_degree.
     """
+    shifts = list(shifts) if shifts is not None else [0] * rank
+
     def vec_degree(vec):
-        degs = {sum(e) for comp in vec for e in comp}
+        degs = {sum(e) + shifts[c] for c, comp in enumerate(vec) for e in comp}
         assert len(degs) == 1, "oracle needs per-vector uniform degree"
         return degs.pop()
 
@@ -71,11 +75,11 @@ def module_length(p, nvars, rank, gen_vectors, ideal_polys, max_degree=60):
     total = 0
     zeros = 0
     for t in range(max_degree + 1):
-        monos = monomials_of_degree(nvars, t)
         pos = {}
         for c in range(rank):
-            for m in monos:
-                pos[(c, m)] = len(pos)
+            if t >= shifts[c]:
+                for m in monomials_of_degree(nvars, t - shifts[c]):
+                    pos[(c, m)] = len(pos)
         rows = []
         for vec, d in gens:
             if d > t:
@@ -87,17 +91,19 @@ def module_length(p, nvars, rank, gen_vectors, ideal_polys, max_degree=60):
                         row[pos[(c, tuple(a + b for a, b in zip(e, shift)))]] = k % p
                 rows.append(row)
         for g, d in ideal:
-            if d > t:
-                continue
             for c in range(rank):
-                for shift in monomials_of_degree(nvars, t - d):
+                if d + shifts[c] > t:
+                    continue
+                for shift in monomials_of_degree(nvars, t - d - shifts[c]):
                     row = [0] * len(pos)
                     for e, k in g.items():
                         row[pos[(c, tuple(a + b for a, b in zip(e, shift)))]] = k % p
                     rows.append(row)
         h = len(pos) - rank_mod_p(rows, p)
         total += h
-        zeros = zeros + 1 if h == 0 else 0
+        # F/N is generated in degrees <= max(shifts): past them, two zero
+        # degrees in a row mean all later ones vanish too
+        zeros = zeros + 1 if h == 0 and t >= max(shifts, default=0) else 0
         if zeros >= 2:
             return total
     return INF

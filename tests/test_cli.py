@@ -9,6 +9,7 @@ import pytest
 
 import brimlab.corpus as corpus_mod
 from brimlab.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, main
+from brimlab.groebner import MAX_DEGREE
 from brimlab.report import REPORT_SCHEMA, from_csv, from_json
 
 GOOD = corpus_mod.by_name("E4").text
@@ -105,6 +106,12 @@ def test_verify_flip_sign_violation(problem, capsys):
     assert "square_zero" in out and "reproduce with" in out
 
 
+def test_verify_flip_sign_out_of_range_is_input_error(problem, capsys):
+    long_case = corpus_mod.by_name("E1").text
+    code, out, err = run(capsys, ["verify", problem(long_case), "--flip-sign", "9,9,9"])
+    assert code == EXIT_INPUT and "input error" in err and "--flip-sign" in err
+
+
 def test_verify_needs_input(capsys):
     code, _, err = run(capsys, ["verify"])
     assert code == EXIT_INPUT and "problem file or --corpus" in err
@@ -157,6 +164,21 @@ def test_nonpositive_flags_are_input_errors(problem, capsys, argv, value):
     code, out, err = run(capsys, [a.format(file=path) for a in argv] + [value])
     assert code == EXIT_INPUT and "input error" in err
     assert out == ""
+
+
+def test_budget_degree_engine_limit(problem, capsys):
+    path = problem(GOOD)
+    code, _, _ = run(capsys, ["analyze", path, "--budget-degree", str(MAX_DEGREE)])
+    assert code == EXIT_OK
+    code, out, err = run(capsys, ["analyze", path, "--budget-degree", str(MAX_DEGREE + 1)])
+    assert code == EXIT_INPUT and "input error" in err and out == ""
+
+
+def test_exponent_past_engine_limit_is_budget_error(problem, capsys):
+    text = GOOD.replace("[y, 0]", "[y^%d, 0]" % (MAX_DEGREE + 1))
+    assert text != GOOD
+    code, _, err = run(capsys, ["analyze", problem(text)])
+    assert code == EXIT_BUDGET and "engine limit" in err
 
 
 def test_nonpositive_file_option_is_input_error(problem, capsys):

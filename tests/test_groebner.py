@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from brimlab.groebner import (
+    MAX_DEGREE,
     Budget,
     buchberger,
     count_standard_monomials,
     monomial_ideal_dimension,
     syzygy_basis,
-    term_key,
+    _Layout,
 )
 from brimlab.poly import (
     INFINITE,
@@ -165,29 +166,83 @@ def _random_form(draw, ctx, degree):
     return Polynomial.from_terms(ctx, items)
 
 
-@given(st.data())
-@settings(max_examples=60, deadline=None)
-def test_colength_matches_degreewise_oracle(data):
-    draw = data.draw
-    p = draw(st.sampled_from([2, 3, 5, 101]), label="p")
-    ctx = PolyContext(p, ["x", "y"])
-    rank = draw(st.integers(1, 3), label="rank")
-    columns = []
-    for _ in range(draw(st.integers(rank, rank + 2), label="columns")):
-        degree = draw(st.integers(1, 3))
-        columns.append(VectorPolynomial(tuple(_random_form(draw, ctx, degree)
-                                              for _ in range(rank))))
-    ideal = [_random_form(draw, ctx, draw(st.integers(1, 3)))
+def _drawn_module(draw, ctx, shifts, columns):
+    """Columns homogeneous under the basis shifts, then the ideal generators.
+
+    A column of degree d has a form of degree d - shifts[c] in component
+    c, so with shifts that differ its entries differ in degree.
+    """
+    rank = len(shifts)
+    low = max(shifts)
+    cols = []
+    for _ in range(columns):
+        degree = draw(st.integers(max(low, 1), low + 2 if ctx.nvars == 3 else low + 3))
+        cols.append(VectorPolynomial(tuple(_random_form(draw, ctx, degree - s) for s in shifts)))
+    top = 2 if ctx.nvars == 3 else 3
+    ideal = [_random_form(draw, ctx, draw(st.integers(1, top)))
              for _ in range(draw(st.integers(0, 2), label="ideal generators"))]
     zero = ctx.zero()
-    gens = columns + [VectorPolynomial(tuple(g if c == k else zero for k in range(rank)))
-                      for g in ideal for c in range(rank)]
+    gens = cols + [VectorPolynomial(tuple(g if c == k else zero for k in range(rank)))
+                   for g in ideal for c in range(rank)]
+    return cols, ideal, gens
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_colength_matches_degreewise_oracle(data):
+    # Shifts all 0 make every vector homogeneous under the unshifted
+    # grading, so the run may stop at the vanishing degree; other shifts
+    # give vectors of mixed degree, which must run to the end.
+    draw = data.draw
+    p = draw(st.sampled_from([2, 3, 5, 101]), label="p")
+    nvars = draw(st.sampled_from([2, 3]), label="nvars")
+    ctx = PolyContext(p, ["x", "y", "z"][:nvars])
+    rank = draw(st.integers(1, 3 if nvars == 2 else 2), label="rank")
+    shifts = draw(st.lists(st.integers(0, 1), min_size=rank, max_size=rank), label="shifts")
+    columns = draw(st.integers(rank, rank + 2), label="columns")
+    cols, ideal, gens = _drawn_module(draw, ctx, shifts, columns)
     got = buchberger(gens).colength()
-    # F/N is generated in degree 0, so its top degree is below its length
-    cap = 12 if got is INFINITE else got + 1
-    want = oracles.module_length(p, 2, rank, [[c.terms for c in v.components] for v in columns],
-                                 [g.terms for g in ideal], max_degree=cap)
+    # F/N is generated in degrees <= 1, so its top degree is at most its length
+    cap = (12 if nvars == 2 else 7) if got is INFINITE else got + 2
+    want = oracles.module_length(p, nvars, rank, [[c.terms for c in v.components] for v in cols],
+                                 [g.terms for g in ideal], max_degree=cap, shifts=shifts)
     assert want == (oracles.INF if got is INFINITE else got)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_reduced_basis_is_order_free_on_homogeneous_input(data):
+    draw = data.draw
+    p = draw(st.sampled_from([2, 3, 101]), label="p")
+    ctx = PolyContext(p, ["x", "y", "z"])
+    rank = draw(st.integers(1, 2), label="rank")
+    _, _, gens = _drawn_module(draw, ctx, [0] * rank, draw(st.integers(rank, rank + 2)))
+    order = draw(st.permutations(range(len(gens))), label="order")
+    gb = buchberger(gens)
+    again = buchberger([gens[i] for i in order])
+    assert again.lead_terms == gb.lead_terms
+    assert again.generators == gb.generators
+    for g in gens:
+        assert gb.contains(g)
+
+
+def test_homogeneous_run_stops_at_the_vanishing_degree():
+    # every quadric is a lead term from the start, so no S-pair is needed
+    gb = ideal_basis(X * X, X * Y, Y * Y)
+    assert gb.pairs_used == 0 and gb.colength() == 3
+
+
+def test_mixed_degree_run_does_not_stop_early():
+    # Both components hold every quadric from the start, but the S-pair
+    # of the first two vectors, of degree 2, gives (0, y - 2x) of degree 1.
+    zero, one = CTX.zero(), CTX.one()
+    cols = [vec(X, one), vec(Y, one.scale(2))]
+    gens = cols + [vec(zero, m) for m in (X * X, X * Y, Y * Y)]
+    gb = buchberger(gens)
+    assert gb.contains(vec(zero, Y - X.scale(2)))
+    want = oracles.module_length(101, 2, 2, [[c.terms for c in v.components] for v in gens],
+                                 [], shifts=[0, 1])
+    assert gb.colength() == want == 3
 
 
 @given(st.data())
@@ -260,9 +315,39 @@ def test_monomial_ideal_dimension():
     assert monomial_ideal_dimension([(0, 0)], 2) == -1  # unit ideal
 
 
-def test_term_key_orders_components_first():
+def test_degree_limit_of_inputs_and_budgets():
+    x = PolyContext(101, ["x"]).variable(0)
+    assert buchberger([vec(x ** MAX_DEGREE)]).colength() == MAX_DEGREE
+    with pytest.raises(BudgetExceededError) as err:
+        buchberger([vec(x ** (MAX_DEGREE + 1))])
+    assert err.value.kind == "degree"
+    assert Budget(max_degree=MAX_DEGREE).max_degree == MAX_DEGREE
+    with pytest.raises(ContractError):
+        Budget(max_degree=MAX_DEGREE + 1)
+
+
+def test_degree_limit_inside_normal_forms():
+    zero = CTX.zero()
+    # the S-polynomial of (x, y^k) and (y, 0) is (0, y^(k+1))
+    gb = buchberger([vec(X, Y ** (MAX_DEGREE - 1)), vec(Y, zero)])
+    assert gb.contains(vec(zero, Y ** MAX_DEGREE))
+    with pytest.raises(BudgetExceededError) as err:
+        buchberger([vec(X, Y ** MAX_DEGREE), vec(Y, zero)])
+    assert err.value.kind == "degree"
+    # reducing x^2 by (x, y^k) leaves the term x*y^k in component 1
+    gb = buchberger([vec(X, Y ** (MAX_DEGREE - 1))])
+    assert not gb.contains(vec(X * X, zero))
+    gb = buchberger([vec(X, Y ** MAX_DEGREE)])
+    with pytest.raises(BudgetExceededError) as err:
+        gb.contains(vec(X * X, zero))
+    assert err.value.kind == "degree"
+
+
+def test_packed_terms_order_components_first():
+    # a smaller packed int is a larger term
+    pack = _Layout(2).pack
     # position over term: any component-0 term beats any component-1 term
-    assert term_key((0, 1, 0)) > term_key((1, 5, 5))
+    assert pack((0, 1, 0)) < pack((1, 5, 5))
     # within a component, degrevlex: degree first, then x^2 > x*y > y^2
-    assert term_key((0, 0, 3)) > term_key((0, 2, 0))
-    assert term_key((0, 2, 0)) > term_key((0, 1, 1)) > term_key((0, 0, 2))
+    assert pack((0, 0, 3)) < pack((0, 2, 0))
+    assert pack((0, 2, 0)) < pack((0, 1, 1)) < pack((0, 0, 2))

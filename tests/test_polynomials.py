@@ -146,5 +146,5 @@ def test_vector_laws(a, b, c):
 def test_vector_rank_mismatch():
     u = VectorPolynomial((CTX.one(),))
     v = VectorPolynomial((CTX.one(), CTX.zero()))
-    with pytest.raises(Exception):
+    with pytest.raises(ContractError):
         u + v

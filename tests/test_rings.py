@@ -135,6 +135,27 @@ def test_parameter_module_verdict_fields():
     assert v.colength is INFINITE
 
 
+def test_parameter_test_runs_each_groebner_basis_once(monkeypatch):
+    import brimlab.rings as rings_mod
+
+    ring = make_ring(101, ["x", "y"])
+    x = ring.variable(0)
+    y = ring.variable(1)
+    zero = ring.zero()
+    sub = SubmoduleOfFree(ring, 2, [(x, zero), (y, x), (zero, y)])
+    calls = []
+    real = rings_mod.buchberger
+
+    def counted(gens, budget=None):
+        calls.append(len(gens))
+        return real(gens, budget)
+
+    monkeypatch.setattr(rings_mod, "buchberger", counted)
+    assert is_parameter_module(ring, sub).ok
+    # one run for l(F/N), one for l(F/mN)
+    assert calls == [3, 6]
+
+
 def test_parameter_rejects_unit_components():
     ring = make_ring(101, ["x", "y"])
     one = ring.one()
