@@ -6,14 +6,16 @@
     brimlab spread <file> --samples N --seed S
 
 Exit codes: 0 success, 1 invariant or expectation violation, 2 input
-error, 3 budget exhausted.  Budgets apply per command via
---budget-pairs / --budget-degree.
+error, 3 budget exhausted, 4 internal error (an exception the program
+did not expect, which is a bug; its traceback follows on stderr).
+Budgets apply per command via --budget-pairs / --budget-degree.
 """
 
 import argparse
 import json
 import sys
 import time
+import traceback
 
 from . import corpus as corpus_mod
 from . import report as report_mod
@@ -27,6 +29,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 def _read_text(path):
@@ -241,6 +244,10 @@ def main(argv=None):
     except OSError as exc:
         sys.stderr.write("input error: %s\n" % exc)
         return EXIT_INPUT
+    except Exception as exc:
+        sys.stderr.write("internal error: %s: %s\n" % (type(exc).__name__, exc))
+        traceback.print_exc(file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def console_main():

@@ -3,18 +3,21 @@
 Everything is computed by lifting to the free polynomial ring: a kernel
 over A is the projection of a syzygy computation against the matrix
 columns augmented with I times the target basis, and a subquotient
-length is the colength of a lifted presentation.  Lengths may be
-INFINITE; the Euler characteristic refuses to sum those and raises a
-structured error naming the offending degree instead.
+length is the colength of a lifted presentation.  Each presentation
+keeps the Groebner basis its length came from, so the annihilation
+check is a set of membership tests against it and makes no Groebner run
+of its own.  Lengths may be INFINITE; the Euler characteristic refuses
+to sum those and raises a structured error naming the offending degree
+instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .poly import INFINITE, AlgebraError, VectorPolynomial
-from .groebner import buchberger, syzygy_basis
-from .rings import RingElement
+from .poly import INFINITE, AlgebraError, ContractError, VectorPolynomial
+from .groebner import syzygy_basis
+from .rings import quotient_basis
 
 
 class InfiniteLengthError(AlgebraError):
@@ -70,40 +73,37 @@ class HomologyPresentation:
 
     kernel_gens: vectors in K_p (tuples of RingElement) spanning ker d_p;
     relations: vectors in A^k cutting out im d_(p+1) + I inside that span;
-    length: int or INFINITE.
+    length: int or INFINITE;
+    basis: GroebnerBasis over F_p[x] of the lifted relations plus
+    I * F_p[x]^k, so c lies in it exactly when sum c_j u_j lies in
+    im d_(p+1) + I K_p (None when ker d_p = 0).
     """
 
     p: int
     kernel_gens: tuple
     relations: tuple
     length: object
-
-
-def _colength_with_ideal(ring, lifted_vectors, rank, budget=None):
-    cols = [v for v in lifted_vectors if not v.is_zero()]
-    cols += ring.lifted_ideal_columns(rank)
-    if not cols:
-        return INFINITE
-    return buchberger(cols, budget).colength()
+    basis: object = field(default=None, compare=False, repr=False)
 
 
 def homology(cx, p, budget=None):
     """HomologyPresentation of the complex at degree 0 <= p <= length."""
     ring = cx.ring
-    assert 0 <= p <= cx.length
+    if not 0 <= p <= cx.length:
+        raise ContractError("homology degree %d outside 0..%d" % (p, cx.length))
     rank_p = cx.rank(p)
     d_in = cx.differential(p + 1)
     if p == 0:
         # H_0 is the plain cokernel of d_1: relations are its columns
-        basis = []
+        units = []
         for i in range(rank_p):
             vec = [ring.zero()] * rank_p
             vec[i] = ring.one()
-            basis.append(tuple(vec))
+            units.append(tuple(vec))
         rels = _lift_columns(ring, d_in) if d_in else []
-        length = _colength_with_ideal(ring, rels, rank_p, budget)
+        basis = quotient_basis(ring, rels, rank_p, budget)
         rel_vecs = tuple(tuple(ring.element(c) for c in v.components) for v in rels)
-        return HomologyPresentation(0, tuple(basis), rel_vecs, length)
+        return HomologyPresentation(0, tuple(units), rel_vecs, basis.colength(), basis)
     kernel = kernel_generators(ring, cx.differential(p), budget)
     if not kernel:
         return HomologyPresentation(p, (), (), 0)
@@ -117,14 +117,14 @@ def homology(cx, p, budget=None):
         head = VectorPolynomial(s.components[:k])
         if not head.is_zero():
             rels.append(head)
-    # the length lives over A: _colength_with_ideal rejoins I * basis
-    length = _colength_with_ideal(ring, rels, k, budget)
+    # the length lives over A: quotient_basis rejoins I * F_p[x]^k
+    basis = quotient_basis(ring, rels, k, budget)
     rel_vecs = []
     for v in rels:
         rv = tuple(ring.element(c) for c in v.components)
         if any(not c.is_zero() for c in rv):
             rel_vecs.append(rv)
-    return HomologyPresentation(p, tuple(kernel), tuple(rel_vecs), length)
+    return HomologyPresentation(p, tuple(kernel), tuple(rel_vecs), basis.colength(), basis)
 
 
 def all_homology(cx, budget=None):
@@ -169,37 +169,31 @@ def euler_characteristics(cx, budget=None, presentations=None):
 def annihilation_check(cx, minors=None, presentations=None, budget=None):
     """Verify that every maximal minor kills every homology class.
 
-    For each degree p, each kernel generator u and each minor g, g*u must
-    lie in im d_(p+1) + I K_p.  Returns the list of violations as
+    For each degree p, each kernel generator u_i and each minor g, g*u_i
+    must lie in im d_(p+1) + I K_p.  The relations of H_p are the c with
+    sum c_j u_j in that module, so the test is whether g*e_i lies in the
+    presentation's basis.  Returns the list of violations as
     (p, minor_index, kernel_index) triples; empty means the containment
     holds everywhere.
     """
     from .koszul import fitting_ideal
 
-    ring = cx.ring
     if minors is None:
         minors = fitting_ideal(cx.matrix)
     if presentations is None:
         presentations = all_homology(cx, budget)
+    zero = cx.ring.ctx.zero()
     bad = []
     for p in range(cx.length + 1):
         pres = presentations[p]
-        if not pres.kernel_gens:
-            continue
-        rank_p = cx.rank(p)
-        d_in = cx.differential(p + 1)
-        cols = _lift_columns(ring, d_in) if d_in else []
-        cols = [v for v in cols if not v.is_zero()]
-        cols += ring.lifted_ideal_columns(rank_p)
-        gb = buchberger(cols, budget) if cols else None
+        k = len(pres.kernel_gens)
         for mi, g in enumerate(minors):
             if g.is_zero():
                 continue
-            for ki, u in enumerate(pres.kernel_gens):
-                scaled = VectorPolynomial(tuple((g * v).rep for v in u))
-                if scaled.is_zero():
-                    continue
-                if gb is None or not gb.contains(scaled):
+            for ki in range(k):
+                comps = [zero] * k
+                comps[ki] = g.rep
+                if not pres.basis.contains(VectorPolynomial(tuple(comps))):
                     bad.append((p, mi, ki))
     return bad
 

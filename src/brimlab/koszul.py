@@ -96,7 +96,8 @@ class ModuleMatrix:
             if len(row) != n:
                 raise ContractError("row %d has %d entries, expected %d" % (ri, len(row), n))
             for ci, ent in enumerate(row):
-                assert isinstance(ent, RingElement) and ent.ring == ring
+                if not (isinstance(ent, RingElement) and ent.ring == ring):
+                    raise ContractError("entry (%d,%d) is not an element of %r" % (ri + 1, ci + 1, ring))
                 if not ent.is_zero() and (not ent.is_homogeneous() or ent.degree() < 1):
                     raise ContractError(
                         "entry (%d,%d) (%s) is not homogeneous of positive degree" % (ri + 1, ci + 1, ent)

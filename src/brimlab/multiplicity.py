@@ -23,9 +23,8 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
 
-from .poly import INFINITE, AlgebraError, BudgetExceededError, VectorPolynomial
-from .groebner import buchberger
-from .rings import SubmoduleOfFree, ideal_colength, is_parameter_module, submodule_colength
+from .poly import INFINITE, AlgebraError, BudgetExceededError, ContractError, VectorPolynomial
+from .rings import ideal_colength, is_parameter_module, quotient_basis, submodule_colength
 from .koszul import build_koszul, fitting_ideal, sym_basis, verify_complex
 from .homology import all_homology, annihilation_check, euler_characteristics
 
@@ -63,7 +62,8 @@ class SymPowerBasis:
 def rees_power_generators(matrix, k, cap=MAX_POWER_GENERATORS):
     """Generators of R_k(N) in the S_k basis: one vector per multiset of k
     columns, expanded by iterated symmetric multiplication."""
-    assert k >= 1
+    if k < 1:
+        raise ContractError("symmetric power k must be at least 1, got %d" % k)
     r, n = matrix.r, matrix.n
     ring = matrix.ring
     count = comb(k + n - 1, k)
@@ -98,17 +98,13 @@ def rees_power_generators(matrix, k, cap=MAX_POWER_GENERATORS):
 
 def lambda_value(matrix, k, budget=None, cap=MAX_POWER_GENERATORS):
     """length of S_k(F)/R_k(N); k = 0 gives 0.  INFINITE when not finite."""
-    assert k >= 0
+    if k < 0:
+        raise ContractError("symmetric power k must be at least 0, got %d" % k)
     if k == 0:
         return 0
-    ring = matrix.ring
     basis, gens = rees_power_generators(matrix, k, cap)
     lifted = [VectorPolynomial(tuple(e.rep for e in g)) for g in gens]
-    cols = [v for v in lifted if not v.is_zero()]
-    cols += ring.lifted_ideal_columns(len(basis.labels))
-    if not cols:
-        return INFINITE
-    return buchberger(cols, budget).colength()
+    return quotient_basis(matrix.ring, lifted, len(basis.labels), budget).colength()
 
 
 @dataclass(frozen=True)
@@ -313,15 +309,14 @@ def theorem_check(matrix, trange=None, budget=None, n_max=None, mutate=None):
     annihilation_ok = True
     chi_rows = []
     complexes = {}
-    broken = set()
     for t in range(tmin, tmax + 1):
         cx = build_koszul(matrix, t, check=False)
         if mutate is not None:
             mutate(cx)
         if verify_complex(cx):
-            square_zero_ok = False
-            broken.add(t)  # homology of a non-complex means nothing
-        complexes[t] = cx
+            square_zero_ok = False  # homology of a non-complex means nothing
+        else:
+            complexes[t] = cx
 
     finite = len_f is not INFINITE
     table = None
@@ -331,21 +326,19 @@ def theorem_check(matrix, trange=None, budget=None, n_max=None, mutate=None):
         table = br_function_table(matrix, d, budget, n_max)
         e0 = table.e0
         coefficients = table.coefficients
-        for t in range(tmin, tmax + 1):
-            if t in broken:
-                continue
-            cx = complexes[t]
+    # equal differentials give equal homology: for r = 1 every t does
+    seen = {}
+    for t, cx in complexes.items():
+        key = tuple(tuple(map(tuple, cx.differentials[p])) for p in range(1, cx.length + 1))
+        if key not in seen:
             pres = all_homology(cx, budget)
-            if annihilation_check(cx, minors, pres, budget):
-                annihilation_ok = False
-            tab = euler_characteristics(cx, budget, pres)
+            bad = annihilation_check(cx, minors, pres, budget)
+            seen[key] = bad, euler_characteristics(cx, budget, pres) if finite else None
+        bad, tab = seen[key]
+        if bad:
+            annihilation_ok = False
+        if finite:
             chi_rows.append(ChiRow(t, tab.lengths, tab.chis))
-    else:
-        for t in range(tmin, tmax + 1):
-            if t in broken:
-                continue
-            if annihilation_check(complexes[t], minors, None, budget):
-                annihilation_ok = False
 
     verdicts = {
         "square_zero": square_zero_ok,
@@ -434,12 +427,11 @@ class SpreadResult:
 def random_parameter_matrix(ring, r, rng, entry_degree=1, attempts=200, budget=None):
     """Draw r x (dim A + r - 1) matrices with random homogeneous entries
     until one presents a parameter module."""
-    from itertools import combinations_with_replacement as cwr
     from .koszul import ModuleMatrix
 
     ctx = ring.ctx
     n = ring.dimension + r - 1
-    monos = [m for m in _monomials_of_degree(ctx.nvars, entry_degree)]
+    monos = sorted(s.multidegree for s in sym_basis(ctx.nvars, entry_degree))
     for _ in range(attempts):
         entries = []
         for _i in range(r):
@@ -454,25 +446,11 @@ def random_parameter_matrix(ring, r, rng, entry_degree=1, attempts=200, budget=N
             entries.append(row)
         try:
             mat = ModuleMatrix(ring, entries)
-        except Exception:
+        except ContractError:
             continue
         if is_parameter_module(ring, mat.submodule(), budget).ok:
             return mat
     raise SamplingError("no parameter module found in %d attempts" % attempts)
-
-
-def _monomials_of_degree(nvars, d):
-    out = []
-
-    def rec(prefix, rest, left):
-        if rest == 1:
-            out.append(tuple(prefix) + (left,))
-            return
-        for e in range(left + 1):
-            rec(prefix + [e], rest - 1, left - e)
-
-    rec([], nvars, d)
-    return out
 
 
 def buchsbaum_spread(ring, r, samples, seed, entry_degree=1, budget=None, n_max=None):

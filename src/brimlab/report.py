@@ -251,12 +251,6 @@ def from_csv(text):
     return dict(zip(CSV_COLUMNS, rows[1]))
 
 
-def csv_projection(report):
-    """The same flat dict to_csv writes, straight from a report."""
-    doc = to_csv(report)
-    return from_csv(doc)
-
-
 def render_spread_text(result, ring_line):
     lines = ["ring        %s" % ring_line,
              "seed        %d" % result.seed,

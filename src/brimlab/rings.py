@@ -188,14 +188,16 @@ class SubmoduleOfFree:
     __slots__ = ("ring", "rank", "generators")
 
     def __init__(self, ring, rank, generators):
-        assert rank >= 1
+        if rank < 1:
+            raise ContractError("rank must be at least 1, got %d" % rank)
         gens = []
         for gi, vec in enumerate(generators):
             vec = tuple(vec)
             if len(vec) != rank:
                 raise ContractError("generator %d has %d entries, expected %d" % (gi, len(vec), rank))
             for ei, ent in enumerate(vec):
-                assert isinstance(ent, RingElement) and ent.ring == ring
+                if not (isinstance(ent, RingElement) and ent.ring == ring):
+                    raise ContractError("generator %d entry %d is not an element of %r" % (gi, ei, ring))
                 if not ent.is_homogeneous():
                     raise ContractError("generator %d entry %d (%s) is not homogeneous" % (gi, ei, ent))
             gens.append(vec)
@@ -211,24 +213,27 @@ class SubmoduleOfFree:
         return [VectorPolynomial(tuple(e.rep for e in vec)) for vec in self.generators]
 
 
-def _quotient_colength(ring, lifted_vectors, rank, budget=None):
-    cols = list(lifted_vectors) + ring.lifted_ideal_columns(rank)
-    cols = [v for v in cols if not v.is_zero()]
+def quotient_basis(ring, lifted_vectors, rank, budget=None):
+    """GroebnerBasis of the nonzero lifted vectors plus I * F_p[x]^rank,
+    the submodule whose quotient is A^rank / (vectors).  With nothing to
+    add it is the empty basis of rank `rank`, whose colength is INFINITE."""
+    cols = [v for v in lifted_vectors if not v.is_zero()]
+    cols += ring.lifted_ideal_columns(rank)
     if not cols:
-        return INFINITE
-    return buchberger(cols, budget).colength()
+        cols = [VectorPolynomial((ring.ctx.zero(),) * rank)]
+    return buchberger(cols, budget)
 
 
 def ideal_colength(ring, gens, budget=None):
     """Length of A/(gens), INFINITE when the ideal is not primary to the
     irrelevant maximal ideal."""
     lifted = [VectorPolynomial((g.rep,)) for g in gens]
-    return _quotient_colength(ring, lifted, 1, budget)
+    return quotient_basis(ring, lifted, 1, budget).colength()
 
 
 def submodule_colength(ring, sub, budget=None):
     """Length of A^rank / N for a SubmoduleOfFree N, or INFINITE."""
-    return _quotient_colength(ring, sub.lifted_generators(), sub.rank, budget)
+    return quotient_basis(ring, sub.lifted_generators(), sub.rank, budget).colength()
 
 
 def min_generators(ring, sub, budget=None):
@@ -247,7 +252,7 @@ def _min_generators(ring, sub, ln, budget):
         for i in range(ring.ctx.nvars):
             xi = ring.ctx.variable(i)
             scaled.append(vec.scale(xi))
-    lmn = _quotient_colength(ring, scaled, sub.rank, budget)
+    lmn = quotient_basis(ring, scaled, sub.rank, budget).colength()
     assert lmn is not INFINITE
     return lmn - ln
 

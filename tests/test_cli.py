@@ -1,6 +1,7 @@
 """End-to-end command behavior: formats, exit codes, determinism."""
 
 import dataclasses
+import importlib
 import io
 import json
 
@@ -8,7 +9,7 @@ import jsonschema
 import pytest
 
 import brimlab.corpus as corpus_mod
-from brimlab.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, main
+from brimlab.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_VIOLATION, main
 from brimlab.groebner import MAX_DEGREE
 from brimlab.report import REPORT_SCHEMA, from_csv, from_json
 
@@ -110,6 +111,19 @@ def test_verify_flip_sign_out_of_range_is_input_error(problem, capsys):
     long_case = corpus_mod.by_name("E1").text
     code, out, err = run(capsys, ["verify", problem(long_case), "--flip-sign", "9,9,9"])
     assert code == EXIT_INPUT and "input error" in err and "--flip-sign" in err
+
+
+def test_unexpected_exception_is_internal_error(problem, capsys, monkeypatch):
+    cli_mod = importlib.import_module("brimlab.cli")
+
+    def crash(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli_mod, "theorem_check", crash)
+    code, out, err = run(capsys, ["analyze", problem(GOOD)])
+    assert code == EXIT_INTERNAL == 4
+    assert err.startswith("internal error: RuntimeError: boom\n") and out == ""
+    assert "Traceback" in err
 
 
 def test_verify_needs_input(capsys):

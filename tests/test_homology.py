@@ -1,6 +1,9 @@
 """Homology presentations, Euler characteristics, annihilation."""
 
+import dataclasses
+import importlib
 import pathlib
+import random
 import sys
 
 import pytest
@@ -16,7 +19,9 @@ from brimlab.homology import (
     homology,
     kernel_generators,
 )
-from brimlab.koszul import ModuleMatrix, build_koszul
+from brimlab.groebner import buchberger
+from brimlab.koszul import ModuleMatrix, build_koszul, fitting_ideal, sym_basis
+from brimlab.poly import ContractError, PolyContext, VectorPolynomial
 from brimlab.rings import make_ring
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
@@ -123,3 +128,100 @@ def test_all_homology_covers_every_degree():
     pres = all_homology(cx)
     assert sorted(pres) == list(range(cx.length + 1))
     assert [pres[q].length for q in sorted(pres)] == [3, 0, 0]
+
+
+def direct_annihilation(cx, minors):
+    """The membership test annihilation_check replaces, kept as a
+    reference: g*u in im d_(p+1) + I K_p by its own Groebner basis."""
+    ring = cx.ring
+    pres = all_homology(cx)
+    bad = []
+    for p in range(cx.length + 1):
+        kernel = pres[p].kernel_gens
+        rank_p = cx.rank(p)
+        d_in = cx.differential(p + 1) or []
+        cols = [VectorPolynomial(tuple(d_in[i][j].rep for i in range(rank_p)))
+                for j in range(len(d_in[0]) if d_in else 0)]
+        cols = [v for v in cols if not v.is_zero()] + ring.lifted_ideal_columns(rank_p)
+        gb = buchberger(cols) if cols else None
+        for mi, g in enumerate(minors):
+            if g.is_zero():
+                continue
+            for ki, u in enumerate(kernel):
+                scaled = VectorPolynomial(tuple((g * v).rep for v in u))
+                if not scaled.is_zero() and (gb is None or not gb.contains(scaled)):
+                    bad.append((p, mi, ki))
+    return bad
+
+
+def random_form(ring, rng, degree):
+    poly = ring.ctx.zero()
+    for s in sym_basis(ring.ctx.nvars, degree):
+        c = rng.randrange(ring.p)
+        if c:
+            poly = poly + ring.ctx.monomial(s.multidegree, c)
+    return ring.element(poly)
+
+
+def test_annihilation_matches_direct_membership():
+    rng = random.Random(5)
+    cases = []
+    for name in ("E1", "E2", "E3", "E4", "E5", "E6"):
+        ring, mat = build(by_name(name).spec())
+        for t in range(-1, mat.n - mat.r + 2):
+            cases.append((ring, mat, t))
+    x7 = PolyContext(7, ["x", "y"]).variable(0)
+    rings = [make_ring(7, ["x", "y"]), make_ring(5, ["x", "y", "z"]),
+             make_ring(7, ["x", "y"], [x7 * x7])]
+    for _ in range(12):
+        ring = rng.choice(rings)
+        r = rng.randint(1, 2)
+        n = rng.randint(r, r + 1)
+        mat = ModuleMatrix(ring, [[random_form(ring, rng, rng.randint(1, 2)) for _ in range(n)]
+                                  for _ in range(r)])
+        cases.append((ring, mat, rng.randint(-1, n - r + 1)))
+    flagged = 0
+    for ring, mat, t in cases:
+        cx = build_koszul(mat, t)
+        variables = [ring.variable(i) for i in range(ring.ctx.nvars)]
+        for minors in (fitting_ideal(mat), variables, [random_form(ring, rng, 1)]):
+            want = direct_annihilation(cx, minors)
+            assert annihilation_check(cx, minors) == want
+            flagged += bool(want)
+    assert flagged >= 10  # the comparison covers violations, not only clean runs
+
+
+def test_annihilation_runs_no_groebner_basis(monkeypatch):
+    groebner_mod = importlib.import_module("brimlab.groebner")
+    homology_mod = importlib.import_module("brimlab.homology")  # brimlab.homology is the function
+    rings_mod = importlib.import_module("brimlab.rings")
+
+    ring, cx = corpus_complex("E2", 1)
+    pres = all_homology(cx)
+    calls = []
+
+    def refuse(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("no Groebner run expected")
+
+    for mod, name in ((groebner_mod, "buchberger"), (rings_mod, "buchberger"),
+                      (groebner_mod, "syzygy_basis"), (homology_mod, "syzygy_basis")):
+        monkeypatch.setattr(mod, name, refuse)
+    assert annihilation_check(cx, presentations=pres) == []
+    assert annihilation_check(cx, minors=[ring.one()], presentations=pres) == [(0, 0, 0), (1, 0, 0)]
+    assert calls == []
+
+
+def test_presentation_keeps_its_basis_out_of_equality():
+    _, cx = corpus_complex("E2", 1)
+    pres = homology(cx, 1)
+    assert pres.basis.colength() == pres.length
+    assert pres == dataclasses.replace(pres, basis=None)
+    assert "basis" not in repr(pres)
+
+
+def test_homology_degree_out_of_range_is_contract_error():
+    _, cx = corpus_complex("E2", 1)
+    for p in (-1, cx.length + 1):
+        with pytest.raises(ContractError):
+            homology(cx, p)

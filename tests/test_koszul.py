@@ -46,6 +46,10 @@ def test_matrix_contract_errors():
         mat_of(ring, [[x + ring.ctx.one()]])  # inhomogeneous entry
     with pytest.raises(ContractError):
         mat_of(ring, [[x, y], [y, x], [x, x]])  # more rows than columns
+    with pytest.raises(ContractError):
+        ModuleMatrix(ring, [[x]])  # a raw polynomial, not a ring element
+    with pytest.raises(ContractError):
+        ModuleMatrix(ring, [[make_ring(7, ["x", "y"]).variable(0)]])  # another ring
 
 
 def test_exterior_and_sym_bases():

@@ -1,5 +1,6 @@
 """Buchsbaum-Rim functions, multiplicities, theorem verdicts, spread."""
 
+import importlib
 import pathlib
 import random
 import sys
@@ -21,7 +22,7 @@ from brimlab.multiplicity import (
     rees_power_generators,
     theorem_check,
 )
-from brimlab.poly import BudgetExceededError, INFINITE
+from brimlab.poly import BudgetExceededError, ContractError, INFINITE
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 import oracles
@@ -177,3 +178,41 @@ def test_sampling_error_when_nothing_fits():
     with pytest.raises(SamplingError) as exc:
         random_parameter_matrix(ring, 1, _ZeroRng(), attempts=5)
     assert "5 attempts" in str(exc.value)
+
+
+@pytest.mark.parametrize("name", ["E1", "E4"])
+def test_theorem_check_runs_homology_once_per_distinct_complex(monkeypatch, name):
+    multiplicity_mod = importlib.import_module("brimlab.multiplicity")
+    _, mat = corpus_pair(name)
+    calls = []
+    real = multiplicity_mod.all_homology
+
+    def counted(cx, budget=None):
+        calls.append(cx.t)
+        return real(cx, budget)
+
+    monkeypatch.setattr(multiplicity_mod, "all_homology", counted)
+    ts = [row.t for row in theorem_check(mat).chi_rows]
+    assert len(ts) > 1
+    # every t of a rank-1 module builds the same complex; rank 2 does not
+    assert calls == (ts[:1] if mat.r == 1 else ts)
+
+
+def test_symmetric_power_arguments_are_contract_errors():
+    _, mat = corpus_pair("E2")
+    with pytest.raises(ContractError):
+        lambda_value(mat, -1)
+    with pytest.raises(ContractError):
+        rees_power_generators(mat, 0)
+
+
+def test_random_parameter_matrix_does_not_retry_real_errors(monkeypatch):
+    koszul_mod = importlib.import_module("brimlab.koszul")
+    ring, _ = corpus_pair("E1")
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("bug")
+
+    monkeypatch.setattr(koszul_mod, "ModuleMatrix", broken)
+    with pytest.raises(RuntimeError):
+        random_parameter_matrix(ring, 1, random.Random(3))

@@ -5,13 +5,14 @@ import sys
 
 import pytest
 
-from brimlab.poly import INFINITE, ContractError, PolyContext, Polynomial
+from brimlab.poly import INFINITE, ContractError, PolyContext, Polynomial, VectorPolynomial
 from brimlab.rings import (
     SubmoduleOfFree,
     ideal_colength,
     is_parameter_module,
     make_ring,
     min_generators,
+    quotient_basis,
     submodule_colength,
 )
 
@@ -163,3 +164,24 @@ def test_parameter_rejects_unit_components():
     sub = SubmoduleOfFree(ring, 2, [(one, zero), (zero, one)])
     v = is_parameter_module(ring, sub)
     assert not v.inside_max_ideal and not v.ok
+
+
+def test_quotient_basis_of_nothing_is_empty_and_infinite():
+    ring = make_ring(101, ["x", "y"])
+    zero = VectorPolynomial((CTX.zero(), CTX.zero()))
+    for vectors in ([], [zero]):
+        gb = quotient_basis(ring, vectors, 2)
+        assert gb.rank == 2 and gb.lead_terms == ()
+        assert gb.colength() is INFINITE
+        assert not gb.contains(VectorPolynomial((X, CTX.zero())))
+
+
+def test_submodule_contract_errors():
+    ring = make_ring(101, ["x", "y"])
+    other = make_ring(7, ["x", "y"])
+    with pytest.raises(ContractError):
+        SubmoduleOfFree(ring, 0, [])
+    with pytest.raises(ContractError):
+        SubmoduleOfFree(ring, 1, [(X,)])  # a raw polynomial, not a ring element
+    with pytest.raises(ContractError):
+        SubmoduleOfFree(ring, 1, [(other.variable(0),)])
