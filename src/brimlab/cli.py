@@ -250,9 +250,5 @@ def main(argv=None):
         return EXIT_INTERNAL
 
 
-def console_main():
-    sys.exit(main())
-
-
 if __name__ == "__main__":
     sys.exit(main())

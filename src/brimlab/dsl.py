@@ -208,25 +208,6 @@ def _eval_poly(node, ctx):
 def parse(text):
     """Parse a problem text into a ProblemSpec."""
     ps = _Parser(_lex(text))
-
-    def block(name):
-        tok = ps.take("ident", "a %r block" % name)
-        if tok.value != name:
-            raise ParseError("expected a %r block, found %r" % (name, tok.value), tok.line, tok.col)
-        ps.take("{", "'{'")
-        items = {}
-        order = []
-        while not ps.at("}"):
-            key = ps.take("ident", "a setting name")
-            ps.take("=", "'='")
-            if key.value in items:
-                raise ParseError("duplicate setting %r" % key.value, key.line, key.col)
-            items[key.value] = key
-            order.append(key)
-        ps.take("}", "'}'")
-        return items, order
-
-    # ring block, parsed by hand because item values differ in shape
     tok = ps.take("ident", "a 'ring' block")
     if tok.value != "ring":
         raise ParseError("expected a 'ring' block, found %r" % tok.value, tok.line, tok.col)

@@ -49,7 +49,8 @@ def kernel_generators(ring, matrix_over_a, budget=None):
     """
     rows = len(matrix_over_a)
     cols = len(matrix_over_a[0]) if rows else 0
-    assert rows >= 1 and cols >= 1
+    if not (rows and cols):
+        raise ContractError("kernel of a %d x %d matrix: need at least one row and column" % (rows, cols))
     lifted = _lift_columns(ring, matrix_over_a)
     aug = lifted + ring.lifted_ideal_columns(rows)
     syz = syzygy_basis(aug, budget)
@@ -69,19 +70,18 @@ def kernel_generators(ring, matrix_over_a, budget=None):
 
 @dataclass(frozen=True)
 class HomologyPresentation:
-    """H_p presented as A^k / relations, with its length.
+    """H_p as a quotient of A^k, k the number of kernel generators.
 
-    kernel_gens: vectors in K_p (tuples of RingElement) spanning ker d_p;
-    relations: vectors in A^k cutting out im d_(p+1) + I inside that span;
+    kernel_gens: vectors u_1..u_k in K_p (tuples of RingElement) spanning
+    ker d_p;
     length: int or INFINITE;
-    basis: GroebnerBasis over F_p[x] of the lifted relations plus
+    basis: GroebnerBasis over F_p[x] of the relations of H_p plus
     I * F_p[x]^k, so c lies in it exactly when sum c_j u_j lies in
     im d_(p+1) + I K_p (None when ker d_p = 0).
     """
 
     p: int
     kernel_gens: tuple
-    relations: tuple
     length: object
     basis: object = field(default=None, compare=False, repr=False)
 
@@ -102,11 +102,10 @@ def homology(cx, p, budget=None):
             units.append(tuple(vec))
         rels = _lift_columns(ring, d_in) if d_in else []
         basis = quotient_basis(ring, rels, rank_p, budget)
-        rel_vecs = tuple(tuple(ring.element(c) for c in v.components) for v in rels)
-        return HomologyPresentation(0, tuple(units), rel_vecs, basis.colength(), basis)
+        return HomologyPresentation(0, tuple(units), basis.colength(), basis)
     kernel = kernel_generators(ring, cx.differential(p), budget)
     if not kernel:
-        return HomologyPresentation(p, (), (), 0)
+        return HomologyPresentation(p, (), 0)
     k = len(kernel)
     lifted_kernel = [VectorPolynomial(tuple(v.rep for v in vec)) for vec in kernel]
     w = _lift_columns(ring, d_in) if d_in else []
@@ -119,12 +118,7 @@ def homology(cx, p, budget=None):
             rels.append(head)
     # the length lives over A: quotient_basis rejoins I * F_p[x]^k
     basis = quotient_basis(ring, rels, k, budget)
-    rel_vecs = []
-    for v in rels:
-        rv = tuple(ring.element(c) for c in v.components)
-        if any(not c.is_zero() for c in rv):
-            rel_vecs.append(rv)
-    return HomologyPresentation(p, tuple(kernel), tuple(rel_vecs), basis.colength(), basis)
+    return HomologyPresentation(p, tuple(kernel), basis.colength(), basis)
 
 
 def all_homology(cx, budget=None):

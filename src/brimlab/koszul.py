@@ -208,8 +208,9 @@ def expected_rank(r, n, t, p):
 def build_koszul(matrix, t, check=True):
     """Construct K(a; t) for -1 <= t <= n-r+1 and verify d o d = 0.
 
-    check=False skips the square-zero verification (used by tests that
-    deliberately corrupt a differential first).
+    Raises RuntimeError when d o d != 0, which is a fault in this module,
+    not in the input.  check=False skips the square-zero verification
+    (used by tests that deliberately corrupt a differential first).
     """
     r, n = matrix.r, matrix.n
     length = n - r + 1
@@ -231,7 +232,8 @@ def build_koszul(matrix, t, check=True):
     cx = FreeComplex(ring, matrix, t, length, labels, diffs)
     if check:
         bad = verify_complex(cx)
-        assert not bad, "square-zero failure at %r" % (bad[:3],)
+        if bad:
+            raise RuntimeError("square-zero failure at %r" % (bad[:3],))
     return cx
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from math import comb
 
 from .poly import INFINITE, AlgebraError, BudgetExceededError, ContractError, VectorPolynomial
@@ -43,68 +42,63 @@ class SamplingError(AlgebraError):
     """Random search could not produce enough parameter modules."""
 
 
-@dataclass(frozen=True)
-class SymPowerBasis:
-    """Monomial basis of S_k(A^r): multidegrees of total k, first row
-    heaviest first, with positions memoized for matrix assembly."""
+def rees_power_generators(matrix, k):
+    """Generators of R_k(N) in the S_k basis, one per multiset of k columns.
 
-    r: int
-    k: int
-    labels: tuple
-    index: dict
-
-    @classmethod
-    def build(cls, r, k):
-        labels = tuple(s.multidegree for s in sym_basis(r, k))
-        return cls(r, k, labels, {m: i for i, m in enumerate(labels)})
-
-
-def rees_power_generators(matrix, k, cap=MAX_POWER_GENERATORS):
-    """Generators of R_k(N) in the S_k basis: one vector per multiset of k
-    columns, expanded by iterated symmetric multiplication."""
+    Returns (labels, gens): labels are the multidegrees of S_k(A^r), first
+    row heaviest first, and gens lists the products of the multisets in
+    the order of combinations_with_replacement, each a tuple of
+    RingElements indexed like labels.  The products are built level by
+    level inside Sym(F): the product of a multiset with last column c,
+    times column j >= c, gives the product of the multiset with j added.
+    Raises BudgetExceededError past MAX_POWER_GENERATORS generators.
+    """
     if k < 1:
         raise ContractError("symmetric power k must be at least 1, got %d" % k)
     r, n = matrix.r, matrix.n
     ring = matrix.ring
     count = comb(k + n - 1, k)
-    if count > cap:
+    if count > MAX_POWER_GENERATORS:
         raise BudgetExceededError(
             "expansion",
-            "symmetric power needs %d generators, cap is %d" % (count, cap),
+            "symmetric power needs %d generators, cap is %d" % (count, MAX_POWER_GENERATORS),
         )
-    basis = SymPowerBasis.build(r, k)
-    cols = matrix.columns()
-    out = []
-    for choice in combinations_with_replacement(range(n), k):
-        # product of the chosen columns inside Sym(F)
-        acc = {(0,) * r: ring.one()}
-        for j in choice:
-            nxt = {}
-            for mono, c in acc.items():
-                for i in range(r):
-                    ent = cols[j][i]
-                    if ent.is_zero():
-                        continue
-                    m2 = mono[:i] + (mono[i] + 1,) + mono[i + 1:]
-                    cur = nxt.get(m2)
-                    nxt[m2] = ent * c if cur is None else cur + ent * c
-            acc = nxt
-        vec = [ring.zero()] * len(basis.labels)
+    cols = [[(i, e) for i, e in enumerate(col) if not e.is_zero()] for col in matrix.columns()]
+    # (last column, product as {multidegree: coefficient}) per multiset
+    level = [(0, {(0,) * r: ring.one()})]
+    for _ in range(k):
+        nxt = []
+        for last, acc in level:
+            for j in range(last, n):
+                prod = {}
+                for mono, c in acc.items():
+                    for i, ent in cols[j]:
+                        m2 = mono[:i] + (mono[i] + 1,) + mono[i + 1:]
+                        cur = prod.get(m2)
+                        prod[m2] = ent * c if cur is None else cur + ent * c
+                nxt.append((j, prod))
+        level = nxt
+    labels = tuple(s.multidegree for s in sym_basis(r, k))
+    index = {m: i for i, m in enumerate(labels)}
+    zero = ring.zero()
+    gens = []
+    for _, acc in level:
+        vec = [zero] * len(labels)
         for mono, c in acc.items():
-            vec[basis.index[mono]] = c
-        out.append(tuple(vec))
-    return basis, out
+            vec[index[mono]] = c
+        gens.append(tuple(vec))
+    return labels, gens
 
 
-def lambda_value(matrix, k, budget=None, cap=MAX_POWER_GENERATORS):
+def lambda_value(matrix, k, budget=None):
     """length of S_k(F)/R_k(N); k = 0 gives 0.  INFINITE when not finite."""
     if k < 0:
         raise ContractError("symmetric power k must be at least 0, got %d" % k)
     if k == 0:
         return 0
-    basis, gens = rees_power_generators(matrix, k, cap)
+    labels, gens = rees_power_generators(matrix, k)
     lifted = [VectorPolynomial(tuple(e.rep for e in g)) for g in gens]
-    return quotient_basis(matrix.ring, lifted, len(basis.labels), budget).colength()
+    return quotient_basis(matrix.ring, lifted, len(labels), budget).colength()
 
 
 @dataclass(frozen=True)
@@ -159,7 +153,7 @@ def _solve_coefficients(D, n0, window):
     return tuple(int(v) for v in sol)
 
 
-def br_function_table(matrix, ring_dim, budget=None, n_max=None, cap=MAX_POWER_GENERATORS):
+def br_function_table(matrix, ring_dim, budget=None, n_max=None):
     """Compute lambda incrementally until a window of values fits a polynomial.
 
     Stop at the first argument where some window start n0 satisfies: the
@@ -174,7 +168,7 @@ def br_function_table(matrix, ring_dim, budget=None, n_max=None, cap=MAX_POWER_G
         n_max = 4 * (ring_dim + matrix.r)
     values = []
     for k in range(1, n_max + 1):
-        v = lambda_value(matrix, k, budget, cap)
+        v = lambda_value(matrix, k, budget)
         if v is INFINITE:
             raise AlgebraError("lambda(%d) is infinite; the module has no finite colength" % k)
         values.append(v)
@@ -418,10 +412,6 @@ class SpreadResult:
     entry_degree: int
     samples: tuple
     differences: tuple
-
-    @property
-    def distinct(self):
-        return tuple(sorted(set(self.differences)))
 
 
 def random_parameter_matrix(ring, r, rng, entry_degree=1, attempts=200, budget=None):

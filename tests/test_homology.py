@@ -39,6 +39,13 @@ def test_kernel_of_injective_map_is_empty():
     assert kernel_generators(ring, [[x]]) == []
 
 
+def test_kernel_of_empty_matrix_is_contract_error():
+    ring = make_ring(101, ["x"])
+    for matrix in ([], [[]]):
+        with pytest.raises(ContractError):
+            kernel_generators(ring, matrix)
+
+
 def test_kernel_over_quotient_ring():
     # over A = F[x,y]/(x^2, xy) the kernel of y is the principal module (x)
     ring, _ = corpus_complex("E2", 1)

@@ -1,11 +1,14 @@
 """Generalized Koszul complexes: ranks, differentials, square zero."""
 
+import importlib
 import pathlib
 import random
 import sys
 
 import pytest
 
+from brimlab.corpus import by_name
+from brimlab.dsl import build
 from brimlab.koszul import (
     ExteriorIndex,
     ModuleMatrix,
@@ -157,6 +160,23 @@ def test_mutation_is_detected():
     bad = verify_complex(cx)
     # the broken composite is d_1 . d_2, reported under the lower index
     assert bad and bad[0][0] == 1
+
+
+def test_square_zero_failure_raises(monkeypatch):
+    # one flipped sign in every contraction breaks d o d = 0 on E1; the
+    # check must raise with or without python -O
+    koszul_mod = importlib.import_module("brimlab.koszul")
+    real = koszul_mod.contraction
+
+    def flipped(matrix, i, idx):
+        out = real(matrix, i, idx)
+        return [(-out[0][0], out[0][1])] + out[1:] if out else out
+
+    monkeypatch.setattr(koszul_mod, "contraction", flipped)
+    _, mat = build(by_name("E1").spec())
+    assert verify_complex(build_koszul(mat, 1, check=False))
+    with pytest.raises(RuntimeError, match="square-zero"):
+        build_koszul(mat, 1)
 
 
 def test_t_out_of_range():

@@ -6,6 +6,7 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from brimlab.corpus import by_name
 from brimlab.dsl import build, parse
@@ -22,7 +23,9 @@ from brimlab.multiplicity import (
     rees_power_generators,
     theorem_check,
 )
-from brimlab.poly import BudgetExceededError, ContractError, INFINITE
+from brimlab.koszul import ModuleMatrix
+from brimlab.poly import INFINITE, BudgetExceededError, ContractError, PolyContext, Polynomial
+from brimlab.rings import make_ring
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 import oracles
@@ -60,10 +63,46 @@ def test_lambda_infinite():
     assert lambda_value(mat, 1) is INFINITE
 
 
-def test_expansion_cap():
+def _random_form(draw, ctx, degree):
+    """A homogeneous form of the given degree with drawn coefficients."""
+    items = [(e, draw(st.integers(0, ctx.p - 1)))
+             for e in oracles.monomials_of_degree(ctx.nvars, degree)]
+    return Polynomial.from_terms(ctx, items)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_lambda_matches_brute_force_oracle(data):
+    # Each column has one entry degree, so every product of k columns is
+    # homogeneous; fewer ideal generators than variables keep the
+    # dimension positive.
+    draw = data.draw
+    p = draw(st.sampled_from([2, 3, 5, 101]), label="p")
+    names = ["x", "y", "z"][:draw(st.sampled_from([2, 3]), label="nvars")]
+    ctx = PolyContext(p, names)
+    ideal = [_random_form(draw, ctx, draw(st.integers(1, 2)))
+             for _ in range(draw(st.integers(0, len(names) - 1), label="ideal generators"))]
+    ring = make_ring(p, names, ideal)
+    r = draw(st.integers(1, 2), label="rank")
+    n = draw(st.integers(r, r + 2), label="columns")
+    degrees = draw(st.lists(st.integers(1, 2), min_size=n, max_size=n), label="column degrees")
+    entries = [[ring.element(_random_form(draw, ctx, degrees[j])) for j in range(n)] for _ in range(r)]
+    mat = ModuleMatrix(ring, entries)
+    cols = dict_columns(mat)
+    ideal_d = [dict(g.terms) for g in ring.ideal_gens]
+    for k in range(1, 4):
+        got = lambda_value(mat, k)
+        # S_k(F)/R_k(N) is generated in degree 0: its top degree is below its length
+        cap = (12 if len(names) == 2 else 7) if got is INFINITE else got + 2
+        want = oracles.lambda_oracle(p, len(names), cols, ideal_d, k, max_degree=cap)
+        assert want == (oracles.INF if got is INFINITE else got)
+
+
+def test_expansion_cap(monkeypatch):
     _, mat = corpus_pair("E5")  # n = 3, so S_2 needs C(4,2) = 6 generators
+    monkeypatch.setattr(importlib.import_module("brimlab.multiplicity"), "MAX_POWER_GENERATORS", 5)
     with pytest.raises(BudgetExceededError) as exc:
-        rees_power_generators(mat, 2, cap=5)
+        rees_power_generators(mat, 2)
     assert exc.value.kind == "expansion"
 
 
