@@ -19,6 +19,13 @@ degree <= MAX_DEGREE, half of TOP, so the lcm of any two of them still
 fits; a term that would pass MAX_DEGREE raises BudgetExceededError
 ("degree") instead of wrapping.
 
+A run that eliminates the last variables of the context
+(elimination_basis) puts one more field, TOP - (degree in those
+variables), between the component and the total degree.  Within a
+component the order then compares that degree first: a block order,
+under which the basis rows free of the block generate the elimination
+module.
+
 Normal forms pop leading terms from a heap.  S-pairs leave a heap by
 least sugar, then largest lcm (Giovini et al., ISSAC 1991); sugar is the
 lcm degree on homogeneous input.  Pair handling follows the
@@ -90,23 +97,34 @@ class Budget:
 
 
 class _Layout:
-    """Packing of flat terms (component, e1..em) into ints for m variables."""
+    """Packing of flat terms (component, e1..em) into ints for m variables,
+    the last `block` of them eliminated (block 0: no elimination field)."""
 
-    __slots__ = ("m", "deg_shift", "comp_shift", "ones", "guard", "exp_mask")
+    __slots__ = ("m", "block", "deg_shift", "elim_shift", "comp_shift", "ones", "guard",
+                 "exp_mask", "block_mask", "elim_bits")
 
-    def __init__(self, m):
+    def __init__(self, m, block=0):
         self.m = m
+        self.block = block
         self.deg_shift = m * _W
-        self.comp_shift = (m + 1) * _W
+        self.elim_shift = (m + 1) * _W
+        self.comp_shift = (m + 1 + (block > 0)) * _W
         self.ones = sum(1 << (i * _W) for i in range(m))
         self.guard = self.ones << (_W - 1)
         self.exp_mask = (1 << self.deg_shift) - 1
+        self.block_mask = sum(_FIELD << (i * _W) for i in range(m - block, m))
+        # every bit of the elimination field, or 0 without one: a floor
+        # test ORs them into the term so that it compares degrees alone
+        self.elim_bits = _FIELD << self.elim_shift if block else 0
 
     def pack(self, t):
         deg = sum(t) - t[0]
         if deg > MAX_DEGREE:
             raise _too_high("input term of degree %d" % deg)
-        x = (t[0] << _W) | (TOP - deg)
+        x = t[0]
+        if self.block:
+            x = (x << _W) | (TOP - sum(t[1 + self.m - self.block:]))
+        x = (x << _W) | (TOP - deg)
         for e in reversed(t[1:]):
             x = (x << _W) | e
         return x
@@ -116,7 +134,7 @@ class _Layout:
         for _ in range(self.m):
             exps.append(x & _FIELD)
             x >>= _W
-        return (x >> _W,) + tuple(exps)
+        return (x >> (self.comp_shift - self.deg_shift),) + tuple(exps)
 
     def degree(self, x):
         return TOP - ((x >> self.deg_shift) & _FIELD)
@@ -130,7 +148,11 @@ class _Layout:
         e = (ea & sel) | (eb & ~sel)
         deg = ((e * self.ones) >> (self.deg_shift - _W)) & _FIELD  # sum of the fields
         cs = self.comp_shift
-        return ((a >> cs) << cs) | ((TOP - deg) << self.deg_shift) | e
+        x = ((a >> cs) << cs) | ((TOP - deg) << self.deg_shift) | e
+        if self.block:
+            deg = (((e & self.block_mask) * self.ones) >> (self.deg_shift - _W)) & _FIELD
+            x |= (TOP - deg) << self.elim_shift
+        return x
 
 
 def _vec_to_dict(v, lay):
@@ -159,7 +181,7 @@ class _Row:
         self.single = single    # all terms share lt's component
         self.sugar = sugar      # degree the row would have if kept homogeneous
         self.deg = deg          # total degree of lt
-        self.floor = floor      # t >= floor: the row times t / lt stays packable
+        self.floor = floor      # t | elim_bits >= floor: the row times t / lt stays packable
 
 
 def _make_row(d, p, sugar, lay):
@@ -173,7 +195,8 @@ def _make_row(d, p, sugar, lay):
     top = max([deg] + [lay.degree(u) for u, _ in tail])
     # t * row keeps every term within MAX_DEGREE iff TOP - deg(t) >= this
     excess = TOP - MAX_DEGREE + top - deg
-    return _Row(lt, tail, single, sugar, deg, (comp << cs) | (excess << lay.deg_shift))
+    return _Row(lt, tail, single, sugar, deg,
+                (comp << cs) | lay.elim_bits | (excess << lay.deg_shift))
 
 
 def _normal_form_dict(vec, by_comp, p, lay):
@@ -188,6 +211,7 @@ def _normal_form_dict(vec, by_comp, p, lay):
     rem = {}
     guard = lay.guard
     cs = lay.comp_shift
+    elim_bits = lay.elim_bits
     while heap:
         t = heappop(heap)
         c = work.pop(t, None)
@@ -199,7 +223,7 @@ def _normal_form_dict(vec, by_comp, p, lay):
         else:
             rem[t] = c
             continue
-        if t < r.floor:
+        if t | elim_bits < r.floor:
             raise _too_high("a reduction step")
         s = t - r.lt
         c = p - c
@@ -219,8 +243,9 @@ def _normal_form_dict(vec, by_comp, p, lay):
     return rem
 
 
-def _spoly(f, g, lcm_t, p):
-    if lcm_t < f.floor or lcm_t < g.floor:
+def _spoly(f, g, lcm_t, p, lay):
+    t = lcm_t | lay.elim_bits
+    if t < f.floor or t < g.floor:
         raise _too_high("an S-polynomial")
     sf = lcm_t - f.lt
     out = {u + sf: a for u, a in f.tail}
@@ -402,12 +427,14 @@ class GroebnerBasis:
         return total
 
 
-def buchberger(gens, budget=None):
+def buchberger(gens, budget=None, eliminate=0):
     """Groebner basis of the submodule generated by gens.
 
     gens: nonempty sequence of VectorPolynomial of one common rank.
     Zero generators are skipped.  Raises BudgetExceededError when the
     pair count or lcm degree cap is hit, or a term would pass MAX_DEGREE.
+    eliminate > 0 orders the terms of a component by their degree in the
+    last `eliminate` variables first (see elimination_basis).
     """
     gens = list(gens)
     if not gens:
@@ -422,7 +449,7 @@ def buchberger(gens, budget=None):
         budget = Budget()
     p = ctx.p
     m = ctx.nvars
-    lay = _Layout(m)
+    lay = _Layout(m, eliminate)
     cs = lay.comp_shift
     homogeneous = all(len({sum(e) for f in g.components for e in f.terms}) <= 1 for g in gens)
     G = []
@@ -467,7 +494,7 @@ def buchberger(gens, budget=None):
                 "pairs",
                 "pair budget exceeded: more than %d S-pairs" % budget.max_pairs,
             )
-        h = _normal_form_dict(_spoly(G[i], G[j], lcm_t, p), by_comp, p, lay)
+        h = _normal_form_dict(_spoly(G[i], G[j], lcm_t, p, lay), by_comp, p, lay)
         if h:
             P = add(h, sugar)
     return GroebnerBasis(ctx, rank, _minimal_rows(G, lay), budget.pairs_used - start, lay)
@@ -499,6 +526,20 @@ def syzygy_basis(gens, budget=None):
     cs = gb._lay.comp_shift
     tagged = gb._reduced([r for r in gb._rows if r.lt >> cs >= rank])
     return [VectorPolynomial(v.components[rank:]) for v in tagged]
+
+
+def elimination_basis(gens, count, budget=None):
+    """Generators of the submodule of gens free of the last `count`
+    variables of the context, as vectors over the same context.
+
+    Under the block order of buchberger(..., eliminate=count) a basis row
+    whose lead term avoids the block avoids it in every term, and those
+    rows form a Groebner basis of the elimination module; only they
+    divide their own terms, so they are reduced alone.
+    """
+    gb = buchberger(gens, budget, eliminate=count)
+    lay = gb._lay
+    return list(gb._reduced([r for r in gb._rows if not r.lt & lay.block_mask]))
 
 
 def count_standard_monomials(exp_vectors, nvars):

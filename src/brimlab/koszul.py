@@ -269,17 +269,26 @@ def _image_of_basis_vector(matrix, t, p, ext, sym):
 
 
 def verify_complex(cx):
-    """All (p, row, col) positions where d_p o d_(p+1) is nonzero."""
+    """All (p, row, col) positions where d_p o d_(p+1) is nonzero.
+
+    Each entry of the product sums the raw products of the nonzero
+    entries it pairs and is reduced modulo I once.
+    """
     bad = []
+    ring = cx.ring
     for p in range(1, cx.length):
         a = cx.differentials[p]
         b = cx.differentials[p + 1]
-        for i in range(len(a)):
-            for k in range(len(b[0]) if b else 0):
-                acc = cx.ring.zero()
-                for j in range(len(b)):
-                    acc = acc + a[i][j] * b[j][k]
-                if not acc.is_zero():
+        cols = [[(j, row[k].rep) for j, row in enumerate(b) if not row[k].is_zero()]
+                for k in range(len(b[0]) if b else 0)]
+        for i, row in enumerate(a):
+            for k, col in enumerate(cols):
+                acc = None
+                for j, f in col:
+                    e = row[j].rep
+                    if not e.is_zero():
+                        acc = e * f if acc is None else acc + e * f
+                if acc is not None and not ring.reduce(acc).is_zero():
                     bad.append((p, i, k))
     return bad
 

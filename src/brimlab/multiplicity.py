@@ -10,10 +10,19 @@ D = dim A + r - 1 written in the binomial basis
 
     P(k) = sum_(i=0..D) (-1)^i e_i binom(k + D - 1 - i, D - i),
 
-and e_0 is the multiplicity.  e_0 is read off as the stabilized D-th
-finite difference of lambda; the full coefficient vector comes from an
-exact solve on a stable window, cross-checked by re-evaluating P against
-every stable value.
+and e_0 is the multiplicity.
+
+lambda is counted in the associated graded ring of J = (l_1..l_n) inside
+B = S(F) = A[T_1..T_r], l_j = sum_i a_ij T_i.  R_k(N) = (J^k)_k, so
+lambda(k) = sum_(i<k) dim (J^i/J^(i+1))_k.  Two Groebner runs per matrix
+give gr_J(B) = F_p[x, T, y]/(K' + J), with the Rees ideal K' found by
+eliminating u from (I, y_j - u l_j) (Vasconcelos, Computational Methods
+in Commutative Algebra and Algebraic Geometry, 1998; Eisenbud, Huneke
+and Ulrich, Proc. AMS 2003), and lambda(k) is the number of its standard
+monomials x^a T^b y^c with |b| + |c| = k and |c| < k.  e_0 is read off as
+the stabilized D-th finite difference of lambda; the full coefficient
+vector comes from an exact solve on a stable window, cross-checked by
+re-evaluating P against every stable value.
 """
 
 from __future__ import annotations
@@ -22,8 +31,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .poly import INFINITE, AlgebraError, BudgetExceededError, ContractError, VectorPolynomial
-from .rings import ideal_colength, is_parameter_module, quotient_basis, submodule_colength
+from .groebner import buchberger, count_standard_monomials, elimination_basis
+from .poly import (
+    INFINITE,
+    AlgebraError,
+    BudgetExceededError,
+    ContractError,
+    PolyContext,
+    Polynomial,
+    VectorPolynomial,
+)
+from .rings import ideal_colength, is_parameter_module, submodule_colength
 from .koszul import build_koszul, fitting_ideal, sym_basis, verify_complex
 from .homology import all_homology, annihilation_check, euler_characteristics
 
@@ -52,6 +70,7 @@ def rees_power_generators(matrix, k):
     level inside Sym(F): the product of a multiset with last column c,
     times column j >= c, gives the product of the multiset with j added.
     Raises BudgetExceededError past MAX_POWER_GENERATORS generators.
+    lambda_value does not build these; they present R_k(N) itself.
     """
     if k < 1:
         raise ContractError("symmetric power k must be at least 1, got %d" % k)
@@ -90,15 +109,107 @@ def rees_power_generators(matrix, k):
     return labels, gens
 
 
+def _gr_lead_terms(matrix, budget):
+    """Lead terms of a Groebner basis of gr_J(B), split into x- and (T, y)-parts.
+
+    B = A[T_1..T_r], J = (l_1..l_n)B with l_j = sum_i a_ij T_i, and
+    gr_J(B) = F_p[x, T, y]/(K' + J), where the Rees ideal K' is the part
+    of (I, y_j - u l_j) free of u.  Two Groebner runs: the elimination,
+    then K' + J.  Returns [(x exponents, T and y exponents)].
+    """
+    ring = matrix.ring
+    ctx = ring.ctx
+    m, r, n = ctx.nvars, matrix.r, matrix.n
+    # fresh names, longer than every ring variable's
+    pad = "_" * (1 + max(len(nm) for nm in ctx.names))
+    big = PolyContext(ctx.p, ctx.names + tuple(pad + "T%d" % i for i in range(r))
+                      + tuple(pad + "y%d" % j for j in range(n)) + (pad + "u",))
+    u = r + n  # the index of u among the new variables
+
+    def times(f, *vs):
+        """{exponents: coefficient} of f over A times the new variables vs"""
+        mono = tuple(vs.count(v) for v in range(u + 1))
+        return {e + mono: c for e, c in f.terms.items()}
+
+    def vector(*parts):
+        terms = {}
+        for part in parts:
+            terms.update(part)  # the parts share no monomial
+        return VectorPolynomial((Polynomial(big, terms),))
+
+    cols = matrix.columns()
+    graph = [vector(times(g)) for g in ring.ideal_gens]
+    graph += [vector(times(ctx.one(), r + j), *(times(-a.rep, i, u) for i, a in enumerate(col)))
+              for j, col in enumerate(cols)]  # y_j - u l_j
+    lin = [vector(*(times(a.rep, i) for i, a in enumerate(col))) for col in cols]
+    gb = buchberger(elimination_basis(graph, 1, budget) + lin, budget)
+    return [(t[1:m + 1], t[m + 1:m + 1 + u]) for t in gb.lead_terms]
+
+
+def _patterns(caps, k):
+    """Exponent vectors g with |g| = k grouped by min(g, caps): the pairs
+    (min(g, caps), number of such g)."""
+    out = []
+    q = len(caps)
+
+    def rec(v, left, key, free):
+        if v == q:
+            # the `free` capped coordinates share what is left
+            if free:
+                out.append((key, comb(left + free - 1, free - 1)))
+            elif not left:
+                out.append((key, 1))
+            return
+        cap = caps[v]
+        for e in range(min(cap, left + 1)):
+            rec(v + 1, left - e, key + (e,), free)
+        if left >= cap:
+            rec(v + 1, left - cap, key + (cap,), free + 1)
+
+    rec(0, k, (), 0)
+    return out
+
+
+# lambda_value's one-entry memo: (matrix, lead terms of gr_J(B), caps,
+# x-part counts by capped pattern); the next matrix replaces it
+_last = None
+
+
 def lambda_value(matrix, k, budget=None):
-    """length of S_k(F)/R_k(N); k = 0 gives 0.  INFINITE when not finite."""
+    """length of S_k(F)/R_k(N); k = 0 gives 0.  INFINITE when not finite.
+
+    lambda(k) = sum_(i<k) dim (J^i/J^(i+1))_k counts the standard
+    monomials x^a T^b y^c of gr_J(B) with |b| + |c| = k and |c| < k, that
+    is b != 0.  The x-part of a (b, c) pattern counts the monomials
+    outside the x-parts of the lead terms whose (T, y)-part divides
+    T^b y^c, which depends only on the pattern capped at the largest T
+    and y exponents among the lead terms.
+    """
+    global _last
     if k < 0:
         raise ContractError("symmetric power k must be at least 0, got %d" % k)
     if k == 0:
         return 0
-    labels, gens = rees_power_generators(matrix, k)
-    lifted = [VectorPolynomial(tuple(e.rep for e in g)) for g in gens]
-    return quotient_basis(matrix.ring, lifted, len(labels), budget).colength()
+    r = matrix.r
+    if _last is None or _last[0] is not matrix:
+        leads = _gr_lead_terms(matrix, budget)
+        caps = [max((ty[v] for _, ty in leads), default=0) for v in range(r + matrix.n)]
+        # a T cap of at least 1 keeps the patterns with b = 0 apart
+        _last = (matrix, leads, [max(c, 1) for c in caps[:r]] + caps[r:], {})
+    _, leads, caps, counts = _last
+    total = 0
+    for key, mult in _patterns(caps, k):
+        if not any(key[:r]):
+            continue
+        n = counts.get(key)
+        if n is None:
+            n = counts[key] = count_standard_monomials(
+                [x for x, ty in leads if all(e <= g for e, g in zip(ty, key))],
+                matrix.ring.ctx.nvars)
+        if n is INFINITE:
+            return INFINITE
+        total += n * mult
+    return total
 
 
 @dataclass(frozen=True)
@@ -297,7 +408,8 @@ def theorem_check(matrix, trange=None, budget=None, n_max=None, mutate=None):
     verdict = is_parameter_module(ring, sub, budget)
     len_f = verdict.colength
     minors = fitting_ideal(matrix)
-    len_i = ideal_colength(ring, minors, budget)
+    # for r = 1 the maximal minors are the entries, so I(N) = N
+    len_i = len_f if r == 1 else ideal_colength(ring, minors, budget)
 
     square_zero_ok = True
     annihilation_ok = True

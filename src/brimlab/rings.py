@@ -205,10 +205,6 @@ class SubmoduleOfFree:
         self.rank = rank
         self.generators = tuple(gens)
 
-    @property
-    def ngens(self):
-        return len(self.generators)
-
     def lifted_generators(self):
         return [VectorPolynomial(tuple(e.rep for e in vec)) for vec in self.generators]
 

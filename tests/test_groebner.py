@@ -8,9 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from brimlab.groebner import (
     MAX_DEGREE,
+    TOP,
     Budget,
     buchberger,
     count_standard_monomials,
+    elimination_basis,
     monomial_ideal_dimension,
     syzygy_basis,
     _Layout,
@@ -351,3 +353,44 @@ def test_packed_terms_order_components_first():
     # within a component, degrevlex: degree first, then x^2 > x*y > y^2
     assert pack((0, 0, 3)) < pack((0, 2, 0))
     assert pack((0, 2, 0)) < pack((0, 1, 1)) < pack((0, 0, 2))
+
+
+def test_elimination_layout_orders_the_block_first():
+    plain = _Layout(2)
+    # no block: component, TOP - degree, then e_2, e_1, 16 bits each
+    assert plain.pack((1, 2, 3)) == (1 << 48) | ((TOP - 5) << 32) | (3 << 16) | 2
+    lay = _Layout(3, 1)  # the last variable, u, is eliminated
+    pack = lay.pack
+    assert pack((0, 0, 0, 1)) < pack((0, 5, 5, 0))  # any u beats none
+    assert pack((0, 0, 0, 2)) < pack((0, 4, 0, 1))  # u-degree, then degree
+    assert pack((1, 0, 0, 3)) > pack((0, 1, 0, 0))  # components still come first
+    for t in ((0, 1, 2, 3), (2, 0, 7, 0)):
+        assert lay.unpack(pack(t)) == t
+        assert lay.degree(pack(t)) == sum(t[1:])
+    assert lay.lcm(pack((0, 3, 0, 1)), pack((0, 1, 2, 2))) == pack((0, 3, 2, 2))
+
+
+def test_elimination_basis_of_a_parametrized_curve():
+    ctx = PolyContext(101, ["x", "y", "u"])
+    x, y, u = (ctx.variable(i) for i in range(3))
+    # x = u^2, y = u^3 leaves the cusp x^3 - y^2
+    gens = elimination_basis([vec(x - u * u), vec(y - u * u * u)], 1)
+    assert gens == list(buchberger([vec(x * x * x - y * y)]).generators)
+    # nothing free of u: the elimination ideal is zero
+    assert elimination_basis([vec(x - u), vec(y - u)], 2) == []
+
+
+def test_degree_limit_inside_elimination_runs():
+    ctx = PolyContext(101, ["y", "u"])
+    y, u = ctx.variable(0), ctx.variable(1)
+    zero = ctx.zero()
+    # test_degree_limit_inside_normal_forms with u in the eliminated block
+    gb = buchberger([vec(u, y ** (MAX_DEGREE - 1)), vec(y, zero)], eliminate=1)
+    assert gb.contains(vec(zero, y ** MAX_DEGREE))
+    with pytest.raises(BudgetExceededError) as err:
+        buchberger([vec(u, y ** MAX_DEGREE), vec(y, zero)], eliminate=1)
+    assert err.value.kind == "degree"
+    gb = buchberger([vec(u, y ** MAX_DEGREE)], eliminate=1)
+    with pytest.raises(BudgetExceededError) as err:
+        gb.contains(vec(u * u, zero))
+    assert err.value.kind == "degree"

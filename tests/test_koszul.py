@@ -7,8 +7,8 @@ import sys
 
 import pytest
 
-from brimlab.corpus import by_name
-from brimlab.dsl import build
+from brimlab.corpus import ENTRIES, by_name
+from brimlab.dsl import build, parse
 from brimlab.koszul import (
     ExteriorIndex,
     ModuleMatrix,
@@ -160,6 +160,50 @@ def test_mutation_is_detected():
     bad = verify_complex(cx)
     # the broken composite is d_1 . d_2, reported under the lower index
     assert bad and bad[0][0] == 1
+
+
+def dense_verify_complex(cx):
+    """Every entry of d_p o d_(p+1), zero ones included, as a sum of
+    products reduced after each product: the loop verify_complex
+    replaced, kept as its reference."""
+    bad = []
+    for p in range(1, cx.length):
+        a = cx.differentials[p]
+        b = cx.differentials[p + 1]
+        for i in range(len(a)):
+            for k in range(len(b[0]) if b else 0):
+                acc = cx.ring.zero()
+                for j in range(len(b)):
+                    acc = acc + a[i][j] * b[j][k]
+                if not acc.is_zero():
+                    bad.append((p, i, k))
+    return bad
+
+
+# d o d of this rank-2 matrix over xy - z^2 is zero only modulo the ideal
+CONE_R2 = ("ring { p = 101 vars = [x, y, z] ideal = [x*y - z^2] }\n"
+           "module { rank = 2 matrix = [[x, y, z], [z, x, y]] }\n")
+
+
+@pytest.mark.parametrize("text", [e.text for e in ENTRIES] + [CONE_R2],
+                         ids=[e.name for e in ENTRIES] + ["cone-r2"])
+def test_sparse_verify_complex_matches_dense_loop(text):
+    _, mat = build(parse(text))
+    flips = 0
+    for t in range(-1, mat.n - mat.r + 2):
+        cx = build_koszul(mat, t, check=False)
+        assert verify_complex(cx) == dense_verify_complex(cx) == []
+        # what verify --flip-sign p,row,col does, at every entry
+        for d in cx.differentials.values():
+            for row in d:
+                for col in range(len(row)):
+                    row[col] = -row[col]
+                    bad = verify_complex(cx)
+                    assert bad == dense_verify_complex(cx)
+                    flips += bool(bad)
+                    row[col] = -row[col]
+    if mat.n - mat.r + 1 >= 2:
+        assert flips  # some flip breaks square zero
 
 
 def test_square_zero_failure_raises(monkeypatch):

@@ -24,8 +24,16 @@ from brimlab.multiplicity import (
     theorem_check,
 )
 from brimlab.koszul import ModuleMatrix
-from brimlab.poly import INFINITE, BudgetExceededError, ContractError, PolyContext, Polynomial
-from brimlab.rings import make_ring
+from brimlab.poly import (
+    INFINITE,
+    AlgebraError,
+    BudgetExceededError,
+    ContractError,
+    PolyContext,
+    Polynomial,
+    VectorPolynomial,
+)
+from brimlab.rings import make_ring, quotient_basis
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 import oracles
@@ -96,6 +104,53 @@ def test_lambda_matches_brute_force_oracle(data):
         cap = (12 if len(names) == 2 else 7) if got is INFINITE else got + 2
         want = oracles.lambda_oracle(p, len(names), cols, ideal_d, k, max_degree=cap)
         assert want == (oracles.INF if got is INFINITE else got)
+
+
+def per_k_lambda(mat, k):
+    """lambda(k) by the route brimlab took before gr_J(B): one Groebner
+    run on the k-fold column products plus I * S_k(F)."""
+    labels, gens = rees_power_generators(mat, k)
+    lifted = [VectorPolynomial(tuple(e.rep for e in g)) for g in gens]
+    return quotient_basis(mat.ring, lifted, len(labels)).colength()
+
+
+def _diff_ring(name, p):
+    """A ring of the differential test; the ideals are those of the
+    benchmark's non-CM ring (x^2, xy) and cone xy - z^2."""
+    names = {"P1": ["x"], "P2": ["x", "y"]}.get(name, ["x", "y", "z"])
+    ctx = PolyContext(p, names)
+    ideal = []
+    if name == "ncm":
+        ideal = [ctx.monomial((2, 0, 0)), ctx.monomial((1, 1, 0))]
+    elif name == "cone":
+        ideal = [ctx.monomial((1, 1, 0)) + ctx.monomial((0, 0, 2), -1)]
+    return make_ring(p, names, ideal)
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_lambda_matches_per_k_route(data):
+    # The per-k reference takes seconds to minutes per table past
+    # dim A + r = 3; at dim A + r = 4 the shapes stay at n = dim A + r - 1
+    # columns, linear ones unless dim A = 1.
+    draw = data.draw
+    p = draw(st.sampled_from([2, 3, 5, 101]), label="p")
+    ring = _diff_ring(draw(st.sampled_from(["P1", "P2", "P3", "ncm", "cone"]), label="ring"), p)
+    d = ring.dimension
+    r = draw(st.integers(1, 4 - d), label="rank")
+    heavy = d + r == 4
+    n = draw(st.integers(r, d + r - heavy), label="columns")
+    top = 1 if heavy and d > 1 else 2
+    degrees = draw(st.lists(st.integers(1, top), min_size=n, max_size=n), label="column degrees")
+    entries = [[ring.element(_random_form(draw, ring.ctx, degrees[j])) for j in range(n)]
+               for _ in range(r)]
+    mat = ModuleMatrix(ring, entries)
+    try:
+        last = len(br_function_table(mat, d).values) + 2
+    except AlgebraError:  # infinite, or no stable window
+        last = 3
+    for k in range(1, last + 1):
+        assert lambda_value(mat, k) == per_k_lambda(mat, k)
 
 
 def test_expansion_cap(monkeypatch):
@@ -235,6 +290,36 @@ def test_theorem_check_runs_homology_once_per_distinct_complex(monkeypatch, name
     assert len(ts) > 1
     # every t of a rank-1 module builds the same complex; rank 2 does not
     assert calls == (ts[:1] if mat.r == 1 else ts)
+
+
+@pytest.mark.parametrize("name", ["E1", "E4"])
+def test_lambda_table_runs_two_groebner_bases_per_matrix(monkeypatch, name):
+    groebner_mod = importlib.import_module("brimlab.groebner")
+    multiplicity_mod = importlib.import_module("brimlab.multiplicity")
+    entry = by_name(name)
+    _, mat = corpus_pair(name)
+    calls = []
+    real = groebner_mod.buchberger
+
+    def counted(gens, budget=None, eliminate=0):
+        calls.append(eliminate)
+        return real(gens, budget, eliminate)
+
+    # elimination_basis calls groebner's binding, the gr_J(B) run this one
+    monkeypatch.setattr(groebner_mod, "buchberger", counted)
+    monkeypatch.setattr(multiplicity_mod, "buchberger", counted)
+    table = br_function_table(mat, entry.dim)
+    assert table.values == entry.lam
+    # the Rees ideal by elimination, then gr_J(B)
+    assert calls == [1, 0]
+
+
+def test_lambda_memo_with_alternating_matrices():
+    names = ("E2", "E4")
+    mats = {name: corpus_pair(name)[1] for name in names}
+    for k in range(1, 5):
+        for name in names + names[::-1]:
+            assert lambda_value(mats[name], k) == by_name(name).lam[k - 1]
 
 
 def test_symmetric_power_arguments_are_contract_errors():
