@@ -183,7 +183,8 @@ def lambda_value(matrix, k, budget=None):
     is b != 0.  The x-part of a (b, c) pattern counts the monomials
     outside the x-parts of the lead terms whose (T, y)-part divides
     T^b y^c, which depends only on the pattern capped at the largest T
-    and y exponents among the lead terms.
+    and y exponents among the lead terms.  The Groebner runs happen on
+    the first call for a matrix and charge that call's budget.
     """
     global _last
     if k < 0:
