@@ -1,6 +1,6 @@
 """Command line front end.
 
-    brimlab analyze <file> [--format text|json|csv] [--t-range a..b] [--nmax K]
+    brimlab analyze <file> [--format text|json|csv] [--t-range a..b]
     brimlab verify [<file> | --corpus]
     brimlab corpus [name ...]
     brimlab spread <file> --samples N --seed S
@@ -21,7 +21,7 @@ from . import corpus as corpus_mod
 from . import report as report_mod
 from .dsl import ParseError, build, parse
 from .groebner import MAX_DEGREE, Budget
-from .multiplicity import SamplingError, StabilizationError, buchsbaum_spread, theorem_check
+from .multiplicity import SamplingError, buchsbaum_spread, theorem_check
 from .poly import AlgebraError, BudgetExceededError, ContractError
 from .verify import check_corpus, corpus_table, verify_instance
 
@@ -51,14 +51,13 @@ def _merged_options(args, file_options=()):
     opts = dict(file_options)
     if getattr(args, "t_range", None) is not None:
         opts["tmin"], opts["tmax"] = _parse_trange(args.t_range)
-    for flag, key in (("nmax", "nmax"), ("budget_pairs", "pairs"), ("budget_degree", "degree"),
+    for flag, key in (("budget_pairs", "pairs"), ("budget_degree", "degree"),
                       ("format", "format"), ("samples", "samples"), ("seed", "seed")):
         value = getattr(args, flag, None)
         if value is not None:
             opts[key] = value
-    for key in ("nmax", "samples"):
-        if key in opts and opts[key] < 1:
-            raise ContractError("%s must be at least 1, got %d" % (key, opts[key]))
+    if opts.get("samples", 1) < 1:
+        raise ContractError("samples must be at least 1, got %d" % opts["samples"])
     return opts
 
 
@@ -83,8 +82,7 @@ def cmd_analyze(args):
     budget = _budget(opts)
     ring, matrix = build(spec, budget)
     started = time.monotonic()
-    rep = theorem_check(matrix, trange=_trange(opts), budget=budget,
-                        n_max=opts.get("nmax"))
+    rep = theorem_check(matrix, trange=_trange(opts), budget=budget)
     elapsed = int((time.monotonic() - started) * 1000)
     doc = report_mod.build_report(rep, elapsed, budget.pairs_used)
     fmt = opts.get("format", "text")
@@ -122,9 +120,7 @@ def cmd_verify(args):
         ring, matrix = build(spec, budget)
         mutate = _mutator(args.flip_sign) if args.flip_sign else None
         rep, violations = verify_instance(ring, matrix, budget,
-                                          trange=_trange(opts),
-                                          n_max=opts.get("nmax"),
-                                          mutate=mutate)
+                                          trange=_trange(opts), mutate=mutate)
         checked = sum(1 for v in rep.verdicts.values() if v is not None)
         sys.stdout.write("checked %d verdicts, %d violation(s)\n" % (checked, len(violations)))
     for v in violations:
@@ -156,8 +152,7 @@ def cmd_spread(args):
     seed = opts.get("seed", 0)
     budget = _budget(opts)
     ring, matrix = build(spec, budget)
-    result = buchsbaum_spread(ring, matrix.r, samples, seed,
-                              budget=budget, n_max=opts.get("nmax"))
+    result = buchsbaum_spread(ring, matrix.r, samples, seed, budget=budget)
     fmt = opts.get("format", "text")
     if fmt == "json":
         ring_doc = {
@@ -195,7 +190,6 @@ def make_parser():
     a.add_argument("file", help="problem file, or - for stdin")
     a.add_argument("--format", choices=("text", "json", "csv"))
     a.add_argument("--t-range", metavar="a..b", help="complex family range, e.g. -1..2")
-    a.add_argument("--nmax", type=int, metavar="K", help="cap on symmetric powers for the length table")
     _add_budget_flags(a)
     a.set_defaults(func=cmd_analyze)
 
@@ -203,7 +197,6 @@ def make_parser():
     v.add_argument("file", nargs="?", help="problem file, or - for stdin")
     v.add_argument("--corpus", action="store_true", help="verify the built-in corpus instead")
     v.add_argument("--t-range", metavar="a..b")
-    v.add_argument("--nmax", type=int, metavar="K")
     v.add_argument("--flip-sign", metavar="p,row,col", help=argparse.SUPPRESS)
     _add_budget_flags(v)
     v.set_defaults(func=cmd_verify)
@@ -217,7 +210,6 @@ def make_parser():
     s.add_argument("file", help="problem file giving the ring and rank")
     s.add_argument("--samples", type=int, metavar="N")
     s.add_argument("--seed", type=int, metavar="S")
-    s.add_argument("--nmax", type=int, metavar="K")
     s.add_argument("--format", choices=("text", "json"))
     _add_budget_flags(s)
     s.set_defaults(func=cmd_spread)
@@ -235,7 +227,7 @@ def main(argv=None):
     except (ContractError, ValueError) as exc:
         sys.stderr.write("input error: %s\n" % exc)
         return EXIT_INPUT
-    except (BudgetExceededError, StabilizationError, SamplingError) as exc:
+    except (BudgetExceededError, SamplingError) as exc:
         sys.stderr.write("budget exhausted: %s\n" % exc)
         return EXIT_BUDGET
     except AlgebraError as exc:

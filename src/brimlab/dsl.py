@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from .poly import PolyContext, Polynomial
 
 
-OPTION_KEYS = ("tmin", "tmax", "nmax", "seed", "samples", "pairs", "degree", "format")
+OPTION_KEYS = ("tmin", "tmax", "seed", "samples", "pairs", "degree", "format")
 FORMATS = ("text", "json", "csv")
 
 _SYMBOLS = "{}[]=,+-*^()"

@@ -80,8 +80,10 @@ def sym_basis(r, total):
 class ModuleMatrix:
     """r x n matrix over a GradedRing presenting F/M, with r <= n.
 
-    Entries are RingElements, each zero or homogeneous of positive degree.
-    Columns generate the submodule M of F = A^r.
+    Entries are RingElements, each zero or homogeneous of positive degree,
+    and the matrix is a graded map: some row shifts e_i and column degrees
+    d_j give deg a_ij = d_j - e_i for every nonzero entry.  Columns
+    generate the submodule M of F = A^r.
     """
 
     __slots__ = ("ring", "r", "n", "entries")
@@ -104,6 +106,7 @@ class ModuleMatrix:
                     )
         if n < r:
             raise ContractError("matrix is %d x %d; need at least as many columns as rows" % (r, n))
+        _check_graded(rows)
         self.ring = ring
         self.r = r
         self.n = n
@@ -120,6 +123,32 @@ class ModuleMatrix:
 
     def __str__(self):
         return "[" + ", ".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.entries) + "]"
+
+
+def _check_graded(rows):
+    """Raise ContractError unless some row shifts e_i and column degrees d_j
+    give deg a_ij = d_j - e_i for every nonzero entry: one walk over the
+    bipartite graph of nonzero entries, each component's first row at 0."""
+    r, n = len(rows), len(rows[0])
+    level = {}  # e_i at node i, d_j at node r + j
+    for root in range(r):
+        if root in level:
+            continue
+        level[root] = 0
+        todo = [root]
+        while todo:
+            v = todo.pop()
+            for i, j in [(v, j) for j in range(n)] if v < r else [(i, v - r) for i in range(r)]:
+                ent = rows[i][j]
+                if ent.is_zero():
+                    continue
+                w, want = (r + j, level[i] + ent.degree()) if v < r else (i, level[v] - ent.degree())
+                if w not in level:
+                    level[w] = want
+                    todo.append(w)
+                elif level[w] != want:
+                    raise ContractError("entry (%d,%d) (%s) breaks the grading: no row shifts and "
+                                        "column degrees make the matrix a graded map" % (i + 1, j + 1, ent))
 
 
 def contraction(matrix, i, idx):

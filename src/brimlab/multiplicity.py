@@ -22,7 +22,9 @@ and Ulrich, Proc. AMS 2003), and lambda(k) is the number of its standard
 monomials x^a T^b y^c with |b| + |c| = k and |c| < k.  e_0 is read off as
 the stabilized D-th finite difference of lambda; the full coefficient
 vector comes from an exact solve on a stable window, cross-checked by
-re-evaluating P against every stable value.
+re-evaluating P against every stable value.  Where the window starts is
+a heuristic; that it is found is not: lambda equals P from the sum of
+the lead terms' (T, y) caps on, which bounds how many values are counted.
 """
 
 from __future__ import annotations
@@ -46,14 +48,6 @@ from .koszul import build_koszul, fitting_ideal, sym_basis, verify_complex
 from .homology import all_homology, annihilation_check, euler_characteristics
 
 MAX_POWER_GENERATORS = 50_000
-
-
-class StabilizationError(AlgebraError):
-    """lambda never settled into a degree-D polynomial within n_max."""
-
-    def __init__(self, message, differences):
-        super().__init__(message)
-        self.differences = differences
 
 
 class SamplingError(AlgebraError):
@@ -170,9 +164,33 @@ def _patterns(caps, k):
     return out
 
 
-# lambda_value's one-entry memo: (matrix, lead terms of gr_J(B), caps,
-# x-part counts by capped pattern); the next matrix replaces it
-_last = None
+def _gr_lambda(matrix, budget):
+    """(lambda for k >= 1, sum of the caps) from the lead terms of gr_J(B).
+
+    The caps are the largest T and y exponents among the lead terms, a T cap
+    raised to 1 to keep the patterns with b = 0 apart.  lambda keeps the
+    x-part count of each capped pattern for its later k."""
+    leads = _gr_lead_terms(matrix, budget)
+    r, nvars = matrix.r, matrix.ring.ctx.nvars
+    caps = [max((ty[v] for _, ty in leads), default=0) for v in range(r + matrix.n)]
+    caps = [max(c, 1) for c in caps[:r]] + caps[r:]
+    counts = {}
+
+    def lam(k):
+        total = 0
+        for key, mult in _patterns(caps, k):
+            if not any(key[:r]):
+                continue
+            n = counts.get(key)
+            if n is None:
+                n = counts[key] = count_standard_monomials(
+                    [x for x, ty in leads if all(e <= g for e, g in zip(ty, key))], nvars)
+            if n is INFINITE:
+                return INFINITE
+            total += n * mult
+        return total
+
+    return lam, sum(caps)
 
 
 def lambda_value(matrix, k, budget=None):
@@ -183,34 +201,15 @@ def lambda_value(matrix, k, budget=None):
     is b != 0.  The x-part of a (b, c) pattern counts the monomials
     outside the x-parts of the lead terms whose (T, y)-part divides
     T^b y^c, which depends only on the pattern capped at the largest T
-    and y exponents among the lead terms.  The Groebner runs happen on
-    the first call for a matrix and charge that call's budget.
+    and y exponents among the lead terms.  Every call runs both Groebner
+    runs and charges them to budget; br_function_table runs them once
+    for the whole table.
     """
-    global _last
     if k < 0:
         raise ContractError("symmetric power k must be at least 0, got %d" % k)
     if k == 0:
         return 0
-    r = matrix.r
-    if _last is None or _last[0] is not matrix:
-        leads = _gr_lead_terms(matrix, budget)
-        caps = [max((ty[v] for _, ty in leads), default=0) for v in range(r + matrix.n)]
-        # a T cap of at least 1 keeps the patterns with b = 0 apart
-        _last = (matrix, leads, [max(c, 1) for c in caps[:r]] + caps[r:], {})
-    _, leads, caps, counts = _last
-    total = 0
-    for key, mult in _patterns(caps, k):
-        if not any(key[:r]):
-            continue
-        n = counts.get(key)
-        if n is None:
-            n = counts[key] = count_standard_monomials(
-                [x for x, ty in leads if all(e <= g for e, g in zip(ty, key))],
-                matrix.ring.ctx.nvars)
-        if n is INFINITE:
-            return INFINITE
-        total += n * mult
-    return total
+    return _gr_lambda(matrix, budget)[0](k)
 
 
 @dataclass(frozen=True)
@@ -265,22 +264,28 @@ def _solve_coefficients(D, n0, window):
     return tuple(int(v) for v in sol)
 
 
-def br_function_table(matrix, ring_dim, budget=None, n_max=None):
-    """Compute lambda incrementally until a window of values fits a polynomial.
+def br_function_table(matrix, ring_dim, budget=None):
+    """Count lambda(k) for k = 1, 2, ... until a window of values fits a polynomial.
 
     Stop at the first argument where some window start n0 satisfies: the
     D-th difference is constant over n0, n0+1, n0+2 (the (D+1)-th vanishes
     twice), the exact refit on lambda(n0..n0+D) has integer coefficients,
     and the refit reproduces every computed value from n0 on.  This window
-    rule is a heuristic, not a proof that lambda has reached its
-    polynomial.  Raises StabilizationError past n_max.
+    rule is a heuristic for the start index: it does not prove that lambda
+    has reached its polynomial at n0.  The loop does end: each capped
+    (T, y) pattern adds a binomial in k, so lambda equals its polynomial
+    for every k >= S, the sum of the caps, and the window at the true
+    start passes by k = S + D + 2.  Past that bound the code is at fault
+    and RuntimeError is raised.  ring_dim must be the ring's dimension.
     """
+    if ring_dim != matrix.ring.dimension:
+        raise ContractError("ring_dim %d differs from the ring's dimension %d"
+                            % (ring_dim, matrix.ring.dimension))
     D = ring_dim + matrix.r - 1
-    if n_max is None:
-        n_max = 4 * (ring_dim + matrix.r)
+    lam, cap_sum = _gr_lambda(matrix, budget)
     values = []
-    for k in range(1, n_max + 1):
-        v = lambda_value(matrix, k, budget)
+    for k in range(1, cap_sum + D + 3):
+        v = lam(k)
         if v is INFINITE:
             raise AlgebraError("lambda(%d) is infinite; the module has no finite colength" % k)
         values.append(v)
@@ -288,14 +293,7 @@ def br_function_table(matrix, ring_dim, budget=None, n_max=None):
         if found is not None:
             n0, e0, coeffs = found
             return BRFunctionTable(D, tuple(values), n0, e0, coeffs)
-    diffs = list(values)
-    for _ in range(D):
-        diffs = list(_differences(diffs))
-    raise StabilizationError(
-        "no stable window for the order-%d difference within %d values (last differences %r)"
-        % (D, n_max, diffs[-3:]),
-        tuple(diffs),
-    )
+    raise RuntimeError("no stable window in lambda(1..%d), past the proven bound" % len(values))
 
 
 def _find_stable(D, values):
@@ -318,16 +316,6 @@ def _find_stable(D, values):
         if all(table.polynomial_value(k) == values[k - 1] for k in range(n0, len(values) + 1)):
             return n0, coeffs[0], coeffs
     return None
-
-
-def br_multiplicity(matrix, ring_dim, budget=None, n_max=None):
-    """e_0: the stabilized D-th finite difference of lambda."""
-    return br_function_table(matrix, ring_dim, budget, n_max).e0
-
-
-def br_coefficients(matrix, ring_dim, budget=None, n_max=None):
-    """The full vector (e_0, ..., e_D) of the binomial-basis polynomial."""
-    return br_function_table(matrix, ring_dim, budget, n_max).coefficients
 
 
 @dataclass(frozen=True)
@@ -387,7 +375,7 @@ class BRReport:
         )
 
 
-def theorem_check(matrix, trange=None, budget=None, n_max=None, mutate=None):
+def theorem_check(matrix, trange=None, budget=None, mutate=None):
     """Build the complexes, compute all invariants and judge the claims.
 
     trange defaults to [-1, min(dim A, n-r+1)].  mutate, when given, is
@@ -430,7 +418,7 @@ def theorem_check(matrix, trange=None, budget=None, n_max=None, mutate=None):
     e0 = None
     coefficients = None
     if finite:
-        table = br_function_table(matrix, d, budget, n_max)
+        table = br_function_table(matrix, d, budget)
         e0 = table.e0
         coefficients = table.coefficients
     # equal differentials give equal homology: for r = 1 every t does
@@ -556,7 +544,7 @@ def random_parameter_matrix(ring, r, rng, entry_degree=1, attempts=200, budget=N
     raise SamplingError("no parameter module found in %d attempts" % attempts)
 
 
-def buchsbaum_spread(ring, r, samples, seed, entry_degree=1, budget=None, n_max=None):
+def buchsbaum_spread(ring, r, samples, seed, entry_degree=1, budget=None):
     """Sample random parameter modules and report length - multiplicity.
 
     Exploratory: the output is data, not a verdict.  Deterministic for a
@@ -569,7 +557,7 @@ def buchsbaum_spread(ring, r, samples, seed, entry_degree=1, budget=None, n_max=
     for _ in range(samples):
         mat = random_parameter_matrix(ring, r, rng, entry_degree, budget=budget)
         ln = submodule_colength(ring, mat.submodule(), budget)
-        e0 = br_multiplicity(mat, ring.dimension, budget, n_max)
+        e0 = br_function_table(mat, ring.dimension, budget).e0
         out.append(SpreadSample(str(mat), ln, e0))
     return SpreadResult(
         seed=seed,

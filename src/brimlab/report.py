@@ -1,9 +1,9 @@
 """Report assembly and serialization (text, json, csv).
 
-The json form is the machine format: from_json(to_json(r)) == r.  The
-csv form is a fixed-order flat projection with the same round-trip
-property on its own field set.  Infinite lengths serialize as the
-string "INFINITE" in both machine formats.
+The json form is the machine format: json.loads(to_json(r)) == r.  The
+csv form is a fixed-order flat projection: a CSV_COLUMNS header line and
+one row of values, which csv.reader reads back.  Infinite lengths serialize
+as the string "INFINITE" in both machine formats.
 """
 
 import json
@@ -156,10 +156,6 @@ def to_json(report):
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-def from_json(text):
-    return json.loads(text)
-
-
 def render_text(report):
     lines = []
     ring = report["ring"]
@@ -239,16 +235,6 @@ def to_csv(report):
             cells.append(cell)
         out.append(",".join(cells))
     return "\n".join(out) + "\n"
-
-
-def from_csv(text):
-    """Flat dict keyed by CSV_COLUMNS from a to_csv document."""
-    import csv as _csv
-    import io
-
-    rows = list(_csv.reader(io.StringIO(text)))
-    assert len(rows) == 2 and tuple(rows[0]) == CSV_COLUMNS
-    return dict(zip(CSV_COLUMNS, rows[1]))
 
 
 def render_spread_text(result, ring_line):

@@ -1,8 +1,11 @@
 """Graded quotient rings A = F_p[x1..xm]/I and finite-colength bookkeeping.
 
 I is generated by homogeneous polynomials of positive degree, so A is
-graded and its colength questions for homogeneous data agree with the
-local ones at the irrelevant maximal ideal.  Ring elements are stored as
+graded.  The colengths computed here are global; they agree with the
+local ones at the irrelevant maximal ideal when the data are graded: a
+submodule of A^r generated by vectors that are homogeneous for some
+shifts of the rows, as the columns of a ModuleMatrix (a graded map) are.
+Homogeneous entries alone do not suffice.  Ring elements are stored as
 normal forms against the reduced Groebner basis of I, which makes
 equality a dict comparison.
 """

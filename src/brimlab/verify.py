@@ -36,12 +36,9 @@ class Violation:
         return "violation [%s]: %s\nreproduce with:\n%s" % (self.kind, self.detail, self.repro)
 
 
-def verify_instance(ring, matrix, budget=None, trange=None, n_max=None, mutate=None):
+def verify_instance(ring, matrix, budget=None, trange=None, mutate=None):
     """Run the full theorem suite on one instance; list what failed."""
-    kwargs = {}
-    if n_max is not None:
-        kwargs["n_max"] = n_max
-    rep = theorem_check(matrix, trange=trange, budget=budget, mutate=mutate, **kwargs)
+    rep = theorem_check(matrix, trange=trange, budget=budget, mutate=mutate)
     repro = spec_of(ring, matrix).serialize()
     out = []
     for key in rep.failures:
@@ -83,7 +80,6 @@ def check_corpus(entries=None, budget=None):
         _expect(entry.name, "mu", entry.mu, rep.parameter.mu, text, violations)
         _expect(entry.name, "parameter", entry.parameter, rep.parameter.ok, text, violations)
         cm_expected = (entry.len_f == entry.e0 or entry.len_i == entry.e0) if entry.parameter else None
-        assert cm_expected is None or cm_expected == entry.cm
         _expect(entry.name, "cm_witness", cm_expected,
                 rep.verdicts["cm_witness"], text, violations)
         got_h = {row.t: tuple(row.h_lengths) for row in rep.chi_rows}

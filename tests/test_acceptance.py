@@ -155,12 +155,12 @@ def test_criterion_04_length_bounds(corpus_reports, random_modules):
             ok = False
     if len(random_modules) < 50 or len({lbl for lbl, _, _ in random_modules}) < 3:
         ok = False
-    from brimlab.multiplicity import br_multiplicity
+    from brimlab.multiplicity import br_function_table
 
     for _, ring, mat in random_modules:
         lf = submodule_colength(ring, mat.submodule())
         li = ideal_colength(ring, fitting_ideal(mat))
-        e0 = br_multiplicity(mat, ring.dimension)
+        e0 = br_function_table(mat, ring.dimension).e0
         if lf is INFINITE or li is INFINITE or lf < e0 or li < e0:
             ok = False
     stamp(4, "length >= e0", ok)

@@ -184,8 +184,8 @@ def test_annihilation_matches_direct_membership():
         ring = rng.choice(rings)
         r = rng.randint(1, 2)
         n = rng.randint(r, r + 1)
-        mat = ModuleMatrix(ring, [[random_form(ring, rng, rng.randint(1, 2)) for _ in range(n)]
-                                  for _ in range(r)])
+        degrees = [rng.randint(1, 2) for _ in range(n)]  # one per column: a graded map
+        mat = ModuleMatrix(ring, [[random_form(ring, rng, d) for d in degrees] for _ in range(r)])
         cases.append((ring, mat, rng.randint(-1, n - r + 1)))
     flagged = 0
     for ring, mat, t in cases:

@@ -8,15 +8,12 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from brimlab.corpus import by_name
+from brimlab.corpus import ENTRIES, by_name
 from brimlab.dsl import build, parse
 from brimlab.multiplicity import (
     SamplingError,
-    StabilizationError,
     THEOREM_VERDICTS,
-    br_coefficients,
     br_function_table,
-    br_multiplicity,
     buchsbaum_spread,
     lambda_value,
     random_parameter_matrix,
@@ -147,7 +144,7 @@ def test_lambda_matches_per_k_route(data):
     mat = ModuleMatrix(ring, entries)
     try:
         last = len(br_function_table(mat, d).values) + 2
-    except AlgebraError:  # infinite, or no stable window
+    except AlgebraError:  # lambda is infinite
         last = 3
     for k in range(1, last + 1):
         assert lambda_value(mat, k) == per_k_lambda(mat, k)
@@ -176,16 +173,57 @@ def test_coefficients_per_corpus():
     for name in ("E1", "E2", "E4", "E6"):
         entry = by_name(name)
         _, mat = corpus_pair(name)
-        assert br_coefficients(mat, entry.dim) == entry.coefficients
-        assert br_multiplicity(mat, entry.dim) == entry.e0
+        table = br_function_table(mat, entry.dim)
+        assert table.coefficients == entry.coefficients
+        assert table.e0 == entry.e0
 
 
-def test_stabilization_error_fields():
+def test_corpus_cm_flags_match_their_witness():
+    # a parameter module is marked CM exactly when one colength equals e0
+    for entry in ENTRIES:
+        if entry.parameter:
+            assert entry.cm == (entry.len_f == entry.e0 or entry.len_i == entry.e0)
+
+
+# lambda reaches its polynomial only at k = 3; the caps of its gr_J(B)
+# lead terms sum to 13, so the table must stop by k = 13 + D + 2 = 17
+LATE = ("ring { p = 101 vars = [x, y] }\n"
+        "module { rank = 1 matrix = [[x^5, x^4*y, x*y^4, y^5]] }\n")
+LATE_BOUND = 17
+
+
+def test_late_start_table():
+    _, mat = build(parse(LATE))
+    table = br_function_table(mat, 2)
+    assert table.stable_from == 3
+    assert table.values == (18, 57, 120, 210, 325, 465, 630)
+    assert table.coefficients == (25, 10, 0)
+    cols = dict_columns(mat)
+    for k in range(1, 4):
+        assert table.values[k - 1] == oracles.lambda_oracle(101, 2, cols, [], k)
+    for k in range(3, LATE_BOUND + 1):
+        assert lambda_value(mat, k) == table.polynomial_value(k)
+    assert lambda_value(mat, 2) != table.polynomial_value(2)
+
+
+def test_table_loop_is_bounded_by_the_caps(monkeypatch):
+    multiplicity_mod = importlib.import_module("brimlab.multiplicity")
+    _, mat = build(parse(LATE))
+    seen = []
+
+    def never(D, values):
+        seen.append(len(values))
+
+    monkeypatch.setattr(multiplicity_mod, "_find_stable", never)
+    with pytest.raises(RuntimeError):
+        br_function_table(mat, 2)
+    assert seen == list(range(1, LATE_BOUND + 1))
+
+
+def test_wrong_ring_dim_is_contract_error():
     _, mat = corpus_pair("E1")
-    with pytest.raises(StabilizationError) as exc:
-        br_function_table(mat, 2, n_max=3)  # too few values for a window
-    assert "order-2 difference" in str(exc.value)
-    assert isinstance(exc.value.differences, tuple)
+    with pytest.raises(ContractError):
+        br_function_table(mat, 3)
 
 
 def test_theorem_check_e4():
@@ -308,10 +346,11 @@ def test_lambda_table_runs_two_groebner_bases_per_matrix(monkeypatch, name):
     # elimination_basis calls groebner's binding, the gr_J(B) run this one
     monkeypatch.setattr(groebner_mod, "buchberger", counted)
     monkeypatch.setattr(multiplicity_mod, "buchberger", counted)
-    table = br_function_table(mat, entry.dim)
-    assert table.values == entry.lam
-    # the Rees ideal by elimination, then gr_J(B)
-    assert calls == [1, 0]
+    for _ in range(2):
+        assert br_function_table(mat, entry.dim).values == entry.lam
+    # the Rees ideal by elimination, then gr_J(B), again on the second call:
+    # nothing is cached between calls
+    assert calls == [1, 0, 1, 0]
 
 
 def test_lambda_memo_with_alternating_matrices():
