@@ -170,6 +170,7 @@ def test_budget_exhaustion_exits_3(problem, capsys):
 @pytest.mark.parametrize("argv", [
     ["analyze", "{file}", "--budget-pairs"],
     ["analyze", "{file}", "--budget-degree"],
+    ["verify", "{file}", "--budget-pairs"],
     ["corpus", "E2", "--budget-pairs"],
     ["spread", "{file}", "--samples"],
 ])
