@@ -395,11 +395,14 @@ class GroebnerBasis:
         return tuple(_dict_to_vec(self.ctx, self.rank, [(r.lt, 1)] + r.tail, lay)
                      for r in _reduce_tails(rows, self.ctx.p, lay))
 
-    def _nf(self, v):
+    def _packed(self, v):
         if v.ctx != self.ctx or v.rank != self.rank:
             raise ContractError("vector of rank %d over %r against a basis of rank %d over %r"
                                 % (v.rank, v.ctx, self.rank, self.ctx))
-        return _normal_form_dict(_vec_to_dict(v, self._lay), self._by_comp, self.ctx.p, self._lay)
+        return _vec_to_dict(v, self._lay)
+
+    def _nf(self, v):
+        return _normal_form_dict(self._packed(v), self._by_comp, self.ctx.p, self._lay)
 
     def normal_form(self, v):
         """Canonical remainder of v: no term divisible by a basis lead term."""
@@ -412,6 +415,43 @@ class GroebnerBasis:
 
     def contains(self, v):
         return not self._nf(v)
+
+    def contains_products(self, gs, w):
+        """[g*w lies in the submodule, for each Polynomial g in gs].
+
+        The normal form is linear, so NF(g*w) = sum_e g_e NF(x^e * w):
+        each monomial x^e of the gs is multiplied into w once, on packed
+        terms (one addition per term of w), and reduced once, however
+        many of the gs share it.  A w that is already a normal form
+        (normal_form) keeps these products small.
+        """
+        lay = self._lay
+        p = self.ctx.p
+        vec = self._packed(w)
+        top = max(map(lay.degree, vec), default=0)
+        one = lay.pack((0,) * (lay.m + 1))
+        nfs = {}  # e -> NF(x^e * w)
+        out = []
+        for g in gs:
+            if g.ctx != self.ctx:
+                raise ContractError("multiplier over %r against a basis over %r" % (g.ctx, self.ctx))
+            acc = {}
+            for e, c in g.terms.items():
+                nf = nfs.get(e)
+                if nf is None:
+                    if top + sum(e) > MAX_DEGREE:
+                        raise _too_high("a product with a normal form")
+                    s = lay.pack((0,) + e) - one  # x^e as an offset: u + s is x^e * u
+                    nf = nfs[e] = _normal_form_dict({u + s: a for u, a in vec.items()},
+                                                    self._by_comp, p, lay)
+                for t, a in nf.items():
+                    b = (acc.get(t, 0) + a * c) % p
+                    if b:
+                        acc[t] = b
+                    else:
+                        del acc[t]
+            out.append(not acc)
+        return out
 
     def colength(self):
         """Number of standard monomials of the lead term module, or INFINITE."""
@@ -500,15 +540,17 @@ def buchberger(gens, budget=None, eliminate=0):
     return GroebnerBasis(ctx, rank, _minimal_rows(G, lay), budget.pairs_used - start, lay)
 
 
-def syzygy_basis(gens, budget=None):
+def syzygy_basis(gens, budget=None, image=False):
     """Generators of the syzygy module of gens in F_p[x]^len(gens).
 
     Each generator g_i is tagged with a fresh component behind the
     original ones; the reduced basis elements of the tagged module whose
-    original components vanish, in basis order, are the syzygies.
+    original components vanish, in basis order, are the syzygies.  With
+    image=True the same run also gives a GroebnerBasis of the submodule
+    the gens generate, and the result is (syzygies, basis).
     """
     gens = list(gens)
-    if not gens:
+    if not gens and not image:
         return []
     ctx = gens[0].ctx
     rank = gens[0].rank
@@ -523,9 +565,32 @@ def syzygy_basis(gens, budget=None):
     # Under position over term, the rows with a lead term in a tag
     # component are zero in the original ones, and only they divide
     # their terms, so they are reduced alone.
-    cs = gb._lay.comp_shift
+    lay = gb._lay
+    cs = lay.comp_shift
     tagged = gb._reduced([r for r in gb._rows if r.lt >> cs >= rank])
-    return [VectorPolynomial(v.components[rank:]) for v in tagged]
+    syz = [VectorPolynomial(v.components[rank:]) for v in tagged]
+    if not image:
+        return syz
+    # The other rows, cut to the original components, lie in the image
+    # and keep their lead terms, and every lead term of the image is a
+    # multiple of one of them: they are a Groebner basis of the image.
+    rows = [_make_row({u: a for u, a in [(r.lt, 1)] + r.tail if u >> cs < rank}, ctx.p, r.sugar, lay)
+            for r in gb._rows if r.lt >> cs < rank]
+    return syz, GroebnerBasis(ctx, rank, rows, gb.pairs_used, lay)
+
+
+def ideal_module_basis(ctx, ideal_basis, rank):
+    """GroebnerBasis of J * F_p[x]^rank, with no Groebner run: the rank-1
+    basis of the ideal J (None for J = 0) copied into every component,
+    since no S-pair joins two components."""
+    lay = _Layout(ctx.nvars)
+    rows = []
+    for c in range(rank) if ideal_basis is not None else ():
+        off = c << lay.comp_shift
+        rows += [_Row(r.lt + off, [(u + off, a) for u, a in r.tail], r.single, r.sugar, r.deg,
+                      r.floor + off) for r in ideal_basis._rows]
+    rows.sort(key=lambda r: r.lt, reverse=True)
+    return GroebnerBasis(ctx, rank, rows, 0, lay)
 
 
 def elimination_basis(gens, count, budget=None):
@@ -573,6 +638,64 @@ def count_standard_monomials(exp_vectors, nvars):
         assert n is not INFINITE
         total += n
     return total
+
+
+def hilbert_numerator(exp_vectors):
+    """Numerator N(s) of the Hilbert series of F_p[x1..xm] modulo the
+    monomial ideal J that exp_vectors generate: HS(s) = N(s) / (1 - s)^m,
+    as {degree: coefficient} with no zero coefficient.  N does not depend
+    on m.  The unit ideal gives {}, the zero ideal {0: 1}.
+
+    Bigatti's pivot recursion (JPAA 1997): for a monomial P outside J,
+    N(J) = N(J + (P)) + s^deg(P) N(J : P).  A generator that shares no
+    variable with any other one splits off as a factor 1 - s^deg.
+    """
+    return _numerator(_minimal_exps(exp_vectors))
+
+
+def _numerator(gens):
+    """hilbert_numerator of a minimal generating set."""
+    if any(not any(g) for g in gens):
+        return {}
+    uses = {}
+    for g in gens:
+        for i, e in enumerate(g):
+            if e:
+                uses[i] = uses.get(i, 0) + 1
+    out = {0: 1}
+    rest = []
+    for g in gens:
+        if all(uses[i] == 1 for i, e in enumerate(g) if e):
+            d = sum(g)
+            out = _poly_add(out, {k + d: -c for k, c in out.items()})
+        else:
+            rest.append(g)
+    if not rest:
+        return out
+    # pivot x_v^e: v in the most generators, e the median exponent of the
+    # generators other than a pure power of v, so that x_v^e lies outside J
+    v = max(uses, key=lambda i: (uses[i], -i))
+    exps = sorted(g[v] for g in rest if g[v] and any(f for i, f in enumerate(g) if i != v))
+    e = exps[len(exps) // 2]
+    pivot = tuple(e if i == v else 0 for i in range(len(rest[0])))
+    added = _numerator(_minimal_exps(rest + [pivot]))
+    colon = _numerator(_minimal_exps([g[:v] + (max(g[v] - e, 0),) + g[v + 1:] for g in rest]))
+    inner = _poly_add(added, {k + e: c for k, c in colon.items()})
+    prod = {}
+    for a, x in out.items():
+        prod = _poly_add(prod, {a + b: x * y for b, y in inner.items()})
+    return prod
+
+
+def _poly_add(a, b):
+    out = dict(a)
+    for k, c in b.items():
+        c += out.get(k, 0)
+        if c:
+            out[k] = c
+        else:
+            out.pop(k, None)
+    return out
 
 
 def _minimal_exps(exp_vectors):

@@ -1,14 +1,27 @@
 """Homology of free complexes over A = F_p[x1..xm]/I, with exact lengths.
 
-Everything is computed by lifting to the free polynomial ring: a kernel
-over A is the projection of a syzygy computation against the matrix
-columns augmented with I times the target basis, and a subquotient
-length is the colength of a lifted presentation.  Each presentation
-keeps the Groebner basis its length came from, so the annihilation
-check is a set of membership tests against it and makes no Groebner run
-of its own.  Lengths may be INFINITE; the Euler characteristic refuses
-to sum those and raises a structured error naming the offending degree
-instead.
+The complexes are graded: each basis label of K_p has a degree
+(FreeComplex.degrees) and every differential keeps degrees.  So is every
+H_p, and its Hilbert series is
+
+    HS(H_p) = HS(coker d_(p+1)) + HS(coker d_p) - HS(K_(p-1)),
+
+with coker d_0 = K_(-1) = 0 and, at the top degree L, coker d_(L+1) =
+K_L / I K_L.  Everything is computed by lifting to the free polynomial
+ring.  One tagged Groebner run per differential, over the columns of d_p
+plus I times each basis vector of K_(p-1) (groebner.syzygy_basis), gives
+both ker d_p (the syzygies, projected to the columns and reduced mod I)
+and a Groebner basis of im d_p + I K_(p-1), whose lead terms give the
+numerator of HS(coker d_p), each component shifted by its label's
+degree (groebner.hilbert_numerator).  The numerators sum to Q(s) with
+HS(H_p) = Q(s) / (1 - s)^m: the length is INFINITE exactly when
+(1 - s)^m does not divide Q, and otherwise that quotient at s = 1.
+
+Each presentation keeps the basis of im d_(p+1) + I K_p, so the
+annihilation check is a set of membership tests against it and makes no
+Groebner run of its own.  Lengths may be INFINITE; the Euler
+characteristic refuses to sum those and raises a structured error naming
+the offending degree instead.
 """
 
 from __future__ import annotations
@@ -16,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .poly import INFINITE, AlgebraError, ContractError, VectorPolynomial
-from .groebner import syzygy_basis
+from .groebner import hilbert_numerator, syzygy_basis
 from .rings import quotient_basis
 
 
@@ -40,12 +53,14 @@ def _lift_columns(ring, matrix_over_a):
     return out
 
 
-def kernel_generators(ring, matrix_over_a, budget=None):
+def kernel_generators(ring, matrix_over_a, budget=None, image=False):
     """Generators of ker(A^a -> A^b) for a b x a matrix of RingElements.
 
     Augment the lifted columns with I times each target basis vector;
     syzygies of the augmented list, projected to the first a coordinates
-    and reduced mod I, generate the kernel over A.
+    and reduced mod I, generate the kernel over A.  With image=True the
+    result is (kernel, basis), basis the GroebnerBasis of the lifted
+    columns plus I * F_p[x]^b from the same Groebner run.
     """
     rows = len(matrix_over_a)
     cols = len(matrix_over_a[0]) if rows else 0
@@ -53,7 +68,7 @@ def kernel_generators(ring, matrix_over_a, budget=None):
         raise ContractError("kernel of a %d x %d matrix: need at least one row and column" % (rows, cols))
     lifted = _lift_columns(ring, matrix_over_a)
     aug = lifted + ring.lifted_ideal_columns(rows)
-    syz = syzygy_basis(aug, budget)
+    syz, basis = syzygy_basis(aug, budget, image=True)
     out = []
     seen = set()
     for s in syz:
@@ -65,19 +80,18 @@ def kernel_generators(ring, matrix_over_a, budget=None):
             continue
         seen.add(key)
         out.append(vec)
-    return out
+    return (out, basis) if image else out
 
 
 @dataclass(frozen=True)
 class HomologyPresentation:
-    """H_p as a quotient of A^k, k the number of kernel generators.
+    """H_p = ker d_p / im d_(p+1) with its length.
 
     kernel_gens: vectors u_1..u_k in K_p (tuples of RingElement) spanning
-    ker d_p;
+    ker d_p (for p = 0 the basis vectors of K_0);
     length: int or INFINITE;
-    basis: GroebnerBasis over F_p[x] of the relations of H_p plus
-    I * F_p[x]^k, so c lies in it exactly when sum c_j u_j lies in
-    im d_(p+1) + I K_p (None when ker d_p = 0).
+    basis: GroebnerBasis of im d_(p+1) + I K_p in F_p[x]^rank_p, so the
+    class of a cycle u vanishes exactly when its lift lies in it.
     """
 
     p: int
@@ -87,43 +101,98 @@ class HomologyPresentation:
 
 
 def homology(cx, p, budget=None):
-    """HomologyPresentation of the complex at degree 0 <= p <= length."""
-    ring = cx.ring
+    """HomologyPresentation of the complex at degree 0 <= p <= length;
+    runs d_p and d_(p+1) only."""
     if not 0 <= p <= cx.length:
         raise ContractError("homology degree %d outside 0..%d" % (p, cx.length))
-    rank_p = cx.rank(p)
-    d_in = cx.differential(p + 1)
-    if p == 0:
-        # H_0 is the plain cokernel of d_1: relations are its columns
-        units = []
-        for i in range(rank_p):
-            vec = [ring.zero()] * rank_p
-            vec[i] = ring.one()
-            units.append(tuple(vec))
-        rels = _lift_columns(ring, d_in) if d_in else []
-        basis = quotient_basis(ring, rels, rank_p, budget)
-        return HomologyPresentation(0, tuple(units), basis.colength(), basis)
-    kernel = kernel_generators(ring, cx.differential(p), budget)
-    if not kernel:
-        return HomologyPresentation(p, (), 0)
-    k = len(kernel)
-    lifted_kernel = [VectorPolynomial(tuple(v.rep for v in vec)) for vec in kernel]
-    w = _lift_columns(ring, d_in) if d_in else []
-    aug = lifted_kernel + w + ring.lifted_ideal_columns(rank_p)
-    syz = syzygy_basis(aug, budget)
-    rels = []
-    for s in syz:
-        head = VectorPolynomial(s.components[:k])
-        if not head.is_zero():
-            rels.append(head)
-    # the length lives over A: quotient_basis rejoins I * F_p[x]^k
-    basis = quotient_basis(ring, rels, k, budget)
-    return HomologyPresentation(p, tuple(kernel), basis.colength(), basis)
+    return _presentations(cx, (p,), budget)[p]
 
 
 def all_homology(cx, budget=None):
-    """HomologyPresentations for every degree of the complex."""
-    return {p: homology(cx, p, budget) for p in range(cx.length + 1)}
+    """HomologyPresentations for every degree of the complex, running
+    each differential once."""
+    return _presentations(cx, range(cx.length + 1), budget)
+
+
+def _presentations(cx, degrees, budget):
+    ring = cx.ring
+    ideal = hilbert_numerator([t[1:] for t in ring.ideal_basis.lead_terms]
+                              if ring.ideal_basis is not None else [])
+    runs = {}  # q -> (ker d_q, basis of im d_q + I K_(q-1))
+    nums = {}  # lead exponents of one component -> their numerator
+
+    def run(q):
+        if q not in runs:
+            if q > cx.length:
+                runs[q] = None, quotient_basis(ring, [], cx.rank(q - 1))
+            else:
+                runs[q] = kernel_generators(ring, cx.differential(q), budget, image=True)
+        return runs[q]
+
+    out = {}
+    for p in degrees:
+        boundaries = run(p + 1)[1]
+        num = _coker_numerator(boundaries, cx.degrees[p], nums)
+        if p == 0:
+            one = ring.one()
+            kernel = [tuple(one if i == j else ring.zero() for i in range(cx.rank(0)))
+                      for j in range(cx.rank(0))]
+        else:
+            kernel, cycles_out = run(p)
+            num = _add(num, _coker_numerator(cycles_out, cx.degrees[p - 1], nums))
+            for d in cx.degrees[p - 1]:
+                num = _add(num, {k + d: -c for k, c in ideal.items()})
+        out[p] = HomologyPresentation(p, tuple(kernel), _length(num, ring.ctx.nvars), boundaries)
+    return out
+
+
+def _coker_numerator(basis, degrees, nums):
+    """Hilbert series numerator of F_p[x]^rank / basis, basis vector c in
+    degree degrees[c]; nums caches hilbert_numerator by its input."""
+    per_comp = [[] for _ in degrees]
+    for t in basis.lead_terms:
+        per_comp[t[0]].append(t[1:])
+    out = {}
+    for d, exps in zip(degrees, per_comp):
+        key = tuple(exps)
+        if key not in nums:
+            nums[key] = hilbert_numerator(exps)
+        out = _add(out, {k + d: c for k, c in nums[key].items()})
+    return out
+
+
+def _add(a, b):
+    out = dict(a)
+    for k, c in b.items():
+        c += out.get(k, 0)
+        if c:
+            out[k] = c
+        else:
+            out.pop(k, None)
+    return out
+
+
+def _length(num, m):
+    """(Q / (1 - s)^m)(1) for the Laurent polynomial Q = num, given as
+    {degree: coefficient}, or INFINITE when (1 - s)^m does not divide Q.
+
+    Q = (1 - s) R exactly when the coefficients of Q sum to 0, and then
+    R's coefficients are the partial sums of Q's.
+    """
+    if not num:
+        return 0
+    lo = min(num)
+    coeffs = [num.get(d, 0) for d in range(lo, max(num) + 1)]
+    for _ in range(m):
+        partial = []
+        acc = 0
+        for c in coeffs:
+            acc += c
+            partial.append(acc)
+        if partial[-1]:
+            return INFINITE
+        coeffs = partial[:-1]
+    return sum(coeffs)
 
 
 @dataclass(frozen=True)
@@ -164,11 +233,13 @@ def annihilation_check(cx, minors=None, presentations=None, budget=None):
     """Verify that every maximal minor kills every homology class.
 
     For each degree p, each kernel generator u_i and each minor g, g*u_i
-    must lie in im d_(p+1) + I K_p.  The relations of H_p are the c with
-    sum c_j u_j in that module, so the test is whether g*e_i lies in the
-    presentation's basis.  Returns the list of violations as
-    (p, minor_index, kernel_index) triples; empty means the containment
-    holds everywhere.
+    must lie in im d_(p+1) + I K_p, the module the presentation's basis
+    spans.  Each u_i is reduced against that basis once.  A u_i that
+    reduces to zero is a boundary already, so every g passes; for any
+    other, g*u_i lies in the module exactly when g times the remainder
+    does (GroebnerBasis.contains_products).  Returns the list of
+    violations as (p, minor_index, kernel_index) triples; empty means the
+    containment holds everywhere.
     """
     from .koszul import fitting_ideal
 
@@ -176,19 +247,17 @@ def annihilation_check(cx, minors=None, presentations=None, budget=None):
         minors = fitting_ideal(cx.matrix)
     if presentations is None:
         presentations = all_homology(cx, budget)
-    zero = cx.ring.ctx.zero()
     bad = []
     for p in range(cx.length + 1):
         pres = presentations[p]
-        k = len(pres.kernel_gens)
-        for mi, g in enumerate(minors):
-            if g.is_zero():
-                continue
-            for ki in range(k):
-                comps = [zero] * k
-                comps[ki] = g.rep
-                if not pres.basis.contains(VectorPolynomial(tuple(comps))):
-                    bad.append((p, mi, ki))
+        basis = pres.basis
+        passes = []  # passes[ki][mi]: minor mi kills the class of u_ki
+        for u in pres.kernel_gens:
+            w = basis.normal_form(VectorPolynomial(tuple(v.rep for v in u)))
+            passes.append(basis.contains_products([g.rep for g in minors], w)
+                          if not w.is_zero() else [True] * len(minors))
+        bad += [(p, mi, ki) for mi in range(len(minors)) for ki in range(len(passes))
+                if not passes[ki][mi]]
     return bad
 
 

@@ -21,6 +21,15 @@ The map into degree p is
 
 Supported shifts are -1 <= t <= n-r+1; the complex is nonzero exactly in
 degrees 0..n-r+1.  Row and column indices are 0-based throughout.
+
+The matrix is a graded map G -> F (ModuleMatrix: row shifts e_i, column
+degrees d_j), so every K_p is graded and every differential keeps
+degrees.  The label (J, alpha) of K_p has degree
+
+    sum_(j in J) d_j + sum_i alpha_i e_i                  for p <= t,
+    sum_(j in J) d_j - sum_i alpha_i e_i - sum_i e_i      for p >= t+1,
+
+and each nonzero entry of d_p has degree deg(column) - deg(row).
 """
 
 from __future__ import annotations
@@ -82,11 +91,13 @@ class ModuleMatrix:
 
     Entries are RingElements, each zero or homogeneous of positive degree,
     and the matrix is a graded map: some row shifts e_i and column degrees
-    d_j give deg a_ij = d_j - e_i for every nonzero entry.  Columns
-    generate the submodule M of F = A^r.
+    d_j give deg a_ij = d_j - e_i for every nonzero entry.  They are kept
+    as row_shifts and col_degrees (a zero column takes degree 0; the
+    first row of each connected block of entries takes shift 0).
+    Columns generate the submodule M of F = A^r.
     """
 
-    __slots__ = ("ring", "r", "n", "entries")
+    __slots__ = ("ring", "r", "n", "entries", "row_shifts", "col_degrees")
 
     def __init__(self, ring, entries):
         rows = tuple(tuple(row) for row in entries)
@@ -106,7 +117,7 @@ class ModuleMatrix:
                     )
         if n < r:
             raise ContractError("matrix is %d x %d; need at least as many columns as rows" % (r, n))
-        _check_graded(rows)
+        self.row_shifts, self.col_degrees = _check_graded(rows)
         self.ring = ring
         self.r = r
         self.n = n
@@ -126,9 +137,10 @@ class ModuleMatrix:
 
 
 def _check_graded(rows):
-    """Raise ContractError unless some row shifts e_i and column degrees d_j
-    give deg a_ij = d_j - e_i for every nonzero entry: one walk over the
-    bipartite graph of nonzero entries, each component's first row at 0."""
+    """Row shifts e_i and column degrees d_j with deg a_ij = d_j - e_i for
+    every nonzero entry, as two tuples, or ContractError when there are
+    none: one walk over the bipartite graph of nonzero entries, each
+    component's first row at 0 and a column with no entry at 0."""
     r, n = len(rows), len(rows[0])
     level = {}  # e_i at node i, d_j at node r + j
     for root in range(r):
@@ -149,6 +161,7 @@ def _check_graded(rows):
                 elif level[w] != want:
                     raise ContractError("entry (%d,%d) (%s) breaks the grading: no row shifts and "
                                         "column degrees make the matrix a graded map" % (i + 1, j + 1, ent))
+    return tuple(level[i] for i in range(r)), tuple(level.get(r + j, 0) for j in range(n))
 
 
 def contraction(matrix, i, idx):
@@ -190,20 +203,21 @@ def division_map(i, mu):
 class FreeComplex:
     """A bounded complex of free A-modules with labelled bases.
 
-    labels[p] is the basis of K_p as (ExteriorIndex, SymIndex) pairs;
-    differentials[p] (1 <= p <= length) is the matrix of K_p -> K_(p-1),
-    rows indexed by labels[p-1], columns by labels[p].  Treat instances
-    as frozen once built.
+    labels[p] is the basis of K_p as (ExteriorIndex, SymIndex) pairs and
+    degrees[p] their degrees; differentials[p] (1 <= p <= length) is the
+    matrix of K_p -> K_(p-1), rows indexed by labels[p-1], columns by
+    labels[p].  Treat instances as frozen once built.
     """
 
-    __slots__ = ("ring", "matrix", "t", "length", "labels", "differentials")
+    __slots__ = ("ring", "matrix", "t", "length", "labels", "degrees", "differentials")
 
-    def __init__(self, ring, matrix, t, length, labels, differentials):
+    def __init__(self, ring, matrix, t, length, labels, degrees, differentials):
         self.ring = ring
         self.matrix = matrix
         self.t = t
         self.length = length
         self.labels = labels
+        self.degrees = degrees
         self.differentials = differentials
 
     def rank(self, p):
@@ -227,6 +241,15 @@ def term_labels(r, n, t, p):
     return tuple((e, s) for e in ext for s in sym)
 
 
+def label_degree(matrix, t, p, ext, sym):
+    """Degree of the basis label (ext, sym) of K_p (see the module text)."""
+    d = sum(matrix.col_degrees[j] for j in ext.subset)
+    e = sum(a * s for a, s in zip(sym.multidegree, matrix.row_shifts))
+    if p <= t:
+        return d + e
+    return d - e - sum(matrix.row_shifts)
+
+
 def expected_rank(r, n, t, p):
     """Binomial rank of K_p from the two regime formulas."""
     if p >= t + 1:
@@ -237,9 +260,11 @@ def expected_rank(r, n, t, p):
 def build_koszul(matrix, t, check=True):
     """Construct K(a; t) for -1 <= t <= n-r+1 and verify d o d = 0.
 
-    Raises RuntimeError when d o d != 0, which is a fault in this module,
-    not in the input.  check=False skips the square-zero verification
-    (used by tests that deliberately corrupt a differential first).
+    Raises RuntimeError when d o d != 0 or a nonzero entry of some d_p
+    does not have degree deg(column) - deg(row); either is a fault in
+    this module, not in the input.  check=False skips the square-zero
+    verification (used by tests that deliberately corrupt a differential
+    first).
     """
     r, n = matrix.r, matrix.n
     length = n - r + 1
@@ -247,18 +272,27 @@ def build_koszul(matrix, t, check=True):
         raise ContractError("shift t=%d outside supported range [-1, %d]" % (t, length))
     ring = matrix.ring
     labels = {p: term_labels(r, n, t, p) for p in range(length + 1)}
+    degrees = {p: tuple(label_degree(matrix, t, p, ext, sym) for ext, sym in labels[p])
+               for p in labels}
     diffs = {}
     for p in range(1, length + 1):
         src = labels[p]
         dst = labels[p - 1]
         pos = {lab: i for i, lab in enumerate(dst)}
         mat = [[ring.zero() for _ in src] for _ in dst]
+        touched = set()
         for col, (ext, sym) in enumerate(src):
             for coeff, lab in _image_of_basis_vector(matrix, t, p, ext, sym):
                 row = pos[lab]
                 mat[row][col] = mat[row][col] + coeff
+                touched.add((row, col))
+        for row, col in touched:
+            ent = mat[row][col]
+            want = degrees[p][col] - degrees[p - 1][row]
+            if not ent.is_zero() and not (ent.is_homogeneous() and ent.degree() == want):
+                raise RuntimeError("d_%d entry (%d,%d) (%s) is not of degree %d" % (p, row, col, ent, want))
         diffs[p] = mat
-    cx = FreeComplex(ring, matrix, t, length, labels, diffs)
+    cx = FreeComplex(ring, matrix, t, length, labels, degrees, diffs)
     if check:
         bad = verify_complex(cx)
         if bad:

@@ -238,7 +238,8 @@ class Polynomial:
         return Polynomial(self.ctx, {e: (k * c) % p for e, k in self.terms.items()})
 
     def __pow__(self, n):
-        assert n >= 0
+        if not (isinstance(n, int) and n >= 0):
+            raise ContractError("exponent must be a nonnegative int, not %r" % (n,))
         out = self.ctx.one()
         for _ in range(n):
             out = out * self

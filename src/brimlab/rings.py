@@ -22,7 +22,7 @@ from .poly import (
     Polynomial,
     VectorPolynomial,
 )
-from .groebner import Budget, buchberger, monomial_ideal_dimension
+from .groebner import Budget, buchberger, ideal_module_basis, monomial_ideal_dimension
 
 
 class GradedRing:
@@ -120,7 +120,7 @@ class RingElement:
         return hash(self.rep)
 
     def __add__(self, other):
-        assert self.ring == other.ring
+        self._check_ring(other)
         # normal forms are spanned by standard monomials, so sums stay reduced
         return RingElement(self.ring, self.rep + other.rep)
 
@@ -133,10 +133,14 @@ class RingElement:
     def __mul__(self, other):
         if isinstance(other, int):
             return RingElement(self.ring, self.rep.scale(other))
-        assert self.ring == other.ring
+        self._check_ring(other)
         return RingElement(self.ring, self.ring.reduce(self.rep * other.rep))
 
     __rmul__ = __mul__
+
+    def _check_ring(self, other):
+        if not (isinstance(other, RingElement) and other.ring == self.ring):
+            raise ContractError("%r and %r are not elements of one ring" % (self, other))
 
     def scale(self, c):
         return RingElement(self.ring, self.rep.scale(c))
@@ -214,13 +218,13 @@ class SubmoduleOfFree:
 
 def quotient_basis(ring, lifted_vectors, rank, budget=None):
     """GroebnerBasis of the nonzero lifted vectors plus I * F_p[x]^rank,
-    the submodule whose quotient is A^rank / (vectors).  With nothing to
-    add it is the empty basis of rank `rank`, whose colength is INFINITE."""
+    the submodule whose quotient is A^rank / (vectors).  Without a nonzero
+    vector it is I * F_p[x]^rank, built from the ring's own basis with no
+    Groebner run (for I = 0 the empty basis, whose colength is INFINITE)."""
     cols = [v for v in lifted_vectors if not v.is_zero()]
-    cols += ring.lifted_ideal_columns(rank)
     if not cols:
-        cols = [VectorPolynomial((ring.ctx.zero(),) * rank)]
-    return buchberger(cols, budget)
+        return ideal_module_basis(ring.ctx, ring.ideal_basis, rank)
+    return buchberger(cols + ring.lifted_ideal_columns(rank), budget)
 
 
 def ideal_colength(ring, gens, budget=None):

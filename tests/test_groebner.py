@@ -13,6 +13,7 @@ from brimlab.groebner import (
     buchberger,
     count_standard_monomials,
     elimination_basis,
+    hilbert_numerator,
     monomial_ideal_dimension,
     syzygy_basis,
     _Layout,
@@ -394,3 +395,54 @@ def test_degree_limit_inside_elimination_runs():
     with pytest.raises(BudgetExceededError) as err:
         gb.contains(vec(u * u, zero))
     assert err.value.kind == "degree"
+
+
+def brute_force_counts(gens, nvars, top):
+    """Standard monomials of each degree 0..top, by enumeration."""
+    return [sum(1 for m in oracles.monomials_of_degree(nvars, d)
+                if not any(all(a <= b for a, b in zip(g, m)) for g in gens))
+            for d in range(top + 1)]
+
+
+def series_coefficients(num, nvars, top):
+    """Coefficients of N(s) / (1 - s)^nvars in degrees 0..top."""
+    from math import comb
+    return [sum(c * comb(d - k + nvars - 1, nvars - 1) for k, c in num.items() if k <= d)
+            for d in range(top + 1)]
+
+
+@given(st.integers(1, 3).flatmap(lambda m: st.tuples(
+    st.just(m), st.lists(st.tuples(*[st.integers(0, 4)] * m), max_size=6))))
+@settings(max_examples=200, deadline=None)
+def test_hilbert_numerator_against_enumeration(case):
+    nvars, gens = case
+    num = hilbert_numerator(gens)
+    assert series_coefficients(num, nvars, 12) == brute_force_counts(gens, nvars, 12)
+    n = count_standard_monomials(gens, nvars)
+    if n is not INFINITE:
+        assert sum(series_coefficients(num, nvars, sum(max(g[i] for g in gens) for i in range(nvars)))) == n
+
+
+def test_hilbert_numerator_edge_ideals():
+    assert hilbert_numerator([(0, 0)]) == {}      # unit ideal: S/J = 0
+    assert hilbert_numerator([]) == {0: 1}        # zero ideal: S itself
+    assert hilbert_numerator([(2, 0), (0, 3)]) == {0: 1, 2: -1, 3: -1, 5: 1}
+
+
+def test_contains_products_matches_contains_of_the_product():
+    zero = CTX.zero()
+    gb = buchberger([vec(X * X, Y), vec(zero, X * Y), vec(Y ** 3, zero)])
+    gens = [X, Y, X + Y, X * Y, zero, Y * Y - X * X, X ** 3]
+    for v in (vec(X, Y * Y), vec(Y, zero), vec(X * Y, X), vec(zero, zero)):
+        w = gb.normal_form(v)
+        want = [gb.contains(v.scale(g)) for g in gens]
+        assert gb.contains_products(gens, w) == want
+        assert gb.contains_products(gens, v) == want
+    assert not all(gb.contains_products(gens, gb.normal_form(vec(X, Y * Y))))
+    # the product keeps to the engine's degree limit
+    w = buchberger([vec(X * X, zero)]).normal_form(vec(Y ** MAX_DEGREE, zero))
+    with pytest.raises(BudgetExceededError) as err:
+        buchberger([vec(X * X, zero)]).contains_products([Y], w)
+    assert err.value.kind == "degree"
+    with pytest.raises(ContractError):
+        gb.contains_products([PolyContext(7, ["x", "y"]).variable(0)], w)

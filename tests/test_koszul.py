@@ -55,6 +55,31 @@ def test_matrix_contract_errors():
         ModuleMatrix(ring, [[make_ring(7, ["x", "y"]).variable(0)]])  # another ring
 
 
+def test_matrix_keeps_its_grading():
+    ring = ring_xy()
+    x, y = poly_vars(ring)
+    m = mat_of(ring, [[x, y * y, ring.zero()], [x * y, y ** 3, ring.zero()]])
+    # row 1 sits one degree below row 0; the zero column takes degree 0
+    assert m.row_shifts == (0, -1) and m.col_degrees == (1, 2, 0)
+
+
+def test_label_degrees_grade_every_differential():
+    ring = ring_xy()
+    x, y = poly_vars(ring)
+    m = mat_of(ring, [[x, y * y, ring.zero()], [x * y, y ** 3, x * x]])
+    for t in range(-1, m.n - m.r + 2):
+        cx = build_koszul(m, t)
+        for p in range(1, cx.length + 1):
+            for i, row in enumerate(cx.differential(p)):
+                for j, ent in enumerate(row):
+                    if not ent.is_zero():
+                        assert ent.degree() == cx.degrees[p][j] - cx.degrees[p - 1][i]
+    # a wrong column degree is a fault of the construction, not of the input
+    m.col_degrees = (1, 3, 1)
+    with pytest.raises(RuntimeError, match="not of degree"):
+        build_koszul(m, 1)
+
+
 def test_exterior_and_sym_bases():
     assert [b.subset for b in exterior_basis(3, 2)] == [(0, 1), (0, 2), (1, 2)]
     assert exterior_basis(3, 0) == (ExteriorIndex(()),)

@@ -103,6 +103,12 @@ def test_pow_matches_repeated_product():
     assert f ** 0 == CTX.one()
 
 
+def test_negative_power_is_contract_error():
+    # checked without assert, so it holds under python -O too
+    with pytest.raises(ContractError):
+        CTX.variable(0) ** -1
+
+
 def test_monic():
     x = CTX.variable(0)
     f = x * CTX.constant(17)

@@ -35,6 +35,23 @@ def test_make_ring_rejects_bad_input():
         make_ring(101, ["x"], [PolyContext(101, ["x"]).variable(0)])  # dimension 0
 
 
+def test_elements_of_different_rings_do_not_mix():
+    # checked without assert: under python -O, x * x across these two
+    # rings used to return x^2 and x + x to return 2x
+    plain = make_ring(101, ["x", "y"])
+    quotient = make_ring(101, ["x", "y"], [X * X])
+    x, xq = plain.variable(0), quotient.variable(0)
+    for a, b in ((x, xq), (xq, x)):
+        with pytest.raises(ContractError):
+            a * b
+        with pytest.raises(ContractError):
+            a + b
+        with pytest.raises(ContractError):
+            a - b
+    with pytest.raises(ContractError):
+        x + 1
+
+
 def test_dimension():
     assert make_ring(101, ["x", "y"]).dimension == 2
     assert make_ring(101, ["x", "y"], [X * X, X * Y]).dimension == 1
