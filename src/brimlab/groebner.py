@@ -585,10 +585,11 @@ def ideal_module_basis(ctx, ideal_basis, rank):
     since no S-pair joins two components."""
     lay = _Layout(ctx.nvars)
     rows = []
-    for c in range(rank) if ideal_basis is not None else ():
-        off = c << lay.comp_shift
-        rows += [_Row(r.lt + off, [(u + off, a) for u, a in r.tail], r.single, r.sugar, r.deg,
-                      r.floor + off) for r in ideal_basis._rows]
+    if ideal_basis is not None:
+        for c in range(rank):
+            off = c << lay.comp_shift
+            rows += [_Row(r.lt + off, [(u + off, a) for u, a in r.tail], r.single, r.sugar, r.deg,
+                          r.floor + off) for r in ideal_basis._rows]
     rows.sort(key=lambda r: r.lt, reverse=True)
     return GroebnerBasis(ctx, rank, rows, 0, lay)
 

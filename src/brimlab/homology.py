@@ -115,6 +115,8 @@ def all_homology(cx, budget=None):
 
 
 def _presentations(cx, degrees, budget):
+    """HomologyPresentations for the given degrees, each differential
+    they need run once."""
     ring = cx.ring
     ideal = hilbert_numerator([t[1:] for t in ring.ideal_basis.lead_terms]
                               if ring.ideal_basis is not None else [])
@@ -123,7 +125,7 @@ def _presentations(cx, degrees, budget):
 
     def run(q):
         if q not in runs:
-            if q > cx.length:
+            if q > cx.length:  # coker d_(L+1) = K_L / I K_L
                 runs[q] = None, quotient_basis(ring, [], cx.rank(q - 1))
             else:
                 runs[q] = kernel_generators(ring, cx.differential(q), budget, image=True)
@@ -132,44 +134,38 @@ def _presentations(cx, degrees, budget):
     out = {}
     for p in degrees:
         boundaries = run(p + 1)[1]
-        num = _coker_numerator(boundaries, cx.degrees[p], nums)
+        num = {}  # degree -> coefficient of Q
+        _add_coker_numerator(num, 1, boundaries, cx.degrees[p], nums)
         if p == 0:
             one = ring.one()
             kernel = [tuple(one if i == j else ring.zero() for i in range(cx.rank(0)))
                       for j in range(cx.rank(0))]
         else:
             kernel, cycles_out = run(p)
-            num = _add(num, _coker_numerator(cycles_out, cx.degrees[p - 1], nums))
+            _add_coker_numerator(num, 1, cycles_out, cx.degrees[p - 1], nums)
             for d in cx.degrees[p - 1]:
-                num = _add(num, {k + d: -c for k, c in ideal.items()})
+                _add_shifted(num, -1, ideal, d)
         out[p] = HomologyPresentation(p, tuple(kernel), _length(num, ring.ctx.nvars), boundaries)
     return out
 
 
-def _coker_numerator(basis, degrees, nums):
-    """Hilbert series numerator of F_p[x]^rank / basis, basis vector c in
-    degree degrees[c]; nums caches hilbert_numerator by its input."""
+def _add_coker_numerator(num, sign, basis, degrees, nums):
+    """Add sign times the Hilbert series numerator of F_p[x]^rank / basis,
+    basis vector c in degree degrees[c], into num; nums caches
+    hilbert_numerator by its input."""
     per_comp = [[] for _ in degrees]
     for t in basis.lead_terms:
         per_comp[t[0]].append(t[1:])
-    out = {}
     for d, exps in zip(degrees, per_comp):
         key = tuple(exps)
         if key not in nums:
             nums[key] = hilbert_numerator(exps)
-        out = _add(out, {k + d: c for k, c in nums[key].items()})
-    return out
+        _add_shifted(num, sign, nums[key], d)
 
 
-def _add(a, b):
-    out = dict(a)
-    for k, c in b.items():
-        c += out.get(k, 0)
-        if c:
-            out[k] = c
-        else:
-            out.pop(k, None)
-    return out
+def _add_shifted(num, sign, part, shift):
+    for k, c in part.items():
+        num[k + shift] = num.get(k + shift, 0) + sign * c
 
 
 def _length(num, m):
@@ -189,7 +185,7 @@ def _length(num, m):
         for c in coeffs:
             acc += c
             partial.append(acc)
-        if partial[-1]:
+        if acc:
             return INFINITE
         coeffs = partial[:-1]
     return sum(coeffs)

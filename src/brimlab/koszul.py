@@ -280,17 +280,15 @@ def build_koszul(matrix, t, check=True):
         dst = labels[p - 1]
         pos = {lab: i for i, lab in enumerate(dst)}
         mat = [[ring.zero() for _ in src] for _ in dst]
-        touched = set()
         for col, (ext, sym) in enumerate(src):
             for coeff, lab in _image_of_basis_vector(matrix, t, p, ext, sym):
                 row = pos[lab]
                 mat[row][col] = mat[row][col] + coeff
-                touched.add((row, col))
-        for row, col in touched:
-            ent = mat[row][col]
-            want = degrees[p][col] - degrees[p - 1][row]
-            if not ent.is_zero() and not (ent.is_homogeneous() and ent.degree() == want):
-                raise RuntimeError("d_%d entry (%d,%d) (%s) is not of degree %d" % (p, row, col, ent, want))
+        for row, ents in enumerate(mat):
+            for col, ent in enumerate(ents):
+                want = degrees[p][col] - degrees[p - 1][row]
+                if not ent.is_zero() and not (ent.is_homogeneous() and ent.degree() == want):
+                    raise RuntimeError("d_%d entry (%d,%d) (%s) is not of degree %d" % (p, row, col, ent, want))
         diffs[p] = mat
     cx = FreeComplex(ring, matrix, t, length, labels, degrees, diffs)
     if check:
