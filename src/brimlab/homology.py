@@ -135,23 +135,23 @@ def _presentations(cx, degrees, budget):
     for p in degrees:
         boundaries = run(p + 1)[1]
         num = {}  # degree -> coefficient of Q
-        _add_coker_numerator(num, 1, boundaries, cx.degrees[p], nums)
+        _add_coker_numerator(num, boundaries, cx.degrees[p], nums)
         if p == 0:
             one = ring.one()
             kernel = [tuple(one if i == j else ring.zero() for i in range(cx.rank(0)))
                       for j in range(cx.rank(0))]
         else:
             kernel, cycles_out = run(p)
-            _add_coker_numerator(num, 1, cycles_out, cx.degrees[p - 1], nums)
+            _add_coker_numerator(num, cycles_out, cx.degrees[p - 1], nums)
             for d in cx.degrees[p - 1]:
                 _add_shifted(num, -1, ideal, d)
         out[p] = HomologyPresentation(p, tuple(kernel), _length(num, ring.ctx.nvars), boundaries)
     return out
 
 
-def _add_coker_numerator(num, sign, basis, degrees, nums):
-    """Add sign times the Hilbert series numerator of F_p[x]^rank / basis,
-    basis vector c in degree degrees[c], into num; nums caches
+def _add_coker_numerator(num, basis, degrees, nums):
+    """Add the Hilbert series numerator of F_p[x]^rank / basis, basis
+    vector c in degree degrees[c], into num; nums caches
     hilbert_numerator by its input."""
     per_comp = [[] for _ in degrees]
     for t in basis.lead_terms:
@@ -160,7 +160,7 @@ def _add_coker_numerator(num, sign, basis, degrees, nums):
         key = tuple(exps)
         if key not in nums:
             nums[key] = hilbert_numerator(exps)
-        _add_shifted(num, sign, nums[key], d)
+        _add_shifted(num, 1, nums[key], d)
 
 
 def _add_shifted(num, sign, part, shift):
