@@ -343,9 +343,10 @@ def _reduce_tails(rows, p, lay):
 
 def _fills_degree(exps, nvars, d):
     """Does the monomial ideal generated by exps hold every monomial of
-    degree d?  Recursion on the last variable, as in
-    count_standard_monomials; exponents of it at or past its pure power
-    are covered outright."""
+    degree d?  Recursion on the last variable: the monomials of degree d
+    with exponent e in it are covered when the generators with at most e
+    of it cover degree d - e in the others; exponents at or past its
+    pure power are covered outright."""
     if nvars == 1:
         return any(g[0] <= d for g in exps)
     pure = min((g[-1] for g in exps if not any(g[:-1])), default=d + 1)
@@ -454,13 +455,15 @@ class GroebnerBasis:
         return out
 
     def colength(self):
-        """Number of standard monomials of the lead term module, or INFINITE."""
-        per_comp = {c: [] for c in range(self.rank)}
+        """Length of F_p[x]^rank modulo the submodule, or INFINITE: the
+        standard monomials of the lead term module, component by
+        component, read off their Hilbert series numerators."""
+        per_comp = [[] for _ in range(self.rank)]
         for t in self.lead_terms:
             per_comp[t[0]].append(t[1:])
         total = 0
-        for c in range(self.rank):
-            n = count_standard_monomials(per_comp[c], self.ctx.nvars)
+        for exps in per_comp:
+            n = dimension_and_length(hilbert_numerator(exps), self.ctx.nvars)[1]
             if n is INFINITE:
                 return INFINITE
             total += n
@@ -608,39 +611,6 @@ def elimination_basis(gens, count, budget=None):
     return list(gb._reduced([r for r in gb._rows if not r.lt & lay.block_mask]))
 
 
-def count_standard_monomials(exp_vectors, nvars):
-    """Monomials of F_p[x1..xm] outside the monomial ideal, or INFINITE.
-
-    exp_vectors: exponent tuples of the generators.  Counted by recursion
-    on the last variable: the level-e slice of the staircase projects to
-    the same question in one variable fewer.
-    """
-    gens = _minimal_exps(exp_vectors)
-    if any(not any(g) for g in gens):
-        return 0  # a unit generator kills everything
-    if not gens:
-        return 1 if nvars == 0 else INFINITE
-    assert nvars >= 1
-    bound = None
-    for g in gens:
-        if all(e == 0 for e in g[:-1]):
-            b = g[-1]
-            if bound is None or b < bound:
-                bound = b
-    for i in range(nvars - 1):
-        if not any(all(e == 0 for k, e in enumerate(g) if k != i) for g in gens):
-            return INFINITE
-    if bound is None:
-        return INFINITE
-    total = 0
-    for e in range(bound):
-        level = [g[:-1] for g in gens if g[-1] <= e]
-        n = count_standard_monomials(level, nvars - 1)
-        assert n is not INFINITE
-        total += n
-    return total
-
-
 def hilbert_numerator(exp_vectors):
     """Numerator N(s) of the Hilbert series of F_p[x1..xm] modulo the
     monomial ideal J that exp_vectors generate: HS(s) = N(s) / (1 - s)^m,
@@ -652,6 +622,33 @@ def hilbert_numerator(exp_vectors):
     variable with any other one splits off as a factor 1 - s^deg.
     """
     return _numerator(_minimal_exps(exp_vectors))
+
+
+def dimension_and_length(num, m):
+    """(Krull dimension, length) of a graded module with Hilbert series
+    Q(s) / (1 - s)^m, for the Laurent polynomial Q = num given as
+    {degree: coefficient}: a hilbert_numerator, or a signed sum of them
+    shifted by degrees.
+
+    Q = (1 - s) R exactly when the coefficients of Q sum to 0, and then
+    R's coefficients are the partial sums of Q's.  The dimension is m
+    less the number of divisions made before the sum is nonzero; the
+    length is (Q / (1 - s)^m)(1) in dimension 0 and INFINITE otherwise.
+    Q = 0, the zero module, gives dimension -1 and length 0.
+    """
+    coeffs = [num.get(d, 0) for d in range(min(num), max(num) + 1)] if num else []
+    if not any(coeffs):
+        return -1, 0
+    for d in range(m, 0, -1):
+        partial = []
+        acc = 0
+        for c in coeffs:
+            acc += c
+            partial.append(acc)
+        if acc:
+            return d, INFINITE
+        coeffs = partial[:-1]
+    return 0, sum(coeffs)
 
 
 def _numerator(gens):
@@ -706,21 +703,3 @@ def _minimal_exps(exp_vectors):
         if not any(all(x <= y for x, y in zip(h, g)) for h in out):
             out.append(g)
     return out
-
-
-def monomial_ideal_dimension(exp_vectors, nvars):
-    """Krull dimension of F_p[x1..xm] modulo the monomial ideal.
-
-    Largest size of a variable subset S such that no generator is
-    supported inside S; -1 when a unit generator makes the ring zero.
-    """
-    from itertools import combinations
-
-    gens = _minimal_exps(exp_vectors)
-    supports = [frozenset(i for i, e in enumerate(g) if e) for g in gens]
-    for size in range(nvars, -1, -1):
-        for S in combinations(range(nvars), size):
-            s = frozenset(S)
-            if not any(sup <= s for sup in supports):
-                return size
-    return -1

@@ -14,8 +14,10 @@ both ker d_p (the syzygies, projected to the columns and reduced mod I)
 and a Groebner basis of im d_p + I K_(p-1), whose lead terms give the
 numerator of HS(coker d_p), each component shifted by its label's
 degree (groebner.hilbert_numerator).  The numerators sum to Q(s) with
-HS(H_p) = Q(s) / (1 - s)^m: the length is INFINITE exactly when
-(1 - s)^m does not divide Q, and otherwise that quotient at s = 1.
+HS(H_p) = Q(s) / (1 - s)^m, and groebner.dimension_and_length, which
+reads every length and dimension in brimlab, reads the length off Q:
+INFINITE exactly when (1 - s)^m does not divide Q, and otherwise that
+quotient at s = 1.
 
 Each presentation keeps the basis of im d_(p+1) + I K_p, so the
 annihilation check is a set of membership tests against it and makes no
@@ -29,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .poly import INFINITE, AlgebraError, ContractError, VectorPolynomial
-from .groebner import hilbert_numerator, syzygy_basis
+from .groebner import dimension_and_length, hilbert_numerator, syzygy_basis
 from .rings import quotient_basis
 
 
@@ -145,7 +147,8 @@ def _presentations(cx, degrees, budget):
             _add_coker_numerator(num, cycles_out, cx.degrees[p - 1], nums)
             for d in cx.degrees[p - 1]:
                 _add_shifted(num, -1, ideal, d)
-        out[p] = HomologyPresentation(p, tuple(kernel), _length(num, ring.ctx.nvars), boundaries)
+        length = dimension_and_length(num, ring.ctx.nvars)[1]
+        out[p] = HomologyPresentation(p, tuple(kernel), length, boundaries)
     return out
 
 
@@ -166,29 +169,6 @@ def _add_coker_numerator(num, basis, degrees, nums):
 def _add_shifted(num, sign, part, shift):
     for k, c in part.items():
         num[k + shift] = num.get(k + shift, 0) + sign * c
-
-
-def _length(num, m):
-    """(Q / (1 - s)^m)(1) for the Laurent polynomial Q = num, given as
-    {degree: coefficient}, or INFINITE when (1 - s)^m does not divide Q.
-
-    Q = (1 - s) R exactly when the coefficients of Q sum to 0, and then
-    R's coefficients are the partial sums of Q's.
-    """
-    if not num:
-        return 0
-    lo = min(num)
-    coeffs = [num.get(d, 0) for d in range(lo, max(num) + 1)]
-    for _ in range(m):
-        partial = []
-        acc = 0
-        for c in coeffs:
-            acc += c
-            partial.append(acc)
-        if acc:
-            return INFINITE
-        coeffs = partial[:-1]
-    return sum(coeffs)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .groebner import buchberger, count_standard_monomials, elimination_basis
+from .groebner import buchberger, dimension_and_length, elimination_basis, hilbert_numerator
 from .poly import (
     INFINITE,
     AlgebraError,
@@ -183,8 +183,8 @@ def _gr_lambda(matrix, budget):
                 continue
             n = counts.get(key)
             if n is None:
-                n = counts[key] = count_standard_monomials(
-                    [x for x, ty in leads if all(e <= g for e, g in zip(ty, key))], nvars)
+                n = counts[key] = dimension_and_length(hilbert_numerator(
+                    [x for x, ty in leads if all(e <= g for e, g in zip(ty, key))]), nvars)[1]
             if n is INFINITE:
                 return INFINITE
             total += n * mult

@@ -225,7 +225,8 @@ def to_csv(report):
         str(report["telemetry"]["elapsed_ms"]),
         str(report["telemetry"]["gb_pairs"]),
     )
-    assert len(row) == len(CSV_COLUMNS)
+    if len(row) != len(CSV_COLUMNS):
+        raise RuntimeError("CSV row has %d cells for %d columns" % (len(row), len(CSV_COLUMNS)))
     out = []
     for line in (CSV_COLUMNS, row):
         cells = []

@@ -22,7 +22,7 @@ from .poly import (
     Polynomial,
     VectorPolynomial,
 )
-from .groebner import Budget, buchberger, ideal_module_basis, monomial_ideal_dimension
+from .groebner import Budget, buchberger, dimension_and_length, hilbert_numerator, ideal_module_basis
 
 
 class GradedRing:
@@ -178,7 +178,7 @@ def make_ring(p, variables, ideal_gens=(), budget=None):
     else:
         basis = None
         lead_exps = []
-    d = monomial_ideal_dimension(lead_exps, ctx.nvars)
+    d = dimension_and_length(hilbert_numerator(lead_exps), ctx.nvars)[0]
     if d <= 0:
         raise ContractError("quotient ring has dimension %d; positive dimension required" % d)
     return GradedRing(ctx, gens, basis, d)
@@ -256,7 +256,8 @@ def _min_generators(ring, sub, ln, budget):
             xi = ring.ctx.variable(i)
             scaled.append(vec.scale(xi))
     lmn = quotient_basis(ring, scaled, sub.rank, budget).colength()
-    assert lmn is not INFINITE
+    if lmn is INFINITE:  # m^j A^rank inside N puts m^(j+1) A^rank inside (x1..xm)N
+        raise RuntimeError("l(A^rank / (x1..xm)N) is infinite although l(A^rank / N) = %d" % ln)
     return lmn - ln
 
 

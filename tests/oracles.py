@@ -137,6 +137,20 @@ def standard_monomial_count(gen_exps, nvars, degree_cap=200):
     return count
 
 
+def monomial_ideal_dimension(gen_exps, nvars):
+    """Krull dimension of F_p[x1..xm] modulo the monomial ideal, by a
+    search over every variable subset: the largest size of one that
+    supports no generator; -1 when a unit generator makes the ring zero."""
+    from itertools import combinations
+
+    supports = [frozenset(i for i, e in enumerate(g) if e) for g in gen_exps]
+    for size in range(nvars, -1, -1):
+        for S in combinations(range(nvars), size):
+            if not any(sup <= frozenset(S) for sup in supports):
+                return size
+    return -1
+
+
 def leibniz_det_terms(entries, p, nvars):
     """Determinant of a square matrix of term-dicts by permutation sum."""
     n = len(entries)

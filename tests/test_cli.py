@@ -127,6 +127,15 @@ def test_unexpected_exception_is_internal_error(problem, capsys, monkeypatch):
     assert "Traceback" in err
 
 
+def test_csv_row_width_mismatch_is_internal_error(problem, capsys, monkeypatch):
+    # a row that no longer matches the header is a program fault, also
+    # under python -O
+    monkeypatch.setattr("brimlab.report.CSV_COLUMNS", CSV_COLUMNS + ("extra",))
+    code, out, err = run(capsys, ["analyze", problem(GOOD), "--format", "csv"])
+    assert code == EXIT_INTERNAL
+    assert err.startswith("internal error: RuntimeError: ") and out == ""
+
+
 def test_verify_needs_input(capsys):
     code, _, err = run(capsys, ["verify"])
     assert code == EXIT_INPUT and "problem file or --corpus" in err

@@ -11,10 +11,9 @@ from brimlab.groebner import (
     TOP,
     Budget,
     buchberger,
-    count_standard_monomials,
+    dimension_and_length,
     elimination_basis,
     hilbert_numerator,
-    monomial_ideal_dimension,
     syzygy_basis,
     _Layout,
 )
@@ -283,11 +282,16 @@ def test_syzygy_of_free_generators_is_empty():
     assert syzygy_basis(gens) == []
 
 
+def staircase(exps, nvars):
+    """(dimension, standard monomial count) of F_p[x]/(monomials exps)."""
+    return dimension_and_length(hilbert_numerator(exps), nvars)
+
+
 def test_count_standard_monomials():
-    assert count_standard_monomials([(2, 0), (0, 3)], 2) == 6
-    assert count_standard_monomials([(1, 1)], 2) is INFINITE
-    assert count_standard_monomials([], 2) is INFINITE
-    assert count_standard_monomials([(0, 0)], 2) == 0  # unit ideal
+    assert staircase([(2, 0), (0, 3)], 2)[1] == 6
+    assert staircase([(1, 1)], 2)[1] is INFINITE
+    assert staircase([], 2)[1] is INFINITE
+    assert staircase([(0, 0)], 2)[1] == 0  # unit ideal
 
 
 def test_colength_splits_components():
@@ -306,16 +310,16 @@ def test_standard_monomials_against_enumeration():
         [(1, 0), (0, 5)],
     ]
     for exps in cases:
-        got = count_standard_monomials(exps, 2)
+        got = staircase(exps, 2)[1]
         want = oracles.standard_monomial_count(exps, 2)
         assert got == want
 
 
 def test_monomial_ideal_dimension():
-    assert monomial_ideal_dimension([], 2) == 2
-    assert monomial_ideal_dimension([(2, 0), (1, 1)], 2) == 1  # E2 staircase
-    assert monomial_ideal_dimension([(1, 0), (0, 1)], 2) == 0
-    assert monomial_ideal_dimension([(0, 0)], 2) == -1  # unit ideal
+    assert staircase([], 2)[0] == 2
+    assert staircase([(2, 0), (1, 1)], 2)[0] == 1  # E2 staircase
+    assert staircase([(1, 0), (0, 1)], 2)[0] == 0
+    assert staircase([(0, 0)], 2)[0] == -1  # unit ideal
 
 
 def test_degree_limit_of_inputs_and_budgets():
@@ -418,7 +422,9 @@ def test_hilbert_numerator_against_enumeration(case):
     nvars, gens = case
     num = hilbert_numerator(gens)
     assert series_coefficients(num, nvars, 12) == brute_force_counts(gens, nvars, 12)
-    n = count_standard_monomials(gens, nvars)
+    d, n = dimension_and_length(num, nvars)
+    assert d == oracles.monomial_ideal_dimension(gens, nvars)
+    assert n == oracles.standard_monomial_count(gens, nvars)
     if n is not INFINITE:
         assert sum(series_coefficients(num, nvars, sum(max(g[i] for g in gens) for i in range(nvars)))) == n
 
@@ -427,6 +433,15 @@ def test_hilbert_numerator_edge_ideals():
     assert hilbert_numerator([(0, 0)]) == {}      # unit ideal: S/J = 0
     assert hilbert_numerator([]) == {0: 1}        # zero ideal: S itself
     assert hilbert_numerator([(2, 0), (0, 3)]) == {0: 1, 2: -1, 3: -1, 5: 1}
+    assert dimension_and_length({0: 1}, 2) == (2, INFINITE)               # zero ideal
+    assert dimension_and_length({0: 1, 2: -1}, 2) == (1, INFINITE)        # (x^2), not Artinian
+    assert dimension_and_length({0: 1, 2: -1, 3: -1, 5: 1}, 2) == (0, 6)  # (x^2, y^3)
+    # H_p = 0: the shifted numerators cancel, leaving zero coefficients
+    assert dimension_and_length({}, 2) == (-1, 0)
+    assert dimension_and_length({-1: 0, 0: 0, 4: 0}, 2) == (-1, 0)
+    # negative label shifts: (1 - s)^2 s^-2 is S/(x, y) in degree -2
+    assert dimension_and_length({-2: 1, -1: -2, 0: 1}, 2) == (0, 1)
+    assert dimension_and_length({-3: 1, -2: -1}, 2) == (1, INFINITE)
 
 
 def test_contains_products_matches_contains_of_the_product():

@@ -2,9 +2,12 @@
 
 import pathlib
 import sys
+from types import SimpleNamespace
 
 import pytest
 
+from brimlab.corpus import ENTRIES
+from brimlab.dsl import build
 from brimlab.poly import INFINITE, ContractError, PolyContext, Polynomial, VectorPolynomial
 from brimlab.rings import (
     SubmoduleOfFree,
@@ -56,6 +59,14 @@ def test_dimension():
     assert make_ring(101, ["x", "y"]).dimension == 2
     assert make_ring(101, ["x", "y"], [X * X, X * Y]).dimension == 1
     assert make_ring(101, ["x"]).dimension == 1
+    # the rings of the corpus and of the benchmark workloads
+    for entry in ENTRIES:
+        assert build(entry.spec())[0].dimension == entry.dim
+    for names in (["x"], ["x", "y"], ["x", "y", "z"], ["x", "y", "z", "w"]):  # P1-P4
+        assert make_ring(101, names).dimension == len(names)
+    x, y, z = (PolyContext(101, ["x", "y", "z"]).variable(i) for i in range(3))
+    assert make_ring(101, ["x", "y", "z"], [x * y - z * z]).dimension == 2  # cone
+    assert make_ring(101, ["x", "y", "z"], [x * x, x * y]).dimension == 2  # ncm
 
 
 def test_ring_elements_are_normal_forms():
@@ -151,6 +162,27 @@ def test_parameter_module_verdict_fields():
     v = is_parameter_module(ring, thin)
     assert not v.ok and not v.finite_colength
     assert v.colength is INFINITE
+
+
+def test_infinite_colength_of_mn_is_a_program_fault(monkeypatch):
+    # l(F/mN) is finite whenever l(F/N) is; an infinite one must not
+    # become mu = inf and a quiet "not a parameter module", with or
+    # without python -O
+    import brimlab.rings as rings_mod
+
+    ring = make_ring(101, ["x", "y"])
+    sub = SubmoduleOfFree(ring, 1, [(ring.variable(0),), (ring.variable(1),)])
+    real = rings_mod.quotient_basis
+    calls = []
+
+    def second_unbounded(*args):
+        calls.append(args)
+        return real(*args) if len(calls) == 1 else SimpleNamespace(colength=lambda: INFINITE)
+
+    monkeypatch.setattr(rings_mod, "quotient_basis", second_unbounded)
+    with pytest.raises(RuntimeError):
+        is_parameter_module(ring, sub)
+    assert len(calls) == 2
 
 
 def test_parameter_test_runs_each_groebner_basis_once(monkeypatch):
