@@ -51,6 +51,7 @@ the first time it is read.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
+from operator import mul
 
 from .poly import (
     INFINITE,
@@ -611,17 +612,26 @@ def elimination_basis(gens, count, budget=None):
     return list(gb._reduced([r for r in gb._rows if not r.lt & lay.block_mask]))
 
 
-def hilbert_numerator(exp_vectors):
+def hilbert_numerator(exp_vectors, weights=None):
     """Numerator N(s) of the Hilbert series of F_p[x1..xm] modulo the
     monomial ideal J that exp_vectors generate: HS(s) = N(s) / (1 - s)^m,
     as {degree: coefficient} with no zero coefficient.  N does not depend
     on m.  The unit ideal gives {}, the zero ideal {0: 1}.
 
+    weights gives x_i the degree weights[i] (all 1 by default), and then
+    HS = N(s) / prod_i (1 - s^weights[i]).  Weights 1 and Z for two sets
+    of variables key the bidegree (a, b) as a + Z b, which is one to one
+    while Z exceeds every a: the degree of the lcm of the first set's
+    parts of the generators.
+
     Bigatti's pivot recursion (JPAA 1997): for a monomial P outside J,
     N(J) = N(J + (P)) + s^deg(P) N(J : P).  A generator that shares no
     variable with any other one splits off as a factor 1 - s^deg.
     """
-    return _numerator(_minimal_exps(exp_vectors))
+    gens = _minimal_exps(exp_vectors)
+    if weights is None:
+        weights = (1,) * (len(gens[0]) if gens else 0)
+    return _numerator(gens, tuple(weights))
 
 
 def dimension_and_length(num, m):
@@ -651,7 +661,7 @@ def dimension_and_length(num, m):
     return 0, sum(coeffs)
 
 
-def _numerator(gens):
+def _numerator(gens, weights):
     """hilbert_numerator of a minimal generating set."""
     if any(not any(g) for g in gens):
         return {}
@@ -664,7 +674,7 @@ def _numerator(gens):
     rest = []
     for g in gens:
         if all(uses[i] == 1 for i, e in enumerate(g) if e):
-            d = sum(g)
+            d = sum(map(mul, weights, g))
             out = _poly_add(out, {k + d: -c for k, c in out.items()})
         else:
             rest.append(g)
@@ -676,9 +686,9 @@ def _numerator(gens):
     exps = sorted(g[v] for g in rest if g[v] and any(f for i, f in enumerate(g) if i != v))
     e = exps[len(exps) // 2]
     pivot = tuple(e if i == v else 0 for i in range(len(rest[0])))
-    added = _numerator(_minimal_exps(rest + [pivot]))
-    colon = _numerator(_minimal_exps([g[:v] + (max(g[v] - e, 0),) + g[v + 1:] for g in rest]))
-    inner = _poly_add(added, {k + e: c for k, c in colon.items()})
+    added = _numerator(_minimal_exps(rest + [pivot]), weights)
+    colon = _numerator(_minimal_exps([g[:v] + (max(g[v] - e, 0),) + g[v + 1:] for g in rest]), weights)
+    inner = _poly_add(added, {k + e * weights[v]: c for k, c in colon.items()})
     prod = {}
     for a, x in out.items():
         prod = _poly_add(prod, {a + b: x * y for b, y in inner.items()})

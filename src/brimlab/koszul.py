@@ -171,7 +171,8 @@ def contraction(matrix, i, idx):
     pairs; the empty list is the zero result (in particular on the empty
     wedge).  0 <= i < r.
     """
-    assert 0 <= i < matrix.r
+    if not 0 <= i < matrix.r:
+        raise ContractError("row index %d outside 0..%d" % (i, matrix.r - 1))
     subset = idx.subset
     out = []
     for k, col in enumerate(subset):
@@ -187,14 +188,16 @@ def contraction(matrix, i, idx):
 def multiplication_map(i, mu):
     """f_i: raise the i-th exponent of a SymIndex by one."""
     m = mu.multidegree
-    assert 0 <= i < len(m)
+    if not 0 <= i < len(m):
+        raise ContractError("exponent index %d outside 0..%d" % (i, len(m) - 1))
     return SymIndex(m[:i] + (m[i] + 1,) + m[i + 1:])
 
 
 def division_map(i, mu):
     """f_i-inverse: lower the i-th exponent, or None when it is zero."""
     m = mu.multidegree
-    assert 0 <= i < len(m)
+    if not 0 <= i < len(m):
+        raise ContractError("exponent index %d outside 0..%d" % (i, len(m) - 1))
     if m[i] == 0:
         return None
     return SymIndex(m[:i] + (m[i] - 1,) + m[i + 1:])

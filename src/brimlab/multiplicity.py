@@ -19,18 +19,18 @@ give gr_J(B) = F_p[x, T, y]/(K' + J), with the Rees ideal K' found by
 eliminating u from (I, y_j - u l_j) (Vasconcelos, Computational Methods
 in Commutative Algebra and Algebraic Geometry, 1998; Eisenbud, Huneke
 and Ulrich, Proc. AMS 2003), and lambda(k) is the number of its standard
-monomials x^a T^b y^c with |b| + |c| = k and |c| < k.  e_0 is read off as
-the stabilized D-th finite difference of lambda; the full coefficient
-vector comes from an exact solve on a stable window, cross-checked by
-re-evaluating P against every stable value.  Where the window starts is
-a heuristic; that it is found is not: lambda equals P from the sum of
-the lead terms' (T, y) caps on, which bounds how many values are counted.
+monomials x^a T^b y^c with |b| + |c| = k and |c| < k.  One Hilbert
+series of those monomials, graded by |a| and by |b| + |c| (Bigatti, JPAA
+1997), gives every lambda(k) at once: its generating function in k is
+R(z) / (1 - z)^(D + 1) for an integer polynomial R, which yields the
+exact polynomial P, its coefficients and a proven index from which
+lambda equals P.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import accumulate
 from math import comb
 
 from .groebner import buchberger, dimension_and_length, elimination_basis, hilbert_numerator
@@ -104,12 +104,13 @@ def rees_power_generators(matrix, k):
 
 
 def _gr_lead_terms(matrix, budget):
-    """Lead terms of a Groebner basis of gr_J(B), split into x- and (T, y)-parts.
+    """Exponent vectors over x, T and y of the lead terms of a Groebner
+    basis of gr_J(B).
 
     B = A[T_1..T_r], J = (l_1..l_n)B with l_j = sum_i a_ij T_i, and
     gr_J(B) = F_p[x, T, y]/(K' + J), where the Rees ideal K' is the part
     of (I, y_j - u l_j) free of u.  Two Groebner runs: the elimination,
-    then K' + J.  Returns [(x exponents, T and y exponents)].
+    then K' + J.
     """
     ring = matrix.ring
     ctx = ring.ctx
@@ -137,60 +138,43 @@ def _gr_lead_terms(matrix, budget):
               for j, col in enumerate(cols)]  # y_j - u l_j
     lin = [vector(*(times(a.rep, i) for i, a in enumerate(col))) for col in cols]
     gb = buchberger(elimination_basis(graph, 1, budget) + lin, budget)
-    return [(t[1:m + 1], t[m + 1:m + 1 + u]) for t in gb.lead_terms]
+    return [t[1:m + 1 + u] for t in gb.lead_terms]
 
 
-def _patterns(caps, k):
-    """Exponent vectors g with |g| = k grouped by min(g, caps): the pairs
-    (min(g, caps), number of such g)."""
-    out = []
-    q = len(caps)
+def _gr_series(matrix, budget):
+    """[Q_0(s), Q_1(s), ...] with the standard monomials x^a T^b y^c of
+    gr_J(B) with b != 0 counted by
 
-    def rec(v, left, key, free):
-        if v == q:
-            # the `free` capped coordinates share what is left
-            if free:
-                out.append((key, comb(left + free - 1, free - 1)))
-            elif not left:
-                out.append((key, 1))
-            return
-        cap = caps[v]
-        for e in range(min(cap, left + 1)):
-            rec(v + 1, left - e, key + (e,), free)
-        if left >= cap:
-            rec(v + 1, left - cap, key + (cap,), free + 1)
+        sum_j Q_j(s) z^j / ((1 - s)^m (1 - z)^(r + n)),
 
-    rec(0, k, (), 0)
-    return out
-
-
-def _gr_lambda(matrix, budget):
-    """(lambda for k >= 1, sum of the caps) from the lead terms of gr_J(B).
-
-    The caps are the largest T and y exponents among the lead terms, a T cap
-    raised to 1 to keep the patterns with b = 0 apart.  lambda keeps the
-    x-part count of each capped pattern for its later k."""
+    s marking |a| and z marking |b| + |c|: the bigraded numerator of the
+    lead term ideal L less that of L + (T_1..T_r), split by z-degree.
+    Each Q_j is {x-degree: coefficient}.
+    """
     leads = _gr_lead_terms(matrix, budget)
-    r, nvars = matrix.r, matrix.ring.ctx.nvars
-    caps = [max((ty[v] for _, ty in leads), default=0) for v in range(r + matrix.n)]
-    caps = [max(c, 1) for c in caps[:r]] + caps[r:]
-    counts = {}
+    m, r, q = matrix.ring.ctx.nvars, matrix.r, matrix.r + matrix.n
+    # z is s^Z, with Z above the x-degree of the lcm of the lead terms
+    Z = 1 + sum(max((t[i] for t in leads), default=0) for i in range(m))
+    weights = (1,) * m + (Z,) * q
+    ts = [(0,) * m + tuple(int(i == v) for i in range(q)) for v in range(r)]
+    series = []
+    for sign, num in ((1, hilbert_numerator(leads, weights)),
+                      (-1, hilbert_numerator(leads + ts, weights))):
+        for key, c in num.items():
+            j, a = divmod(key, Z)
+            series += [{} for _ in range(j + 1 - len(series))]
+            series[j][a] = series[j].get(a, 0) + sign * c
+    return series
 
-    def lam(k):
-        total = 0
-        for key, mult in _patterns(caps, k):
-            if not any(key[:r]):
-                continue
-            n = counts.get(key)
-            if n is None:
-                n = counts[key] = dimension_and_length(hilbert_numerator(
-                    [x for x, ty in leads if all(e <= g for e, g in zip(ty, key))]), nvars)[1]
-            if n is INFINITE:
-                return INFINITE
-            total += n * mult
-        return total
 
-    return lam, sum(caps)
+def _lambda(series, k, matrix):
+    """lambda(k) from the _gr_series of matrix."""
+    q = matrix.r + matrix.n
+    total = {}
+    for j, num in enumerate(series[:k + 1]):
+        for a, c in num.items():
+            total[a] = total.get(a, 0) + comb(k - j + q - 1, q - 1) * c
+    return dimension_and_length(total, matrix.ring.ctx.nvars)[1]
 
 
 def lambda_value(matrix, k, budget=None):
@@ -198,27 +182,26 @@ def lambda_value(matrix, k, budget=None):
 
     lambda(k) = sum_(i<k) dim (J^i/J^(i+1))_k counts the standard
     monomials x^a T^b y^c of gr_J(B) with |b| + |c| = k and |c| < k, that
-    is b != 0.  The x-part of a (b, c) pattern counts the monomials
-    outside the x-parts of the lead terms whose (T, y)-part divides
-    T^b y^c, which depends only on the pattern capped at the largest T
-    and y exponents among the lead terms.  Every call runs both Groebner
-    runs and charges them to budget; br_function_table runs them once
-    for the whole table.
+    is b != 0: the z^k coefficient of the series of _gr_series, whose
+    length is INFINITE exactly when (1 - s)^m does not divide
+    sum_(j<=k) binom(k - j + r + n - 1, r + n - 1) Q_j(s).  Every call
+    runs both Groebner runs and charges them to budget;
+    br_function_table runs them once for the whole table.
     """
     if k < 0:
         raise ContractError("symmetric power k must be at least 0, got %d" % k)
     if k == 0:
         return 0
-    return _gr_lambda(matrix, budget)[0](k)
+    return _lambda(_gr_series(matrix, budget), k, matrix)
 
 
 @dataclass(frozen=True)
 class BRFunctionTable:
-    """Computed lambda values and the finite-difference analysis.
+    """Computed lambda values and the polynomial lambda agrees with.
 
-    values[i] = lambda(i+1); stable_from is the first argument where the
-    D-th difference is constant over a window of three and the full
-    binomial refit reproduces every later value.
+    values[i] = lambda(i+1) for i < stable_from + D + 2; stable_from is
+    proven: lambda(k) = polynomial_value(k) for every k >= stable_from,
+    and not at stable_from - 1.
     """
 
     degree: int      # D = dim A + r - 1
@@ -235,87 +218,47 @@ class BRFunctionTable:
         return acc
 
 
-def _differences(values):
-    return tuple(b - a for a, b in zip(values, values[1:]))
-
-
-def _solve_coefficients(D, n0, window):
-    """Exact solve of P(n0+j) = window[j], j = 0..D, in the binomial basis."""
-    rows = []
-    for j in range(D + 1):
-        k = n0 + j
-        rows.append([Fraction((-1) ** i * comb(k + D - 1 - i, D - i)) for i in range(D + 1)]
-                    + [Fraction(window[j])])
-    m = D + 1
-    for col in range(m):
-        piv = next((r for r in range(col, m) if rows[r][col] != 0), None)
-        if piv is None:
-            return None
-        rows[col], rows[piv] = rows[piv], rows[col]
-        inv = 1 / rows[col][col]
-        rows[col] = [v * inv for v in rows[col]]
-        for r in range(m):
-            if r != col and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-    sol = [rows[i][m] for i in range(m)]
-    if any(v.denominator != 1 for v in sol):
-        return None
-    return tuple(int(v) for v in sol)
-
-
 def br_function_table(matrix, ring_dim, budget=None):
-    """Count lambda(k) for k = 1, 2, ... until a window of values fits a polynomial.
+    """lambda, its polynomial and where the two start to agree, from one
+    bigraded Hilbert series of gr_J(B).
 
-    Stop at the first argument where some window start n0 satisfies: the
-    D-th difference is constant over n0, n0+1, n0+2 (the (D+1)-th vanishes
-    twice), the exact refit on lambda(n0..n0+D) has integer coefficients,
-    and the refit reproduces every computed value from n0 on.  This window
-    rule is a heuristic for the start index: it does not prove that lambda
-    has reached its polynomial at n0.  The loop does end: each capped
-    (T, y) pattern adds a binomial in k, so lambda equals its polynomial
-    for every k >= S, the sum of the caps, and the window at the true
-    start passes by k = S + D + 2.  Past that bound the code is at fault
-    and RuntimeError is raised.  ring_dim must be the ring's dimension.
+    With R_j the length of Q_j (see _gr_series), sum_k lambda(k) z^k is
+    R(z) / (1 - z)^(r + n).  Dividing R by (1 - z) while R(1) = 0 leaves
+    R'(z) / (1 - z)^(D + 1), so
+    lambda(k) = sum_(j<=k) R'_j binom(k - j + D, D).  P(k), the same sum
+    over every j with each binomial a polynomial in k, equals lambda for
+    every k >= deg R' - D, since binom(t, D) vanishes at t = 0..D-1 as a
+    polynomial, and differs by (-1)^D R'_(deg R') at k = deg R' - D - 1:
+    stable_from is max(1, deg R' - D).  e_i = sum_j binom(j, i) R'_(j+1)
+    (R'_0 = lambda(0) = 0).  values runs to stable_from + D + 2.  A pole
+    order other than D + 1 is a program fault (RuntimeError).  ring_dim
+    must be the ring's dimension.
     """
     if ring_dim != matrix.ring.dimension:
         raise ContractError("ring_dim %d differs from the ring's dimension %d"
                             % (ring_dim, matrix.ring.dimension))
     D = ring_dim + matrix.r - 1
-    lam, cap_sum = _gr_lambda(matrix, budget)
-    values = []
-    for k in range(1, cap_sum + D + 3):
-        v = lam(k)
-        if v is INFINITE:
-            raise AlgebraError("lambda(%d) is infinite; the module has no finite colength" % k)
-        values.append(v)
-        found = _find_stable(D, values)
-        if found is not None:
-            n0, e0, coeffs = found
-            return BRFunctionTable(D, tuple(values), n0, e0, coeffs)
-    raise RuntimeError("no stable window in lambda(1..%d), past the proven bound" % len(values))
-
-
-def _find_stable(D, values):
-    if len(values) < D + 3:
-        return None
-    diffs = list(values)
-    for _ in range(D):
-        diffs = list(_differences(diffs))
-    # diffs[i] is the D-th difference at argument i+1
-    for i in range(len(diffs) - 2):
-        if not diffs[i] == diffs[i + 1] == diffs[i + 2]:
-            continue
-        n0 = i + 1
-        if n0 + D > len(values):
-            continue
-        coeffs = _solve_coefficients(D, n0, values[n0 - 1:n0 + D])
-        if coeffs is None:
-            continue
-        table = BRFunctionTable(D, tuple(values), n0, coeffs[0], coeffs)
-        if all(table.polynomial_value(k) == values[k - 1] for k in range(n0, len(values) + 1)):
-            return n0, coeffs[0], coeffs
-    return None
+    m = matrix.ring.ctx.nvars
+    series = _gr_series(matrix, budget)
+    if _lambda(series, 1, matrix) is INFINITE:
+        raise AlgebraError("lambda(1) is infinite; the module has no finite colength")
+    R = [dimension_and_length(num, m)[1] for num in series]
+    if INFINITE in R:
+        raise RuntimeError("a z-degree of the lambda series has infinite length")
+    pole = matrix.r + matrix.n
+    while R and not sum(R):
+        R = list(accumulate(R))[:-1]
+        pole -= 1
+    if not R or pole != D + 1:
+        raise RuntimeError("the lambda series R(z) / (1 - z)^%d is not of pole order D + 1 = %d"
+                           % (pole, D + 1))
+    while not R[-1]:
+        R.pop()
+    coefficients = tuple(sum(comb(j, i) * c for j, c in enumerate(R[1:])) for i in range(D + 1))
+    s = max(1, len(R) - 1 - D)
+    values = tuple(sum(c * comb(k - j + D, D) for j, c in enumerate(R[:k + 1]))
+                   for k in range(1, s + D + 3))
+    return BRFunctionTable(D, values, s, coefficients[0], coefficients)
 
 
 @dataclass(frozen=True)

@@ -137,6 +137,15 @@ def standard_monomial_count(gen_exps, nvars, degree_cap=200):
     return count
 
 
+def bigraded_standard_counts(gen_exps, mx, mz, cap):
+    """Standard monomials of the monomial ideal in mx + mz >= 2 variables,
+    by plain enumeration, per bidegree (degree in the first mx variables,
+    degree in the last mz), both up to cap: {(a, b): count}."""
+    return {(a, b): sum(1 for x in monomials_of_degree(mx, a) for z in monomials_of_degree(mz, b)
+                        if not any(all(e <= f for e, f in zip(g, x + z)) for g in gen_exps))
+            for a in range(cap + 1) for b in range(cap + 1)}
+
+
 def monomial_ideal_dimension(gen_exps, nvars):
     """Krull dimension of F_p[x1..xm] modulo the monomial ideal, by a
     search over every variable subset: the largest size of one that

@@ -2,6 +2,7 @@
 
 import pathlib
 import sys
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -410,7 +411,6 @@ def brute_force_counts(gens, nvars, top):
 
 def series_coefficients(num, nvars, top):
     """Coefficients of N(s) / (1 - s)^nvars in degrees 0..top."""
-    from math import comb
     return [sum(c * comb(d - k + nvars - 1, nvars - 1) for k, c in num.items() if k <= d)
             for d in range(top + 1)]
 
@@ -427,11 +427,25 @@ def test_hilbert_numerator_against_enumeration(case):
     assert n == oracles.standard_monomial_count(gens, nvars)
     if n is not INFINITE:
         assert sum(series_coefficients(num, nvars, sum(max(g[i] for g in gens) for i in range(nvars)))) == n
+    assert hilbert_numerator(gens, (1,) * nvars) == num
+    # bigraded: the first mx variables mark s, the others z = s^Z
+    for mx in range(1, nvars):
+        mz = nvars - mx
+        Z = 1 + sum(max((g[i] for g in gens), default=0) for i in range(mx))
+        bi = {divmod(key, Z)[::-1]: c for key, c in hilbert_numerator(gens, (1,) * mx + (Z,) * mz).items()}
+        got = {(a, b): sum(c * comb(a - i + mx - 1, mx - 1) * comb(b - j + mz - 1, mz - 1)
+                           for (i, j), c in bi.items() if i <= a and j <= b)
+               for a in range(7) for b in range(7)}
+        assert got == oracles.bigraded_standard_counts(gens, mx, mz, 6)
 
 
 def test_hilbert_numerator_edge_ideals():
     assert hilbert_numerator([(0, 0)]) == {}      # unit ideal: S/J = 0
     assert hilbert_numerator([]) == {0: 1}        # zero ideal: S itself
+    assert hilbert_numerator([(0, 0, 0)], (1, 4, 4)) == {}
+    assert hilbert_numerator([], (1, 4, 4)) == {0: 1}
+    # (x, z^2) with x of degree 1 and z of degree 3: (1 - s)(1 - s^6)
+    assert hilbert_numerator([(1, 0), (0, 2)], (1, 3)) == {0: 1, 1: -1, 6: -1, 7: 1}
     assert hilbert_numerator([(2, 0), (0, 3)]) == {0: 1, 2: -1, 3: -1, 5: 1}
     assert dimension_and_length({0: 1}, 2) == (2, INFINITE)               # zero ideal
     assert dimension_and_length({0: 1, 2: -1}, 2) == (1, INFINITE)        # (x^2), not Artinian

@@ -15,10 +15,12 @@ from brimlab.koszul import (
     SymIndex,
     build_koszul,
     contraction,
+    division_map,
     expected_rank,
     exterior_basis,
     export_triplets,
     fitting_ideal,
+    multiplication_map,
     sym_basis,
     verify_complex,
 )
@@ -98,6 +100,22 @@ def test_contraction_hand_value():
     # row 1 kills the first slot, and position 1 carries a sign
     out = contraction(m, 1, ExteriorIndex((0, 1)))
     assert [(str(c), idx.subset) for c, idx in out] == [("100*x", (0,))]
+
+
+@pytest.mark.parametrize("name", ["contraction", "multiplication_map", "division_map"])
+@pytest.mark.parametrize("i", [-1, 2])
+def test_index_out_of_range_is_contract_error(name, i):
+    # i = -1 would quietly pick the last row or exponent
+    ring = ring_xy()
+    x, y = poly_vars(ring)
+    m = mat_of(ring, [[x, y], [y, x]])
+    calls = {
+        "contraction": lambda: contraction(m, i, ExteriorIndex((0, 1))),
+        "multiplication_map": lambda: multiplication_map(i, SymIndex((1, 0))),
+        "division_map": lambda: division_map(i, SymIndex((1, 0))),
+    }
+    with pytest.raises(ContractError):
+        calls[name]()
 
 
 def test_ranks_match_binomials():

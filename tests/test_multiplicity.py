@@ -4,6 +4,8 @@ import importlib
 import pathlib
 import random
 import sys
+from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from brimlab.corpus import ENTRIES, by_name
 from brimlab.dsl import build, parse
 from brimlab.multiplicity import (
+    BRFunctionTable,
     SamplingError,
     THEOREM_VERDICTS,
     br_function_table,
@@ -124,6 +127,69 @@ def _diff_ring(name, p):
     return make_ring(p, names, ideal)
 
 
+def refit(D, n0, window):
+    """Exact solve of P(n0+j) = window[j], j = 0..D, in the binomial basis
+    of BRFunctionTable.polynomial_value; None unless the solution is
+    integral."""
+    rows = [[Fraction((-1) ** i * comb(n0 + j + D - 1 - i, D - i)) for i in range(D + 1)]
+            + [Fraction(window[j])] for j in range(D + 1)]
+    for col in range(D + 1):
+        piv = next((r for r in range(col, D + 1) if rows[r][col] != 0), None)
+        if piv is None:
+            return None
+        rows[col], rows[piv] = rows[piv], rows[col]
+        rows[col] = [v / rows[col][col] for v in rows[col]]
+        for r in range(D + 1):
+            if r != col and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+    sol = [row[D + 1] for row in rows]
+    if any(v.denominator != 1 for v in sol):
+        return None
+    return tuple(int(v) for v in sol)
+
+
+def window_rule(D, values):
+    """The stopping rule brimlab used before the series certificate, on
+    values = lambda(1..K): the first start n0 where the D-th difference is
+    constant at n0, n0+1 and n0+2 and the refit on lambda(n0..n0+D) is
+    integral and reproduces every value from n0 on.  (n0, coefficients),
+    or None when no window passes yet."""
+    diffs = list(values)
+    for _ in range(D):
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    # diffs[i] is the D-th difference at argument i+1
+    for i in range(len(diffs) - 2):
+        n0 = i + 1
+        if not diffs[i] == diffs[i + 1] == diffs[i + 2] or n0 + D > len(values):
+            continue
+        coeffs = refit(D, n0, values[n0 - 1:n0 + D])
+        if coeffs is None:
+            continue
+        P = BRFunctionTable(D, (), n0, coeffs[0], coeffs).polynomial_value
+        if all(P(k) == values[k - 1] for k in range(n0, len(values) + 1)):
+            return n0, coeffs
+    return None
+
+
+def check_table(table, values):
+    """The table against values = lambda_value(1..K), K >= 2 len(table.values):
+    its values and its certificate (lambda equals the polynomial from
+    stable_from on, and not at stable_from - 1), and the window rule stops
+    where the table does, with the same start and coefficients."""
+    n = len(table.values)
+    assert len(values) >= 2 * n
+    assert table.values == tuple(values[:n])
+    s = table.stable_from
+    for k in range(s, len(values) + 1):
+        assert values[k - 1] == table.polynomial_value(k)
+    if s > 1:
+        assert values[s - 2] != table.polynomial_value(s - 1)
+    stop = next((K for K in range(1, len(values) + 1) if window_rule(table.degree, values[:K])), None)
+    assert stop == n
+    assert window_rule(table.degree, values[:stop]) == (s, table.coefficients)
+
+
 @given(st.data())
 @settings(max_examples=30, deadline=None)
 def test_lambda_matches_per_k_route(data):
@@ -143,11 +209,15 @@ def test_lambda_matches_per_k_route(data):
                for _ in range(r)]
     mat = ModuleMatrix(ring, entries)
     try:
-        last = len(br_function_table(mat, d).values) + 2
+        table = br_function_table(mat, d)
+        n = len(table.values)
     except AlgebraError:  # lambda is infinite
-        last = 3
-    for k in range(1, last + 1):
-        assert lambda_value(mat, k) == per_k_lambda(mat, k)
+        table, n = None, 1
+    values = [lambda_value(mat, k) for k in range(1, 2 * n + 3)]
+    for k in range(1, n + 3):
+        assert values[k - 1] == per_k_lambda(mat, k)
+    if table is not None:
+        check_table(table, values)
 
 
 def test_expansion_cap(monkeypatch):
@@ -170,12 +240,12 @@ def test_function_table_refit():
 
 
 def test_coefficients_per_corpus():
-    for name in ("E1", "E2", "E4", "E6"):
-        entry = by_name(name)
-        _, mat = corpus_pair(name)
+    for entry in ENTRIES:
+        _, mat = corpus_pair(entry.name)
         table = br_function_table(mat, entry.dim)
         assert table.coefficients == entry.coefficients
         assert table.e0 == entry.e0
+        check_table(table, [lambda_value(mat, k) for k in range(1, 2 * len(table.values) + 1)])
 
 
 def test_corpus_cm_flags_match_their_witness():
@@ -185,11 +255,13 @@ def test_corpus_cm_flags_match_their_witness():
             assert entry.cm == (entry.len_f == entry.e0 or entry.len_i == entry.e0)
 
 
-# lambda reaches its polynomial only at k = 3; the caps of its gr_J(B)
-# lead terms sum to 13, so the table must stop by k = 13 + D + 2 = 17
+# lambda reaches its polynomial only at k = 3 (LATE) and at k = 5 (LATER);
+# LATE_BOUND checks the polynomial well past the printed table
 LATE = ("ring { p = 101 vars = [x, y] }\n"
         "module { rank = 1 matrix = [[x^5, x^4*y, x*y^4, y^5]] }\n")
 LATE_BOUND = 17
+LATER = ("ring { p = 101 vars = [x, y] }\n"
+         "module { rank = 1 matrix = [[x^7, x^6*y, x*y^6, y^7]] }\n")
 
 
 def test_late_start_table():
@@ -201,23 +273,23 @@ def test_late_start_table():
     cols = dict_columns(mat)
     for k in range(1, 4):
         assert table.values[k - 1] == oracles.lambda_oracle(101, 2, cols, [], k)
+    values = [lambda_value(mat, k) for k in range(1, LATE_BOUND + 1)]
     for k in range(3, LATE_BOUND + 1):
-        assert lambda_value(mat, k) == table.polynomial_value(k)
-    assert lambda_value(mat, 2) != table.polynomial_value(2)
+        assert values[k - 1] == table.polynomial_value(k)
+    assert values[1] != table.polynomial_value(2)
+    check_table(table, values)
 
 
-def test_table_loop_is_bounded_by_the_caps(monkeypatch):
-    multiplicity_mod = importlib.import_module("brimlab.multiplicity")
-    _, mat = build(parse(LATE))
-    seen = []
-
-    def never(D, values):
-        seen.append(len(values))
-
-    monkeypatch.setattr(multiplicity_mod, "_find_stable", never)
-    with pytest.raises(RuntimeError):
-        br_function_table(mat, 2)
-    assert seen == list(range(1, LATE_BOUND + 1))
+def test_later_start_table():
+    _, mat = build(parse(LATER))
+    table = br_function_table(mat, 2)
+    assert table.stable_from == 5
+    assert table.values == (38, 117, 240, 410, 630, 903, 1225, 1596, 2016)
+    assert table.coefficients == (49, 21, 0)
+    cols = dict_columns(mat)
+    for k in range(1, 3):
+        assert table.values[k - 1] == oracles.lambda_oracle(101, 2, cols, [], k)
+    check_table(table, [lambda_value(mat, k) for k in range(1, 2 * len(table.values) + 1)])
 
 
 def test_wrong_ring_dim_is_contract_error():
