@@ -12,6 +12,7 @@ Budgets apply per command via --budget-pairs / --budget-degree.
 """
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -99,10 +100,10 @@ def _mutator(flip):
     p, row, col = (int(v) for v in flip.split(","))
 
     def mutate(cx):
-        mat = cx.differentials.get(p)
-        if mat is None or not (0 <= row < len(mat) and 0 <= col < len(mat[0])):
-            raise ContractError("--flip-sign %s: the complex at t = %d has no such entry" % (flip, cx.t))
-        mat[row][col] = -mat[row][col]
+        try:
+            cx.flip_sign(p, row, col)
+        except ContractError:
+            raise ContractError("--flip-sign %s: the complex at t = %d has no such entry" % (flip, cx.t)) from None
 
     return mutate
 
@@ -178,6 +179,7 @@ def _add_budget_flags(sub):
                      % (Budget().max_degree, MAX_DEGREE))
 
 
+@functools.cache  # built once per process; parse_args keeps no state between calls
 def make_parser():
     ap = argparse.ArgumentParser(
         prog="brimlab",
@@ -221,19 +223,10 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        sys.stderr.write("input error: %s\n" % exc)
-        return EXIT_INPUT
-    except (ContractError, ValueError) as exc:
-        sys.stderr.write("input error: %s\n" % exc)
-        return EXIT_INPUT
     except (BudgetExceededError, SamplingError) as exc:
         sys.stderr.write("budget exhausted: %s\n" % exc)
         return EXIT_BUDGET
-    except AlgebraError as exc:
-        sys.stderr.write("input error: %s\n" % exc)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (ParseError, ValueError, AlgebraError, OSError) as exc:  # ContractError is an AlgebraError
         sys.stderr.write("input error: %s\n" % exc)
         return EXIT_INPUT
     except Exception as exc:

@@ -157,12 +157,8 @@ class _Layout:
 
 
 def _vec_to_dict(v, lay):
-    out = {}
-    pack = lay.pack
-    for comp, poly in enumerate(v.components):
-        for exps, c in poly.terms.items():
-            out[pack((comp,) + exps)] = c
-    return out
+    return {lay.pack((comp,) + exps): c for comp, poly in enumerate(v.components)
+            for exps, c in poly.terms.items()}
 
 
 def _dict_to_vec(ctx, rank, items, lay):
@@ -403,20 +399,18 @@ class GroebnerBasis:
                                 % (v.rank, v.ctx, self.rank, self.ctx))
         return _vec_to_dict(v, self._lay)
 
-    def _nf(self, v):
-        return _normal_form_dict(self._packed(v), self._by_comp, self.ctx.p, self._lay)
+    def reduce_terms(self, d):
+        """Normal form of a vector given as packed terms {term: coefficient}
+        of _Layout(nvars) (a basis with no elimination block), as packed
+        terms."""
+        return _normal_form_dict(d, self._by_comp, self.ctx.p, self._lay)
 
     def normal_form(self, v):
         """Canonical remainder of v: no term divisible by a basis lead term."""
-        return _dict_to_vec(self.ctx, self.rank, self._nf(v).items(), self._lay)
-
-    def normal_form_poly(self, poly):
-        if self.rank != 1:
-            raise ContractError("normal_form_poly needs a basis of rank 1, not %d" % self.rank)
-        return self.normal_form(VectorPolynomial((poly,))).components[0]
+        return _dict_to_vec(self.ctx, self.rank, self.reduce_terms(self._packed(v)).items(), self._lay)
 
     def contains(self, v):
-        return not self._nf(v)
+        return not self.reduce_terms(self._packed(v))
 
     def contains_products(self, gs, w):
         """[g*w lies in the submodule, for each Polynomial g in gs].
@@ -424,19 +418,21 @@ class GroebnerBasis:
         The normal form is linear, so NF(g*w) = sum_e g_e NF(x^e * w):
         each monomial x^e of the gs is multiplied into w once, on packed
         terms (one addition per term of w), and reduced once, however
-        many of the gs share it.  A w that is already a normal form
-        (normal_form) keeps these products small.
+        many of the gs share it.  w is reduced first, which keeps these
+        products small.
         """
         lay = self._lay
         p = self.ctx.p
-        vec = self._packed(w)
-        top = max(map(lay.degree, vec), default=0)
+        if any(g.ctx != self.ctx for g in gs):
+            raise ContractError("a multiplier is not over the basis's %r" % (self.ctx,))
+        vec = self.reduce_terms(self._packed(w))
+        if not vec:
+            return [True] * len(gs)
+        top = max(map(lay.degree, vec))
         one = lay.pack((0,) * (lay.m + 1))
         nfs = {}  # e -> NF(x^e * w)
         out = []
         for g in gs:
-            if g.ctx != self.ctx:
-                raise ContractError("multiplier over %r against a basis over %r" % (g.ctx, self.ctx))
             acc = {}
             for e, c in g.terms.items():
                 nf = nfs.get(e)

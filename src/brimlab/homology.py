@@ -7,10 +7,11 @@ H_p, and its Hilbert series is
     HS(H_p) = HS(coker d_(p+1)) + HS(coker d_p) - HS(K_(p-1)),
 
 with coker d_0 = K_(-1) = 0 and, at the top degree L, coker d_(L+1) =
-K_L / I K_L.  Everything is computed by lifting to the free polynomial
-ring.  One tagged Groebner run per differential, over the columns of d_p
-plus I times each basis vector of K_(p-1) (groebner.syzygy_basis), gives
-both ker d_p (the syzygies, projected to the columns and reduced mod I)
+K_L / I K_L.  Everything is computed by lifting the sparse columns of
+each d_p (FreeComplex.lifted_columns) to the free polynomial ring.  One
+tagged Groebner run per differential, over those columns plus I times
+each basis vector of K_(p-1) (groebner.syzygy_basis), gives both ker d_p
+(the syzygies, projected to the columns, one normal form modulo I each)
 and a Groebner basis of im d_p + I K_(p-1), whose lead terms give the
 numerator of HS(coker d_p), each component shifted by its label's
 degree (groebner.hilbert_numerator).  The numerators sum to Q(s) with
@@ -20,8 +21,8 @@ INFINITE exactly when (1 - s)^m does not divide Q, and otherwise that
 quotient at s = 1.
 
 Each presentation keeps the basis of im d_(p+1) + I K_p, so the
-annihilation check is a set of membership tests against it and makes no
-Groebner run of its own.  Lengths may be INFINITE; the Euler
+annihilation check is a set of packed membership tests against it and
+makes no Groebner run of its own.  Lengths may be INFINITE; the Euler
 characteristic refuses to sum those and raises a structured error naming
 the offending degree instead.
 """
@@ -31,8 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .poly import INFINITE, AlgebraError, ContractError, VectorPolynomial
-from .groebner import dimension_and_length, hilbert_numerator, syzygy_basis
-from .rings import quotient_basis
+from .groebner import dimension_and_length, hilbert_numerator, ideal_module_basis, syzygy_basis
+from .rings import RingElement, quotient_basis
 
 
 class InfiniteLengthError(AlgebraError):
@@ -43,46 +44,40 @@ class InfiniteLengthError(AlgebraError):
         self.p = p
 
 
-def _lift_columns(ring, matrix_over_a):
-    """Columns of a RingElement matrix as VectorPolynomials over F_p[x]."""
-    if not matrix_over_a or not matrix_over_a[0]:
-        return []
-    rows = len(matrix_over_a)
-    cols = len(matrix_over_a[0])
-    out = []
-    for j in range(cols):
-        out.append(VectorPolynomial(tuple(matrix_over_a[i][j].rep for i in range(rows))))
-    return out
-
-
-def kernel_generators(ring, matrix_over_a, budget=None, image=False):
+def kernel_generators(ring, matrix_over_a, budget=None):
     """Generators of ker(A^a -> A^b) for a b x a matrix of RingElements.
 
     Augment the lifted columns with I times each target basis vector;
     syzygies of the augmented list, projected to the first a coordinates
-    and reduced mod I, generate the kernel over A.  With image=True the
-    result is (kernel, basis), basis the GroebnerBasis of the lifted
-    columns plus I * F_p[x]^b from the same Groebner run.
+    and reduced mod I, generate the kernel over A.
     """
     rows = len(matrix_over_a)
     cols = len(matrix_over_a[0]) if rows else 0
     if not (rows and cols):
         raise ContractError("kernel of a %d x %d matrix: need at least one row and column" % (rows, cols))
-    lifted = _lift_columns(ring, matrix_over_a)
-    aug = lifted + ring.lifted_ideal_columns(rows)
-    syz, basis = syzygy_basis(aug, budget, image=True)
+    lifted = [VectorPolynomial(tuple(matrix_over_a[i][j].rep for i in range(rows))) for j in range(cols)]
+    return _kernel(ring, lifted, rows, budget)[0]
+
+
+def _kernel(ring, lifted, rows, budget):
+    """(kernel generators, basis of the image plus I * F_p[x]^rows) of the
+    map whose lifted columns are given: one tagged Groebner run, and one
+    normal form modulo I * F_p[x]^cols per syzygy."""
+    cols = len(lifted)
+    syz, basis = syzygy_basis(lifted + ring.lifted_ideal_columns(rows), budget, image=True)
+    ideal = ideal_module_basis(ring.ctx, ring.ideal_basis, cols) if ring.ideal_basis is not None else None
     out = []
     seen = set()
     for s in syz:
-        vec = tuple(ring.element(c) for c in s.components[:cols])
-        if all(v.is_zero() for v in vec):
-            continue
-        key = tuple(frozenset(v.rep.terms.items()) for v in vec)
-        if key in seen:
+        w = VectorPolynomial(s.components[:cols])
+        if ideal is not None:
+            w = ideal.normal_form(w)
+        key = tuple(frozenset(c.terms.items()) for c in w.components)
+        if w.is_zero() or key in seen:
             continue
         seen.add(key)
-        out.append(vec)
-    return (out, basis) if image else out
+        out.append(tuple(RingElement(ring, c) for c in w.components))
+    return out, basis
 
 
 @dataclass(frozen=True)
@@ -130,7 +125,7 @@ def _presentations(cx, degrees, budget):
             if q > cx.length:  # coker d_(L+1) = K_L / I K_L
                 runs[q] = None, quotient_basis(ring, [], cx.rank(q - 1))
             else:
-                runs[q] = kernel_generators(ring, cx.differential(q), budget, image=True)
+                runs[q] = _kernel(ring, cx.lifted_columns(q), cx.rank(q - 1), budget)
         return runs[q]
 
     out = {}
@@ -210,12 +205,10 @@ def annihilation_check(cx, minors=None, presentations=None, budget=None):
 
     For each degree p, each kernel generator u_i and each minor g, g*u_i
     must lie in im d_(p+1) + I K_p, the module the presentation's basis
-    spans.  Each u_i is reduced against that basis once.  A u_i that
-    reduces to zero is a boundary already, so every g passes; for any
-    other, g*u_i lies in the module exactly when g times the remainder
-    does (GroebnerBasis.contains_products).  Returns the list of
-    violations as (p, minor_index, kernel_index) triples; empty means the
-    containment holds everywhere.
+    spans.  GroebnerBasis.contains_products reduces each u_i against it
+    once and multiplies the remainder by every g on packed terms.
+    Returns the list of violations as (p, minor_index, kernel_index)
+    triples; empty means the containment holds everywhere.
     """
     from .koszul import fitting_ideal
 
@@ -223,15 +216,13 @@ def annihilation_check(cx, minors=None, presentations=None, budget=None):
         minors = fitting_ideal(cx.matrix)
     if presentations is None:
         presentations = all_homology(cx, budget)
+    reps = [g.rep for g in minors]
     bad = []
     for p in range(cx.length + 1):
         pres = presentations[p]
-        basis = pres.basis
-        passes = []  # passes[ki][mi]: minor mi kills the class of u_ki
-        for u in pres.kernel_gens:
-            w = basis.normal_form(VectorPolynomial(tuple(v.rep for v in u)))
-            passes.append(basis.contains_products([g.rep for g in minors], w)
-                          if not w.is_zero() else [True] * len(minors))
+        # passes[ki][mi]: minor mi kills the class of u_ki
+        passes = [pres.basis.contains_products(reps, VectorPolynomial(tuple(v.rep for v in u)))
+                  for u in pres.kernel_gens]
         bad += [(p, mi, ki) for mi in range(len(minors)) for ki in range(len(passes))
                 if not passes[ki][mi]]
     return bad

@@ -16,7 +16,7 @@ one-sided inverse (lower it, or kill the term when the exponent is zero).
 The map into degree p is
 
     sum_i delta_i (x) f_i-inverse   above the splice (p > t),
-    delta_r o ... o delta_1 (x) 1   at the splice (p = t),
+    delta_r o ... o delta_1 (x) 1   at the splice (p = t): signed maximal minors,
     sum_i delta_i (x) f_i           below the splice (p < t).
 
 Supported shifts are -1 <= t <= n-r+1; the complex is nonzero exactly in
@@ -30,14 +30,19 @@ degrees.  The label (J, alpha) of K_p has degree
     sum_(j in J) d_j - sum_i alpha_i e_i - sum_i e_i      for p >= t+1,
 
 and each nonzero entry of d_p has degree deg(column) - deg(row).
+
+Each d_p is kept as sparse columns of the Groebner engine's packed terms
+(Monagan and Pearce), each a_ij and minor packed once; build_koszul checks
+every term's degree, verify_complex d o d = 0 modulo I, on those terms.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import comb
 from typing import NamedTuple
 
+from .groebner import _dict_to_vec, _Layout, ideal_module_basis
 from .poly import ContractError
 from .rings import RingElement, SubmoduleOfFree
 
@@ -47,19 +52,11 @@ class ExteriorIndex(NamedTuple):
 
     subset: tuple
 
-    @property
-    def size(self):
-        return len(self.subset)
-
 
 class SymIndex(NamedTuple):
     """Basis label of S_l F: a multidegree over the r ambient rows."""
 
     multidegree: tuple
-
-    @property
-    def total(self):
-        return sum(self.multidegree)
 
 
 def exterior_basis(n, q):
@@ -72,18 +69,8 @@ def sym_basis(r, total):
     first (sorted by the reversed tuple)."""
     if total < 0:
         return ()
-    out = []
-
-    def rec(prefix, rest, left):
-        if rest == 1:
-            out.append(tuple(prefix) + (left,))
-            return
-        for e in range(left + 1):
-            rec(prefix + [e], rest - 1, left - e)
-
-    rec([], r, total)
-    out.sort(key=lambda m: tuple(reversed(m)))
-    return tuple(SymIndex(m) for m in out)
+    monos = (tuple(c.count(i) for i in range(r)) for c in combinations_with_replacement(range(r), total))
+    return tuple(SymIndex(m) for m in sorted(monos, key=lambda m: m[::-1]))
 
 
 class ModuleMatrix:
@@ -123,11 +110,8 @@ class ModuleMatrix:
         self.n = n
         self.entries = rows
 
-    def column(self, j):
-        return tuple(self.entries[i][j] for i in range(self.r))
-
     def columns(self):
-        return [self.column(j) for j in range(self.n)]
+        return [tuple(row[j] for row in self.entries) for j in range(self.n)]
 
     def submodule(self):
         return SubmoduleOfFree(self.ring, self.r, self.columns())
@@ -173,16 +157,17 @@ def contraction(matrix, i, idx):
     """
     if not 0 <= i < matrix.r:
         raise ContractError("row index %d outside 0..%d" % (i, matrix.r - 1))
-    subset = idx.subset
-    out = []
-    for k, col in enumerate(subset):
-        coeff = matrix.entries[i][col]
-        if coeff.is_zero():
-            continue
-        if k % 2 == 1:
-            coeff = -coeff
-        out.append((coeff, ExteriorIndex(subset[:k] + subset[k + 1:])))
-    return out
+    row = matrix.entries[i]
+    return [(-row[col] if odd else row[col], face)
+            for col, odd, face in _faces([not e.is_zero() for e in row], idx)]
+
+
+def _faces(nonzero, idx):
+    """The terms of delta_i on idx, for row i given by nonzero[j] (true
+    when a_ij is nonzero): (column j, k odd, idx without its k-th column
+    j), the coefficient being (-1)^k a_ij."""
+    s = idx.subset
+    return [(col, k % 2, ExteriorIndex(s[:k] + s[k + 1:])) for k, col in enumerate(s) if nonzero[col]]
 
 
 def multiplication_map(i, mu):
@@ -207,30 +192,50 @@ class FreeComplex:
     """A bounded complex of free A-modules with labelled bases.
 
     labels[p] is the basis of K_p as (ExteriorIndex, SymIndex) pairs and
-    degrees[p] their degrees; differentials[p] (1 <= p <= length) is the
-    matrix of K_p -> K_(p-1), rows indexed by labels[p-1], columns by
-    labels[p].  Treat instances as frozen once built.
+    degrees[p] their degrees.  d_p : K_p -> K_(p-1) (1 <= p <= length)
+    is stored column by column: columns[p][k], the image of labels[p][k],
+    is one dict {term: coefficient} of the Groebner engine's packed
+    terms (lay, a groebner._Layout) whose component is the row, an index
+    into labels[p-1]; its entries are normal forms modulo I, and a zero
+    entry has no term.  differential(p) builds the dense matrix of
+    RingElements on each call.  flip_sign is the one way to change an
+    entry; treat instances as frozen otherwise.
     """
 
-    __slots__ = ("ring", "matrix", "t", "length", "labels", "degrees", "differentials")
+    __slots__ = ("ring", "matrix", "t", "length", "labels", "degrees", "columns", "lay")
 
-    def __init__(self, ring, matrix, t, length, labels, degrees, differentials):
+    def __init__(self, ring, matrix, t, length, labels, degrees, columns, lay):
         self.ring = ring
         self.matrix = matrix
         self.t = t
         self.length = length
         self.labels = labels
         self.degrees = degrees
-        self.differentials = differentials
+        self.columns = columns
+        self.lay = lay
 
     def rank(self, p):
-        if 0 <= p <= self.length:
-            return len(self.labels[p])
-        return 0
+        return len(self.labels.get(p, ()))
+
+    def lifted_columns(self, p):
+        """Columns of d_p as VectorPolynomials over F_p[x]."""
+        return [_dict_to_vec(self.ring.ctx, self.rank(p - 1), col.items(), self.lay)
+                for col in self.columns[p]]
 
     def differential(self, p):
-        """Matrix of d_p, or None outside 1..length."""
-        return self.differentials.get(p)
+        """Matrix of d_p as RingElements, rows indexed by labels[p-1] and
+        columns by labels[p], or None outside 1..length."""
+        if p not in self.columns:
+            return None
+        cols = self.lifted_columns(p)
+        return [[RingElement(self.ring, v.components[i]) for v in cols] for i in range(self.rank(p - 1))]
+
+    def flip_sign(self, p, row, col):
+        """Negate entry (row, col) of d_p in place: a test hook for verify_complex."""
+        if not (1 <= p <= self.length and 0 <= row < self.rank(p - 1) and 0 <= col < self.rank(p)):
+            raise ContractError("d_%d has no entry (%d, %d)" % (p, row, col))
+        cs, q = self.lay.comp_shift, self.ring.p
+        self.columns[p][col] = {u: q - c if u >> cs == row else c for u, c in self.columns[p][col].items()}
 
 
 def term_labels(r, n, t, p):
@@ -263,37 +268,44 @@ def expected_rank(r, n, t, p):
 def build_koszul(matrix, t, check=True):
     """Construct K(a; t) for -1 <= t <= n-r+1 and verify d o d = 0.
 
-    Raises RuntimeError when d o d != 0 or a nonzero entry of some d_p
+    Raises RuntimeError when d o d != 0 or a term of some entry of d_p
     does not have degree deg(column) - deg(row); either is a fault in
     this module, not in the input.  check=False skips the square-zero
     verification (used by tests that deliberately corrupt a differential
-    first).
+    first).  An entry past the engine's degree limit raises
+    BudgetExceededError.
     """
     r, n = matrix.r, matrix.n
     length = n - r + 1
     if not -1 <= t <= length:
         raise ContractError("shift t=%d outside supported range [-1, %d]" % (t, length))
     ring = matrix.ring
+    lay = _Layout(ring.ctx.nvars)
     labels = {p: term_labels(r, n, t, p) for p in range(length + 1)}
     degrees = {p: tuple(label_degree(matrix, t, p, ext, sym) for ext, sym in labels[p])
                for p in labels}
-    diffs = {}
+    # each distinct entry packed once: a_ij below and above the splice,
+    # the maximal minors at it
+    ent = [[_signed(e, lay) for e in row] for row in matrix.entries]
+    minors = dict(zip(combinations(range(n), r), (_signed(g, lay) for g in fitting_ideal(matrix))))
+    columns = {}
     for p in range(1, length + 1):
-        src = labels[p]
-        dst = labels[p - 1]
-        pos = {lab: i for i, lab in enumerate(dst)}
-        mat = [[ring.zero() for _ in src] for _ in dst]
-        for col, (ext, sym) in enumerate(src):
-            for coeff, lab in _image_of_basis_vector(matrix, t, p, ext, sym):
+        pos = {lab: i for i, lab in enumerate(labels[p - 1])}
+        cols = []
+        for col, (ext, sym) in enumerate(labels[p]):
+            column = {}
+            for d, lab in _image(ent, minors, t, p, ext, sym):
                 row = pos[lab]
-                mat[row][col] = mat[row][col] + coeff
-        for row, ents in enumerate(mat):
-            for col, ent in enumerate(ents):
                 want = degrees[p][col] - degrees[p - 1][row]
-                if not ent.is_zero() and not (ent.is_homogeneous() and ent.degree() == want):
-                    raise RuntimeError("d_%d entry (%d,%d) (%s) is not of degree %d" % (p, row, col, ent, want))
-        diffs[p] = mat
-    cx = FreeComplex(ring, matrix, t, length, labels, degrees, diffs)
+                off = row << lay.comp_shift
+                for u, c in d.items():
+                    if lay.degree(u) != want:
+                        bad = _dict_to_vec(ring.ctx, 1, d.items(), lay).components[0]
+                        raise RuntimeError("d_%d entry (%d,%d) (%s) is not of degree %d" % (p, row, col, bad, want))
+                    column[u + off] = c
+            cols.append(column)
+        columns[p] = cols
+    cx = FreeComplex(ring, matrix, t, length, labels, degrees, columns, lay)
     if check:
         bad = verify_complex(cx)
         if bad:
@@ -301,60 +313,67 @@ def build_koszul(matrix, t, check=True):
     return cx
 
 
-def _image_of_basis_vector(matrix, t, p, ext, sym):
-    """d_p applied to one basis label of K_p, as (coeff, label) pairs."""
-    r = matrix.r
-    if p - 1 > t:
-        # sum_i delta_i (x) f_i-inverse
-        for i in range(r):
-            lowered = division_map(i, sym)
-            if lowered is None:
-                continue
-            for coeff, e in contraction(matrix, i, ext):
-                yield coeff, (e, lowered)
-    elif p - 1 == t:
-        # delta_r o ... o delta_1 (x) identity on S_0
-        current = [(matrix.ring.one(), ext)]
-        for i in range(r):
-            nxt = []
-            for c, e in current:
-                for coeff, e2 in contraction(matrix, i, e):
-                    nxt.append((c * coeff, e2))
-            current = nxt
-        for c, e in current:
-            if not c.is_zero():
-                yield c, (e, sym)
-    else:
-        # sum_i delta_i (x) f_i
-        for i in range(r):
-            raised = multiplication_map(i, sym)
-            for coeff, e in contraction(matrix, i, ext):
-                yield coeff, (e, raised)
+def _signed(f, lay):
+    """(f, -f) for a RingElement f, as packed terms of component 0, or
+    None for f = 0."""
+    d = {lay.pack((0,) + e): c for e, c in f.rep.terms.items()}
+    return (d, {u: f.ring.p - c for u, c in d.items()}) if d else None
+
+
+def _image(ent, minors, t, p, ext, sym):
+    """d_p applied to one basis label of K_p, as (packed entry, label)
+    pairs with distinct labels; ent[i][j] and minors[S] are the _signed
+    pairs of a_ij and of the minor on the columns S."""
+    if p - 1 == t:
+        # delta_r o ... o delta_1 (x) identity on S_0 takes ext to the sum,
+        # over the r of its columns S at positions ks, of the minor on S,
+        # signed by the shuffle that moves S to the front, times ext - S
+        s = ext.subset
+        r = len(ent)
+        out = []
+        for ks in combinations(range(len(s)), r):
+            cols = tuple(s[k] for k in ks)
+            if minors[cols]:
+                face = ExteriorIndex(tuple(j for j in s if j not in cols))
+                out.append((minors[cols][(sum(ks) - r * (r - 1) // 2) % 2], (face, sym)))
+        return out
+    # sum_i delta_i (x) f_i-inverse above the splice, delta_i (x) f_i below
+    out = []
+    for i, row in enumerate(ent):
+        moved = division_map(i, sym) if p - 1 > t else multiplication_map(i, sym)
+        if moved is not None:
+            out += [(row[col][odd], (face, moved)) for col, odd, face in _faces(row, ext)]
+    return out
 
 
 def verify_complex(cx):
-    """All (p, row, col) positions where d_p o d_(p+1) is nonzero.
+    """All (p, row, col) positions where d_p o d_(p+1) is nonzero, sorted.
 
-    Each entry of the product sums the raw products of the nonzero
-    entries it pairs and is reduced modulo I once.
+    Column k of the product is sum_j b_jk (column j of d_p), formed on
+    packed terms (one addition per monomial product), and reduced once
+    modulo I * K_(p-1).
     """
     bad = []
-    ring = cx.ring
+    lay = cx.lay
+    cs = lay.comp_shift
+    one = lay.pack((0,) * (lay.m + 1))
+    q = cx.ring.p
     for p in range(1, cx.length):
-        a = cx.differentials[p]
-        b = cx.differentials[p + 1]
-        cols = [[(j, row[k].rep) for j, row in enumerate(b) if not row[k].is_zero()]
-                for k in range(len(b[0]) if b else 0)]
-        for i, row in enumerate(a):
-            for k, col in enumerate(cols):
-                acc = None
-                for j, f in col:
-                    e = row[j].rep
-                    if not e.is_zero():
-                        acc = e * f if acc is None else acc + e * f
-                if acc is not None and not ring.reduce(acc).is_zero():
-                    bad.append((p, i, k))
-    return bad
+        a = cx.columns[p]
+        ideal = ideal_module_basis(cx.ring.ctx, cx.ring.ideal_basis, cx.rank(p - 1))
+        for k, col in enumerate(cx.columns[p + 1]):
+            acc = {}
+            for v, b in col.items():
+                j = v >> cs
+                s = v - (j << cs) - one  # the monomial of v as an offset
+                for u, c in a[j].items():
+                    e = (acc.get(u + s, 0) + c * b) % q
+                    if e:
+                        acc[u + s] = e
+                    else:
+                        del acc[u + s]
+            bad += [(p, i, k) for i in {u >> cs for u in ideal.reduce_terms(acc)}]
+    return sorted(bad)
 
 
 def fitting_ideal(matrix):
@@ -392,7 +411,7 @@ def export_triplets(cx):
     """
     lines = []
     for p in range(1, cx.length + 1):
-        mat = cx.differentials[p]
+        mat = cx.differential(p)
         for i, row in enumerate(mat):
             for j, ent in enumerate(row):
                 if not ent.is_zero():

@@ -367,7 +367,8 @@ def theorem_check(matrix, trange=None, budget=None, mutate=None):
     # equal differentials give equal homology: for r = 1 every t does
     seen = {}
     for t, cx in complexes.items():
-        key = tuple(tuple(map(tuple, cx.differentials[p])) for p in range(1, cx.length + 1))
+        key = tuple((cx.rank(p - 1), tuple(frozenset(c.items()) for c in cx.columns[p]))
+                    for p in range(1, cx.length + 1))
         if key not in seen:
             pres = all_homology(cx, budget)
             bad = annihilation_check(cx, minors, pres, budget)

@@ -284,7 +284,7 @@ class VectorPolynomial:
             raise ContractError("vector needs at least one component")
         ctx = components[0].ctx
         for c in components[1:]:
-            if c.ctx != ctx:
+            if c.ctx is not ctx and c.ctx != ctx:
                 raise ContextMismatchError("mixed contexts inside vector")
         self.ctx = ctx
         self.components = components

@@ -48,7 +48,7 @@ class GradedRing:
         """Normal form of a raw polynomial against the ideal basis."""
         if self.ideal_basis is None:
             return poly
-        return self.ideal_basis.normal_form_poly(poly)
+        return self.ideal_basis.normal_form(VectorPolynomial((poly,))).components[0]
 
     def element(self, poly):
         return RingElement(self, self.reduce(poly))

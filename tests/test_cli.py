@@ -263,3 +263,20 @@ def test_options_block_feeds_defaults(problem, capsys):
     # a flag still overrides the file
     code, out, _ = run(capsys, ["analyze", problem(text), "--format", "csv"])
     assert code == EXIT_OK and out.startswith("p,")
+
+
+def test_consecutive_calls_share_no_state(problem, capsys):
+    # the parser is built once per process, so flags must not carry over
+    path = problem(GOOD)
+    code, text, _ = run(capsys, ["analyze", path])
+    assert code == EXIT_OK and text.startswith("ring ")
+    code, out, _ = run(capsys, ["analyze", path, "--format", "json", "--t-range", "0..1"])
+    assert code == EXIT_OK and json.loads(out)["chi"]["per_t"][0]["t"] == 0
+    code, out, _ = run(capsys, ["verify", problem(corpus_mod.by_name("E1").text, "e1.brim"),
+                                "--flip-sign", "1,0,0"])
+    assert code == EXIT_VIOLATION and "square_zero" in out
+    code, out, _ = run(capsys, ["analyze", path])
+    mask = lambda s: s.split("telemetry")[0]
+    assert code == EXIT_OK and mask(out) == mask(text)
+    code, out, _ = run(capsys, ["verify", path])
+    assert code == EXIT_OK and out == "checked 15 verdicts, 0 violation(s)\n"

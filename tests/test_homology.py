@@ -335,6 +335,43 @@ def random_graded_matrix(rng, rings):
     return ModuleMatrix(ring, rows)
 
 
+def kernel_by_components(ring, matrix_over_a):
+    """kernel_generators with each syzygy component reduced mod I on its
+    own by ring.element: the route the packed reduction replaced, kept
+    as its reference."""
+    rows, cols = len(matrix_over_a), len(matrix_over_a[0])
+    out, seen = [], set()
+    for s in syzygy_basis(lifted_columns(matrix_over_a) + ring.lifted_ideal_columns(rows)):
+        vec = tuple(ring.element(c) for c in s.components[:cols])
+        key = tuple(frozenset(v.rep.terms.items()) for v in vec)
+        if all(v.is_zero() for v in vec) or key in seen:
+            continue
+        seen.add(key)
+        out.append(vec)
+    return out
+
+
+def test_kernel_generators_match_per_component_reduction():
+    cxs = []
+    for name in ("E1", "E2", "E3", "E4", "E5", "E6"):
+        _, mat = build(by_name(name).spec())
+        cxs += [build_koszul(mat, t) for t in range(-1, mat.n - mat.r + 2)]
+    rng = random.Random(23)
+    rings = differential_rings()
+    for _ in range(30):
+        mat = random_graded_matrix(rng, rings)
+        cxs.append(build_koszul(mat, rng.randint(-1, mat.n - mat.r + 1)))
+    reduced = 0
+    for cx in cxs:
+        pres = all_homology(cx)
+        for p in range(1, cx.length + 1):
+            want = kernel_by_components(cx.ring, cx.differential(p))
+            assert kernel_generators(cx.ring, cx.differential(p)) == want
+            assert list(pres[p].kernel_gens) == want
+            reduced += bool(want) and bool(cx.ring.ideal_gens)
+    assert reduced >= 10  # kernels over quotient rings, where mod I matters
+
+
 def test_homology_lengths_match_syzygy_route_on_random_graded_matrices():
     rng = random.Random(11)
     rings = differential_rings()

@@ -29,6 +29,7 @@ from brimlab.rings import make_ring
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 import oracles
+from test_homology import differential_rings, random_graded_matrix
 
 
 def ring_xy():
@@ -199,7 +200,7 @@ def test_mutation_is_detected():
     x, y = poly_vars(ring)
     m = mat_of(ring, [[x * x, y * y * y]])
     cx = build_koszul(m, 1, check=False)
-    cx.differentials[2][0][0] = -cx.differentials[2][0][0]
+    cx.flip_sign(2, 0, 0)
     bad = verify_complex(cx)
     # the broken composite is d_1 . d_2, reported under the lower index
     assert bad and bad[0][0] == 1
@@ -207,12 +208,12 @@ def test_mutation_is_detected():
 
 def dense_verify_complex(cx):
     """Every entry of d_p o d_(p+1), zero ones included, as a sum of
-    products reduced after each product: the loop verify_complex
-    replaced, kept as its reference."""
+    products reduced after each product, on the dense RingElement view:
+    the loop verify_complex replaced, kept as its reference."""
     bad = []
     for p in range(1, cx.length):
-        a = cx.differentials[p]
-        b = cx.differentials[p + 1]
+        a = cx.differential(p)
+        b = cx.differential(p + 1)
         for i in range(len(a)):
             for k in range(len(b[0]) if b else 0):
                 acc = cx.ring.zero()
@@ -221,6 +222,24 @@ def dense_verify_complex(cx):
                 if not acc.is_zero():
                     bad.append((p, i, k))
     return bad
+
+
+def flips_agree_with_dense_loop(cx):
+    """verify_complex equals the dense loop on cx and after every
+    single-entry flip_sign (what verify --flip-sign p,row,col does);
+    returns how many flips broke square zero."""
+    assert verify_complex(cx) == dense_verify_complex(cx) == []
+    flips = 0
+    for p in range(1, cx.length + 1):
+        for row in range(cx.rank(p - 1)):
+            for col in range(cx.rank(p)):
+                cx.flip_sign(p, row, col)
+                bad = verify_complex(cx)
+                assert bad == dense_verify_complex(cx)
+                flips += bool(bad)
+                cx.flip_sign(p, row, col)
+    assert verify_complex(cx) == []
+    return flips
 
 
 # d o d of this rank-2 matrix over xy - z^2 is zero only modulo the ideal
@@ -232,38 +251,50 @@ CONE_R2 = ("ring { p = 101 vars = [x, y, z] ideal = [x*y - z^2] }\n"
                          ids=[e.name for e in ENTRIES] + ["cone-r2"])
 def test_sparse_verify_complex_matches_dense_loop(text):
     _, mat = build(parse(text))
-    flips = 0
-    for t in range(-1, mat.n - mat.r + 2):
-        cx = build_koszul(mat, t, check=False)
-        assert verify_complex(cx) == dense_verify_complex(cx) == []
-        # what verify --flip-sign p,row,col does, at every entry
-        for d in cx.differentials.values():
-            for row in d:
-                for col in range(len(row)):
-                    row[col] = -row[col]
-                    bad = verify_complex(cx)
-                    assert bad == dense_verify_complex(cx)
-                    flips += bool(bad)
-                    row[col] = -row[col]
+    flips = sum(flips_agree_with_dense_loop(build_koszul(mat, t, check=False))
+                for t in range(-1, mat.n - mat.r + 2))
     if mat.n - mat.r + 1 >= 2:
         assert flips  # some flip breaks square zero
 
 
+def test_sparse_verify_complex_matches_dense_loop_on_random_graded_matrices():
+    # P2, cone and ncm; rank 1-2, column degrees 1-2, every t; n = r + 1,
+    # since the dense loop takes seconds per r = 2, n = 4 matrix
+    rings = [ring for ring in differential_rings() if ring.ctx.nvars == 3]
+    rng = random.Random(2611)
+    mats = [m for m in (random_graded_matrix(rng, rings) for _ in range(24)) if m.n == m.r + 1]
+    flips = 0
+    for mat in mats:
+        for t in range(-1, mat.n - mat.r + 2):
+            flips += flips_agree_with_dense_loop(build_koszul(mat, t, check=False))
+    assert len(mats) >= 10 and {m.r for m in mats} == {1, 2} and flips
+
+
+def test_flip_sign_out_of_range():
+    ring = ring_xy()
+    x, y = poly_vars(ring)
+    cx = build_koszul(mat_of(ring, [[x, y]]), 1)
+    for p, row, col in ((0, 0, 0), (3, 0, 0), (1, 1, 0), (1, 0, 2), (1, -1, 0)):
+        with pytest.raises(ContractError):
+            cx.flip_sign(p, row, col)
+
+
 def test_square_zero_failure_raises(monkeypatch):
-    # one flipped sign in every contraction breaks d o d = 0 on E1; the
-    # check must raise with or without python -O
+    # one flipped sign in every contraction breaks d o d = 0 on E1 at
+    # t = 0, where d_2 contracts and the splice map d_1 takes the minors;
+    # the check must raise with or without python -O
     koszul_mod = importlib.import_module("brimlab.koszul")
-    real = koszul_mod.contraction
+    real = koszul_mod._faces
 
-    def flipped(matrix, i, idx):
-        out = real(matrix, i, idx)
-        return [(-out[0][0], out[0][1])] + out[1:] if out else out
+    def flipped(nonzero, idx):
+        out = real(nonzero, idx)
+        return [(out[0][0], 1 - out[0][1], out[0][2])] + out[1:] if out else out
 
-    monkeypatch.setattr(koszul_mod, "contraction", flipped)
+    monkeypatch.setattr(koszul_mod, "_faces", flipped)
     _, mat = build(by_name("E1").spec())
-    assert verify_complex(build_koszul(mat, 1, check=False))
+    assert verify_complex(build_koszul(mat, 0, check=False))
     with pytest.raises(RuntimeError, match="square-zero"):
-        build_koszul(mat, 1)
+        build_koszul(mat, 0)
 
 
 def test_t_out_of_range():
@@ -298,3 +329,22 @@ def test_export_triplets_format():
     lines = export_triplets(build_koszul(m, 1)).splitlines()
     assert lines[0].split("\t") == ["1", "0", "0", "x"]
     assert all(len(l.split("\t")) == 4 for l in lines)
+
+
+def test_export_triplets_lists_the_nonzero_entries_sorted():
+    rng = random.Random(3)
+    mats = [build(parse(text))[1] for text in [e.text for e in ENTRIES] + [CONE_R2]]
+    mats += [random_graded_matrix(rng, differential_rings()) for _ in range(10)]
+    for mat in mats:
+        for t in range(-1, mat.n - mat.r + 2):
+            cx = build_koszul(mat, t)
+            want = [(p, i, j, str(e).replace(" ", "")) for p in range(1, cx.length + 1)
+                    for i, row in enumerate(cx.differential(p)) for j, e in enumerate(row)
+                    if not e.is_zero()]
+            got = [tuple(map(int, line.split("\t")[:3])) + (line.split("\t")[3],)
+                   for line in export_triplets(cx).splitlines()]
+            assert got == sorted(want) == want
+            # the dense view has a nonzero entry exactly where a column has a term
+            cs = cx.lay.comp_shift
+            assert {g[:3] for g in got} == {(p, u >> cs, k) for p in range(1, cx.length + 1)
+                                           for k, col in enumerate(cx.columns[p]) for u in col}

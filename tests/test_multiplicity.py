@@ -338,7 +338,7 @@ def test_mutation_marks_square_zero_without_crashing():
     _, mat = corpus_pair("E1")
 
     def flip(cx):
-        cx.differentials[2][0][0] = -cx.differentials[2][0][0]
+        cx.flip_sign(2, 0, 0)
 
     rep = theorem_check(mat, mutate=flip)
     assert rep.verdicts["square_zero"] is False
