@@ -4,7 +4,7 @@ The module order is position-over-term: component 0 dominates all of
 component 1 and so on, with ties broken by graded reverse lex on the
 monomial part.  That single order serves membership, colength counting
 and, through tag components appended behind the original ones, syzygies
-and kernels by elimination.
+and kernels, read off the S-pair trace by Schreyer's theorem.
 
 Inside the engine a term (component, e1, ..., em) is one int (Monagan and
 Pearce, CASC 2007).  From the top down it holds the component, then
@@ -303,8 +303,9 @@ def _update_pairs(G, P, new_idx, lay):
     return kept
 
 
-def _minimal_rows(G, lay):
-    """Rows whose lead term no other row's divides, largest lead term last.
+def _minimal_rows(G, lay, tag_from):
+    """Rows whose lead term no other row's divides, and every row led in
+    a component >= tag_from, largest lead term last.
 
     Lead terms are distinct: each row is a normal form against the rows
     before it.
@@ -312,8 +313,8 @@ def _minimal_rows(G, lay):
     cs = lay.comp_shift
     guard = lay.guard
     keep = [
-        r for r in G
-        if not any(s is not r and s.lt >> cs == r.lt >> cs and not (r.lt - s.lt) & guard for s in G)
+        r for r in G if r.lt >> cs >= tag_from
+        or not any(s is not r and s.lt >> cs == r.lt >> cs and not (r.lt - s.lt) & guard for s in G)
     ]
     keep.sort(key=lambda r: r.lt, reverse=True)
     return keep
@@ -467,14 +468,15 @@ class GroebnerBasis:
         return total
 
 
-def buchberger(gens, budget=None, eliminate=0):
+def buchberger(gens, budget=None, eliminate=0, tags=0):
     """Groebner basis of the submodule generated by gens.
 
     gens: nonempty sequence of VectorPolynomial of one common rank.
     Zero generators are skipped.  Raises BudgetExceededError when the
     pair count or lcm degree cap is hit, or a term would pass MAX_DEGREE.
     eliminate > 0 orders the terms of a component by their degree in the
-    last `eliminate` variables first (see elimination_basis).
+    last `eliminate` variables first (see elimination_basis).  Rows led
+    in the last `tags` components form no S-pairs and are all kept.
     """
     gens = list(gens)
     if not gens:
@@ -496,12 +498,13 @@ def buchberger(gens, budget=None, eliminate=0):
     by_comp = {}
     P = []
     start = budget.pairs_used
+    tag_from = rank - tags
 
     def add(d, sugar):
         row = _make_row(d, p, sugar, lay)
         G.append(row)
         by_comp.setdefault(row.lt >> cs, []).append(row)
-        return _update_pairs(G, P, len(G) - 1, lay)
+        return P if row.lt >> cs >= tag_from else _update_pairs(G, P, len(G) - 1, lay)
 
     for g in gens:
         d = _normal_form_dict(_vec_to_dict(g, lay), by_comp, p, lay)
@@ -537,38 +540,37 @@ def buchberger(gens, budget=None, eliminate=0):
         h = _normal_form_dict(_spoly(G[i], G[j], lcm_t, p, lay), by_comp, p, lay)
         if h:
             P = add(h, sugar)
-    return GroebnerBasis(ctx, rank, _minimal_rows(G, lay), budget.pairs_used - start, lay)
+    return GroebnerBasis(ctx, rank, _minimal_rows(G, lay, tag_from), budget.pairs_used - start, lay)
 
 
-def syzygy_basis(gens, budget=None, image=False):
-    """Generators of the syzygy module of gens in F_p[x]^len(gens).
+def syzygy_basis(gens, budget=None, image=False, modulo=()):
+    """Generators of {a : sum a_i g_i in <modulo>} in F_p[x]^len(gens).
 
-    Each generator g_i is tagged with a fresh component behind the
-    original ones; the reduced basis elements of the tagged module whose
-    original components vanish, in basis order, are the syzygies.  With
-    image=True the same run also gives a GroebnerBasis of the submodule
-    the gens generate, and the result is (syzygies, basis).
+    Each g_i is tagged with a fresh component behind the original ones,
+    the modulo vectors go in untagged, and buchberger pairs no two rows
+    led in a tag component.  Such rows vanish in the original components,
+    and by Schreyer's theorem (Schreyer 1980; Moeller, Mora and Traverso,
+    ISSAC 1992) they generate the syzygies: the generators from the
+    S-pair trace, unreduced, in basis order.  With image=True the same
+    run also gives a GroebnerBasis of the submodule gens and modulo
+    generate, and the result is (syzygies, basis).
     """
     gens = list(gens)
-    if not gens and not image:
-        return []
+    if not gens:
+        raise ContractError("syzygies of no generators: the rank is unknown")
     ctx = gens[0].ctx
     rank = gens[0].rank
     k = len(gens)
-    zero = ctx.zero()
-    ext = []
-    for i, g in enumerate(gens):
-        tags = [zero] * k
-        tags[i] = ctx.one()
-        ext.append(VectorPolynomial(g.components + tuple(tags)))
-    gb = buchberger(ext, budget)
-    # Under position over term, the rows with a lead term in a tag
-    # component are zero in the original ones, and only they divide
-    # their terms, so they are reduced alone.
+    zero, one = ctx.zero(), ctx.one()
+    ext = [VectorPolynomial(g.components + (zero,) * i + (one,) + (zero,) * (k - 1 - i))
+           for i, g in enumerate(gens)]
+    ext += [VectorPolynomial(v.components + (zero,) * k) for v in modulo]
+    gb = buchberger(ext, budget, tags=k)
     lay = gb._lay
     cs = lay.comp_shift
-    tagged = gb._reduced([r for r in gb._rows if r.lt >> cs >= rank])
-    syz = [VectorPolynomial(v.components[rank:]) for v in tagged]
+    off = rank << cs  # u - off is the term u with its component shifted by -rank
+    syz = [_dict_to_vec(ctx, k, [(r.lt - off, 1)] + [(u - off, a) for u, a in r.tail], lay)
+           for r in gb._rows if r.lt >> cs >= rank]
     if not image:
         return syz
     # The other rows, cut to the original components, lie in the image

@@ -9,12 +9,12 @@ H_p, and its Hilbert series is
 with coker d_0 = K_(-1) = 0 and, at the top degree L, coker d_(L+1) =
 K_L / I K_L.  Everything is computed by lifting the sparse columns of
 each d_p (FreeComplex.lifted_columns) to the free polynomial ring.  One
-tagged Groebner run per differential, over those columns plus I times
-each basis vector of K_(p-1) (groebner.syzygy_basis), gives both ker d_p
-(the syzygies, projected to the columns, one normal form modulo I each)
-and a Groebner basis of im d_p + I K_(p-1), whose lead terms give the
-numerator of HS(coker d_p), each component shifted by its label's
-degree (groebner.hilbert_numerator).  The numerators sum to Q(s) with
+Groebner run per differential, over those columns, tagged, and I times
+each basis vector of K_(p-1), untagged (groebner.syzygy_basis), gives
+ker d_p (the syzygies its S-pair trace leaves, by Schreyer's theorem,
+one normal form modulo I each) and a Groebner basis of im d_p +
+I K_(p-1), whose lead terms give the numerator of HS(coker d_p), each
+component shifted by its label's degree (groebner.hilbert_numerator).  The numerators sum to Q(s) with
 HS(H_p) = Q(s) / (1 - s)^m, and groebner.dimension_and_length, which
 reads every length and dimension in brimlab, reads the length off Q:
 INFINITE exactly when (1 - s)^m does not divide Q, and otherwise that
@@ -47,9 +47,9 @@ class InfiniteLengthError(AlgebraError):
 def kernel_generators(ring, matrix_over_a, budget=None):
     """Generators of ker(A^a -> A^b) for a b x a matrix of RingElements.
 
-    Augment the lifted columns with I times each target basis vector;
-    syzygies of the augmented list, projected to the first a coordinates
-    and reduced mod I, generate the kernel over A.
+    The syzygies of the lifted columns modulo I times each target basis
+    vector (which goes in untagged), reduced mod I, generate the kernel
+    over A.
     """
     rows = len(matrix_over_a)
     cols = len(matrix_over_a[0]) if rows else 0
@@ -61,15 +61,13 @@ def kernel_generators(ring, matrix_over_a, budget=None):
 
 def _kernel(ring, lifted, rows, budget):
     """(kernel generators, basis of the image plus I * F_p[x]^rows) of the
-    map whose lifted columns are given: one tagged Groebner run, and one
-    normal form modulo I * F_p[x]^cols per syzygy."""
+    map whose lifted columns are given: one Groebner run, I * F_p[x]^rows
+    untagged, and one normal form modulo I * F_p[x]^cols per syzygy."""
     cols = len(lifted)
-    syz, basis = syzygy_basis(lifted + ring.lifted_ideal_columns(rows), budget, image=True)
+    syz, basis = syzygy_basis(lifted, budget, image=True, modulo=ring.lifted_ideal_columns(rows))
     ideal = ideal_module_basis(ring.ctx, ring.ideal_basis, cols) if ring.ideal_basis is not None else None
-    out = []
-    seen = set()
-    for s in syz:
-        w = VectorPolynomial(s.components[:cols])
+    out, seen = [], set()
+    for w in syz:
         if ideal is not None:
             w = ideal.normal_form(w)
         key = tuple(frozenset(c.terms.items()) for c in w.components)

@@ -1,5 +1,6 @@
 """Groebner engine: reduced bases, normal forms, budgets, determinism."""
 
+import importlib
 import pathlib
 import sys
 from math import comb
@@ -18,6 +19,8 @@ from brimlab.groebner import (
     syzygy_basis,
     _Layout,
 )
+from brimlab.homology import all_homology
+from brimlab.koszul import ModuleMatrix, build_koszul
 from brimlab.poly import (
     INFINITE,
     BudgetExceededError,
@@ -26,6 +29,7 @@ from brimlab.poly import (
     Polynomial,
     VectorPolynomial,
 )
+from brimlab.rings import make_ring
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 import oracles
@@ -281,6 +285,84 @@ def test_syzygy_substitution_property():
 def test_syzygy_of_free_generators_is_empty():
     gens = [vec(CTX.one(), CTX.zero()), vec(CTX.zero(), CTX.one())]
     assert syzygy_basis(gens) == []
+
+
+def test_syzygies_of_no_generators_are_a_contract_error():
+    for kwargs in ({}, {"image": True}, {"image": True, "modulo": [vec(X * X)]}):
+        with pytest.raises(ContractError):
+            syzygy_basis([], **kwargs)
+
+
+def tagged_reference(gens, budget=None, image=False, modulo=()):
+    """syzygy_basis by the route the S-pair trace replaced, kept as its
+    reference: every vector tagged, the modulo ones too, the full reduced
+    Groebner basis of the tagged module, and its rows that vanish in the
+    original components, cut to the tags of gens (zero cuts dropped).
+    The image basis is a second run, outside the budget, over the other
+    rows cut to the original components."""
+    ctx, rank, k = gens[0].ctx, gens[0].rank, len(gens)
+    vectors = list(gens) + list(modulo)
+    zero, one, n = ctx.zero(), ctx.one(), len(vectors)
+    gb = buchberger([VectorPolynomial(v.components + tuple(one if j == i else zero for j in range(n)))
+                     for i, v in enumerate(vectors)], budget)
+    syz, image_rows = [], []
+    for v in gb.generators:
+        head, tags = VectorPolynomial(v.components[:rank]), VectorPolynomial(v.components[rank:rank + k])
+        if not head.is_zero():
+            image_rows.append(head)
+        elif not tags.is_zero():
+            syz.append(tags)
+    if not image:
+        return syz
+    return syz, buchberger(image_rows)
+
+
+def _module(vectors):
+    """Reduced Groebner basis of the nonzero vectors: equal for equal modules."""
+    vectors = [v for v in vectors if not v.is_zero()]
+    return buchberger(vectors).generators if vectors else ()
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_trace_syzygies_generate_the_reference_module(data):
+    draw = data.draw
+    p = draw(st.sampled_from([2, 3, 101]), label="p")
+    nvars = draw(st.sampled_from([2, 3]), label="nvars")
+    ctx = PolyContext(p, ["x", "y", "z"][:nvars])
+    rank = draw(st.integers(1, 3 if nvars == 2 else 2), label="rank")
+    shifts = draw(st.lists(st.integers(0, 1), min_size=rank, max_size=rank), label="shifts")
+    cols, _, gens = _drawn_module(draw, ctx, shifts, draw(st.integers(rank, rank + 2)))
+    modulo = gens[len(cols):] if draw(st.booleans(), label="modulo") else []
+    syz, basis = syzygy_basis(cols, image=True, modulo=modulo)
+    want = tagged_reference(cols, modulo=modulo)
+    assert _module(syz) == _module(want)
+    assert basis.generators == _module(cols + modulo)
+    inside = buchberger(modulo) if any(not v.is_zero() for v in modulo) else None
+    for s in syz:
+        acc = VectorPolynomial((ctx.zero(),) * rank)
+        for coeff, col in zip(s.components, cols):
+            acc = acc + col.scale(coeff)
+        assert acc.is_zero() or (inside is not None and inside.contains(acc))
+
+
+def test_kernel_runs_need_fewer_pairs_than_the_tagged_reference(monkeypatch):
+    # Every corpus complex runs as many S-pairs on either route, so the
+    # complex is K(a; -1) of a wider matrix over E4's ring
+    # F_101[x, y]/(x^2, xy).
+    ring = make_ring(101, ["x", "y"], [X * X, X * Y])
+    x, y, zero = ring.variable(0), ring.variable(1), ring.zero()
+    cx = build_koszul(ModuleMatrix(ring, [[x, y, zero], [zero, x, y]]), -1)
+    homology_mod = importlib.import_module("brimlab.homology")  # brimlab.homology is the function
+    runs = []
+    for route in (syzygy_basis, tagged_reference):
+        monkeypatch.setattr(homology_mod, "syzygy_basis", route)
+        budget = Budget()
+        pres = all_homology(cx, budget)
+        runs.append((budget.pairs_used, [pres[p].length for p in sorted(pres)]))
+    (pairs, lengths), (ref_pairs, ref_lengths) = runs
+    assert pairs < ref_pairs
+    assert lengths == ref_lengths == [3, 6, 3]
 
 
 def staircase(exps, nvars):
