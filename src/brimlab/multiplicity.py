@@ -270,23 +270,28 @@ class ChiRow:
     chis: tuple
 
 
+# Every verdict key, in report order, with the text of its violation, or
+# None for a key that describes the instance and may well be False.
+VERDICTS = {
+    "square_zero": "consecutive differentials do not compose to zero",
+    "annihilation": "a maximal minor fails to annihilate some homology class",
+    "finite_colength": None,
+    "inside_max_ideal": None,
+    "parameter_module": None,
+    "chi_nonnegative": "a partial Euler characteristic is negative",
+    "chi0_t_independent": "chi_0 depends on t",
+    "chi0_rank_case": "chi_0 disagrees with the multiplicity / zero dichotomy",
+    "lengths_equal": None,
+    "colength_ge_e0": "l(F/N) < e_0",
+    "fitting_colength_ge_e0": "l(A/I(N)) < e_0",
+    "h0_ge_e0_all_t": "l(H_0) < e_0 for some t",
+    "h0_t1_equals_colength": "l(H_0) at t = 1 differs from l(F/N)",
+    "h0_t0_equals_fitting_colength": "l(H_0) at t = 0 differs from l(A/I(N))",
+    "cm_witness": None,
+}
+
 # Verdict keys that state theorems, so False means a genuine violation.
-# The remaining keys (parameter_module, lengths_equal, cm_witness, ...)
-# describe the instance and may legitimately be False.
-THEOREM_VERDICTS = frozenset(
-    (
-        "square_zero",
-        "annihilation",
-        "chi_nonnegative",
-        "chi0_t_independent",
-        "chi0_rank_case",
-        "colength_ge_e0",
-        "fitting_colength_ge_e0",
-        "h0_ge_e0_all_t",
-        "h0_t1_equals_colength",
-        "h0_t0_equals_fitting_colength",
-    )
-)
+THEOREM_VERDICTS = frozenset(k for k, text in VERDICTS.items() if text is not None)
 
 
 @dataclass(frozen=True)
@@ -322,10 +327,12 @@ def theorem_check(matrix, trange=None, budget=None, mutate=None):
     """Build the complexes, compute all invariants and judge the claims.
 
     trange defaults to [-1, min(dim A, n-r+1)].  mutate, when given, is
-    applied to each complex after construction (test hook).  Verdict
-    values: True/False for statements the theory forces on this input,
-    None for ones that do not apply (non-parameter modules, infinite
-    colengths).
+    applied to each complex after construction (test hook).  Verdicts
+    come in VERDICTS order: True/False for statements the theory forces
+    on this input, None for ones that do not apply (non-parameter
+    modules, infinite colengths).  For r = 1, K(a; t) and its label
+    degrees do not depend on t (Buchsbaum and Rim, Trans. AMS 1964), so
+    that complex is built, checked and presented once.
     """
     ring = matrix.ring
     d = ring.dimension
@@ -336,88 +343,52 @@ def theorem_check(matrix, trange=None, budget=None, mutate=None):
     tmin, tmax = trange
     if not (-1 <= tmin <= tmax <= top):
         raise AlgebraError("t range [%d, %d] outside supported [-1, %d]" % (tmin, tmax, top))
-    sub = matrix.submodule()
-    verdict = is_parameter_module(ring, sub, budget)
+    verdict = is_parameter_module(ring, matrix.submodule(), budget)
     len_f = verdict.colength
     minors = fitting_ideal(matrix)
     # for r = 1 the maximal minors are the entries, so I(N) = N
     len_i = len_f if r == 1 else ideal_colength(ring, minors, budget)
-
-    square_zero_ok = True
-    annihilation_ok = True
-    chi_rows = []
-    complexes = {}
-    for t in range(tmin, tmax + 1):
-        cx = build_koszul(matrix, t, check=False)
-        if mutate is not None:
-            mutate(cx)
-        if verify_complex(cx):
-            square_zero_ok = False  # homology of a non-complex means nothing
-        else:
-            complexes[t] = cx
-
     finite = len_f is not INFINITE
-    table = None
-    e0 = None
-    coefficients = None
-    if finite:
-        table = br_function_table(matrix, d, budget)
-        e0 = table.e0
-        coefficients = table.coefficients
-    # equal differentials give equal homology: for r = 1 every t does
-    seen = {}
-    for t, cx in complexes.items():
-        key = tuple((cx.rank(p - 1), tuple(frozenset(c.items()) for c in cx.columns[p]))
-                    for p in range(1, cx.length + 1))
-        if key not in seen:
-            pres = all_homology(cx, budget)
-            bad = annihilation_check(cx, minors, pres, budget)
-            seen[key] = bad, euler_characteristics(cx, budget, pres) if finite else None
-        bad, tab = seen[key]
-        if bad:
-            annihilation_ok = False
-        if finite:
+    table = br_function_table(matrix, d, budget) if finite else None
+    e0 = table.e0 if finite else None
+    verdicts = dict.fromkeys(VERDICTS)
+    verdicts.update(square_zero=True, annihilation=True, finite_colength=finite,
+                    inside_max_ideal=verdict.inside_max_ideal, parameter_module=verdict.ok)
+
+    chi_rows = []
+    for t in range(tmin, tmax + 1):
+        if r > 1 or t == tmin:
+            cx = build_koszul(matrix, t, check=False)
+            if mutate is not None:
+                mutate(cx)
+            tab = None
+            if verify_complex(cx):
+                verdicts["square_zero"] = False  # homology of a non-complex means nothing
+            else:
+                pres = all_homology(cx, budget)
+                if annihilation_check(cx, minors, pres, budget):
+                    verdicts["annihilation"] = False
+                if finite:
+                    tab = euler_characteristics(cx, budget, pres)
+        if tab is not None:
             chi_rows.append(ChiRow(t, tab.lengths, tab.chis))
 
-    verdicts = {
-        "square_zero": square_zero_ok,
-        "annihilation": annihilation_ok,
-        "finite_colength": finite,
-        "inside_max_ideal": verdict.inside_max_ideal,
-        "parameter_module": verdict.ok,
-    }
     if finite:
         chi0s = [row.chis[0] for row in chi_rows]
         verdicts["chi_nonnegative"] = all(c >= 0 for row in chi_rows for c in row.chis)
         verdicts["chi0_t_independent"] = len(set(chi0s)) <= 1
-        if n == d + r - 1:
-            verdicts["chi0_rank_case"] = all(c == e0 for c in chi0s)
-        else:
-            verdicts["chi0_rank_case"] = all(c == 0 for c in chi0s)
+        verdicts["chi0_rank_case"] = all(c == (e0 if n == d + r - 1 else 0) for c in chi0s)
         verdicts["lengths_equal"] = len_f == len_i
-    else:
-        verdicts["chi_nonnegative"] = None
-        verdicts["chi0_t_independent"] = None
-        verdicts["chi0_rank_case"] = None
-        verdicts["lengths_equal"] = None
     if verdict.ok:
         verdicts["colength_ge_e0"] = len_f >= e0
         verdicts["fitting_colength_ge_e0"] = len_i >= e0
         h0 = {row.t: row.h_lengths[0] for row in chi_rows}
         verdicts["h0_ge_e0_all_t"] = all(v >= e0 for v in h0.values())
-        verdicts["h0_t1_equals_colength"] = h0[1] == len_f if 1 in h0 else None
-        verdicts["h0_t0_equals_fitting_colength"] = h0[0] == len_i if 0 in h0 else None
+        if 1 in h0:
+            verdicts["h0_t1_equals_colength"] = h0[1] == len_f
+        if 0 in h0:
+            verdicts["h0_t0_equals_fitting_colength"] = h0[0] == len_i
         verdicts["cm_witness"] = len_f == e0 or len_i == e0
-    else:
-        for key in (
-            "colength_ge_e0",
-            "fitting_colength_ge_e0",
-            "h0_ge_e0_all_t",
-            "h0_t1_equals_colength",
-            "h0_t0_equals_fitting_colength",
-            "cm_witness",
-        ):
-            verdicts[key] = None
     return BRReport(
         ring=ring,
         matrix=matrix,
@@ -426,10 +397,10 @@ def theorem_check(matrix, trange=None, budget=None, mutate=None):
         len_a_mod_in=len_i,
         table=table,
         e0=e0,
-        coefficients=coefficients,
+        coefficients=table.coefficients if finite else None,
         chi_rows=tuple(chi_rows),
-        square_zero_ok=square_zero_ok,
-        annihilation_ok=annihilation_ok,
+        square_zero_ok=verdicts["square_zero"],
+        annihilation_ok=verdicts["annihilation"],
         verdicts=verdicts,
     )
 

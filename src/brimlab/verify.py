@@ -10,20 +10,7 @@ from dataclasses import dataclass
 
 from .corpus import ENTRIES
 from .dsl import build, spec_of
-from .multiplicity import theorem_check
-
-VERDICT_TEXT = {
-    "square_zero": "consecutive differentials do not compose to zero",
-    "annihilation": "a maximal minor fails to annihilate some homology class",
-    "chi_nonnegative": "a partial Euler characteristic is negative",
-    "chi0_t_independent": "chi_0 depends on t",
-    "chi0_rank_case": "chi_0 disagrees with the multiplicity / zero dichotomy",
-    "colength_ge_e0": "l(F/N) < e_0",
-    "fitting_colength_ge_e0": "l(A/I(N)) < e_0",
-    "h0_ge_e0_all_t": "l(H_0) < e_0 for some t",
-    "h0_t1_equals_colength": "l(H_0) at t = 1 differs from l(F/N)",
-    "h0_t0_equals_fitting_colength": "l(H_0) at t = 0 differs from l(A/I(N))",
-}
+from .multiplicity import VERDICTS, theorem_check
 
 
 @dataclass(frozen=True)
@@ -40,10 +27,7 @@ def verify_instance(ring, matrix, budget=None, trange=None, mutate=None):
     """Run the full theorem suite on one instance; list what failed."""
     rep = theorem_check(matrix, trange=trange, budget=budget, mutate=mutate)
     repro = spec_of(ring, matrix).serialize()
-    out = []
-    for key in rep.failures:
-        out.append(Violation(key, VERDICT_TEXT.get(key, key), repro))
-    return rep, out
+    return rep, [Violation(key, VERDICTS[key], repro) for key in rep.failures]
 
 
 def _expect(name, field, expected, got, text, out):
