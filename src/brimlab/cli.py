@@ -110,6 +110,10 @@ def _mutator(flip):
 
 def cmd_verify(args):
     if args.corpus:
+        for given, what in ((args.file, "problem file"), (args.t_range, "--t-range"),
+                            (args.flip_sign, "--flip-sign")):
+            if given is not None:
+                raise ContractError("verify --corpus takes no %s" % what)
         rows, violations = check_corpus(budget=_budget(_merged_options(args)))
         sys.stdout.write(corpus_table(rows))
     else:
@@ -151,10 +155,12 @@ def cmd_spread(args):
     if samples is None:
         raise ContractError("spread needs --samples (or a samples option)")
     seed = opts.get("seed", 0)
+    fmt = opts.get("format", "text")
+    if fmt not in ("text", "json"):
+        raise ContractError("spread writes text or json, not %s" % fmt)
     budget = _budget(opts)
     ring, matrix = build(spec, budget)
     result = buchsbaum_spread(ring, matrix.r, samples, seed, budget=budget)
-    fmt = opts.get("format", "text")
     if fmt == "json":
         ring_doc = {
             "p": ring.p,

@@ -23,6 +23,7 @@ line and column of the offending token.
 
 from dataclasses import dataclass, field
 
+from .groebner import MAX_DEGREE, _too_high
 from .poly import PolyContext, Polynomial
 
 
@@ -199,7 +200,11 @@ def _eval_poly(node, ctx):
     if kind == "neg":
         return -_eval_poly(node[1], ctx)
     if kind == "^":
-        return _eval_poly(node[1], ctx) ** node[2]
+        base, n = _eval_poly(node[1], ctx), node[2]
+        deg = (base.degree() or 0) * n  # the degree of base^n, known before expanding it
+        if deg > MAX_DEGREE:
+            raise _too_high("input term of degree %d" % deg)
+        return base ** n
     a = _eval_poly(node[1], ctx)
     b = _eval_poly(node[2], ctx)
     return a + b if kind == "+" else a - b if kind == "-" else a * b

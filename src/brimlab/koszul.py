@@ -81,10 +81,11 @@ class ModuleMatrix:
     d_j give deg a_ij = d_j - e_i for every nonzero entry.  They are kept
     as row_shifts and col_degrees (a zero column takes degree 0; the
     first row of each connected block of entries takes shift 0).
-    Columns generate the submodule M of F = A^r.
+    Columns generate the submodule M of F = A^r.  fitting_ideal keeps
+    the maximal minors in _minors the first time it is asked.
     """
 
-    __slots__ = ("ring", "r", "n", "entries", "row_shifts", "col_degrees")
+    __slots__ = ("ring", "r", "n", "entries", "row_shifts", "col_degrees", "_minors")
 
     def __init__(self, ring, entries):
         rows = tuple(tuple(row) for row in entries)
@@ -109,6 +110,7 @@ class ModuleMatrix:
         self.r = r
         self.n = n
         self.entries = rows
+        self._minors = None
 
     def columns(self):
         return [tuple(row[j] for row in self.entries) for j in range(self.n)]
@@ -285,9 +287,10 @@ def build_koszul(matrix, t, check=True):
     degrees = {p: tuple(label_degree(matrix, t, p, ext, sym) for ext, sym in labels[p])
                for p in labels}
     # each distinct entry packed once: a_ij below and above the splice,
-    # the maximal minors at it
+    # the maximal minors at it, when the splice d_(t+1) is one of d_1..d_length
     ent = [[_signed(e, lay) for e in row] for row in matrix.entries]
-    minors = dict(zip(combinations(range(n), r), (_signed(g, lay) for g in fitting_ideal(matrix))))
+    minors = (dict(zip(combinations(range(n), r), (_signed(g, lay) for g in fitting_ideal(matrix))))
+              if 0 <= t < length else None)
     columns = {}
     for p in range(1, length + 1):
         pos = {lab: i for i, lab in enumerate(labels[p - 1])}
@@ -378,13 +381,13 @@ def verify_complex(cx):
 
 def fitting_ideal(matrix):
     """All maximal minors of the matrix (the r x r ones), by cofactor
-    expansion, in lexicographic column-subset order."""
-    r = matrix.r
-    out = []
-    for subset in combinations(range(matrix.n), r):
-        rows = [[matrix.entries[i][j] for j in subset] for i in range(r)]
-        out.append(_det(rows, matrix.ring))
-    return tuple(out)
+    expansion, in lexicographic column-subset order; computed once per
+    matrix."""
+    if matrix._minors is None:
+        r = matrix.r
+        matrix._minors = tuple(_det([[matrix.entries[i][j] for j in subset] for i in range(r)], matrix.ring)
+                               for subset in combinations(range(matrix.n), r))
+    return matrix._minors
 
 
 def _det(rows, ring):

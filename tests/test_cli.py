@@ -5,6 +5,7 @@ import dataclasses
 import importlib
 import io
 import json
+import time
 
 import jsonschema
 import pytest
@@ -141,6 +142,17 @@ def test_verify_needs_input(capsys):
     assert code == EXIT_INPUT and "problem file or --corpus" in err
 
 
+@pytest.mark.parametrize("extra, what", [
+    (["FILE"], "problem file"),
+    (["--t-range", "0..1"], "--t-range"),
+    (["--flip-sign", "1,0,0"], "--flip-sign"),
+])
+def test_verify_corpus_refuses_what_it_would_ignore(problem, capsys, extra, what):
+    argv = ["verify", "--corpus"] + [problem(GOOD) if a == "FILE" else a for a in extra]
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_INPUT and "verify --corpus takes no %s" % what in err and out == ""
+
+
 def test_verify_corpus_table(capsys):
     code, out, _ = run(capsys, ["verify", "--corpus"])
     assert code == EXIT_OK
@@ -205,6 +217,17 @@ def test_exponent_past_engine_limit_is_budget_error(problem, capsys):
     assert code == EXIT_BUDGET and "engine limit" in err
 
 
+def test_huge_exponent_is_refused_before_expanding(problem, capsys):
+    # deg(base) * n is checked first; expanding y^3000000 took seconds
+    text = GOOD.replace("[y, 0]", "[y^3000000, 0]")
+    assert text != GOOD
+    started = time.monotonic()
+    code, out, err = run(capsys, ["analyze", problem(text)])
+    assert time.monotonic() - started < 1.0
+    assert code == EXIT_BUDGET and out == ""
+    assert "input term of degree 3000000 passes the engine limit %d" % MAX_DEGREE in err
+
+
 def test_nonpositive_file_option_is_input_error(problem, capsys):
     code, _, err = run(capsys, ["spread", problem(GOOD + "options { samples = 0 }\n")])
     assert code == EXIT_INPUT and "samples" in err
@@ -248,6 +271,12 @@ def test_spread_json_deterministic(problem, capsys):
     doc = json.loads(out1)
     assert doc["seed"] == 5 and len(doc["samples"]) == 2
     assert "elapsed_ms" not in json.dumps(doc)
+
+
+def test_spread_refuses_csv_format(problem, capsys):
+    path = problem(GOOD + "options { format = csv }\n")
+    code, out, err = run(capsys, ["spread", path, "--samples", "1"])
+    assert code == EXIT_INPUT and "spread writes text or json, not csv" in err and out == ""
 
 
 def test_spread_needs_samples(problem, capsys):

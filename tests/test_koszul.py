@@ -322,6 +322,29 @@ def test_fitting_ideal_against_leibniz():
         assert dict(minor.rep.terms) == want
 
 
+def test_minors_computed_once_and_only_for_a_splice(monkeypatch):
+    # the splice d_(t+1) lies outside d_1..d_length at t = -1 and t = n-r+1
+    koszul_mod = importlib.import_module("brimlab.koszul")
+    ring = ring_xy()
+    x, y = poly_vars(ring)
+    m = mat_of(ring, [[x, y, x + y], [y, x, x - y]])
+    calls = []
+    real = koszul_mod._det
+
+    def counted(rows, ring):
+        calls.append(len(rows))
+        return real(rows, ring)
+
+    monkeypatch.setattr(koszul_mod, "_det", counted)
+    for t in (-1, m.n - m.r + 1):
+        build_koszul(m, t)
+    assert calls == []
+    for t in range(m.n - m.r + 1):
+        build_koszul(m, t)
+    assert fitting_ideal(m) is fitting_ideal(m)
+    assert calls.count(2) == 3  # one top-level determinant per column pair, once
+
+
 def test_export_triplets_format():
     ring = ring_xy()
     x, y = poly_vars(ring)

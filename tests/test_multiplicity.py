@@ -16,6 +16,7 @@ from brimlab.multiplicity import (
     BRFunctionTable,
     SamplingError,
     THEOREM_VERDICTS,
+    VERDICTS,
     br_function_table,
     buchsbaum_spread,
     lambda_value,
@@ -388,18 +389,41 @@ def test_sampling_error_when_nothing_fits():
 def test_theorem_check_runs_homology_once_per_distinct_complex(monkeypatch, name):
     multiplicity_mod = importlib.import_module("brimlab.multiplicity")
     _, mat = corpus_pair(name)
-    calls = []
-    real = multiplicity_mod.all_homology
+    calls, builds = [], []
+    real, real_build = multiplicity_mod.all_homology, multiplicity_mod.build_koszul
 
     def counted(cx, budget=None):
         calls.append(cx.t)
         return real(cx, budget)
 
+    def counted_build(matrix, t, check=True):
+        builds.append(t)
+        return real_build(matrix, t, check)
+
     monkeypatch.setattr(multiplicity_mod, "all_homology", counted)
+    monkeypatch.setattr(multiplicity_mod, "build_koszul", counted_build)
     ts = [row.t for row in theorem_check(mat).chi_rows]
-    assert len(ts) > 1
-    # every t of a rank-1 module builds the same complex; rank 2 does not
-    assert calls == (ts[:1] if mat.r == 1 else ts)
+    assert ts == list(range(-1, min(mat.ring.dimension, mat.n - mat.r + 1) + 1))
+    # every t of a rank-1 module has the same complex, built once, and
+    # still its own row; rank 2 builds one per t
+    assert calls == builds == (ts[:1] if mat.r == 1 else ts)
+
+
+@pytest.mark.parametrize("name", ["E4", "E6"])
+def test_verdicts_come_in_table_order(name):
+    _, mat = corpus_pair(name)
+    rep = theorem_check(mat)
+    assert rep.verdicts["parameter_module"] is (name == "E4")
+    assert list(rep.verdicts) == list(VERDICTS)
+
+
+def test_theorem_verdicts_are_the_ten_theorem_keys():
+    assert THEOREM_VERDICTS == {
+        "square_zero", "annihilation", "chi_nonnegative", "chi0_t_independent",
+        "chi0_rank_case", "colength_ge_e0", "fitting_colength_ge_e0", "h0_ge_e0_all_t",
+        "h0_t1_equals_colength", "h0_t0_equals_fitting_colength",
+    }
+    assert all(VERDICTS[k] for k in THEOREM_VERDICTS)
 
 
 @pytest.mark.parametrize("name", ["E1", "E4"])
