@@ -226,6 +226,10 @@ def make_parser():
 
 def main(argv=None):
     ap = make_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):  # argparse takes the -1..2 of "--t-range -1..2" for an option
+        if argv[i - 1] == "--t-range" and argv[i][:1] == "-" and argv[i][1:2].isdigit():
+            argv[i - 1:i + 1] = ["--t-range=" + argv[i]]
     args = ap.parse_args(argv)
     try:
         return args.func(args)

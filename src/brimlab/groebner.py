@@ -414,36 +414,46 @@ class GroebnerBasis:
         return not self.reduce_terms(self._packed(v))
 
     def contains_products(self, gs, w):
-        """[g*w lies in the submodule, for each Polynomial g in gs].
-
-        The normal form is linear, so NF(g*w) = sum_e g_e NF(x^e * w):
-        each monomial x^e of the gs is multiplied into w once, on packed
-        terms (one addition per term of w), and reduced once, however
-        many of the gs share it.  w is reduced first, which keeps these
-        products small.
-        """
-        lay = self._lay
-        p = self.ctx.p
+        """[g*w lies in the submodule, for each Polynomial g in gs]."""
         if any(g.ctx != self.ctx for g in gs):
             raise ContractError("a multiplier is not over the basis's %r" % (self.ctx,))
-        vec = self.reduce_terms(self._packed(w))
+        return self.contains_products_of_terms(gs, self._packed(w))
+
+    def contains_products_of_terms(self, gs, d):
+        """contains_products of w given as packed terms (see reduce_terms).
+
+        NF is linear and unique, so NF(g*w) = sum_e g_e NF(x^e * w) and
+        NF(x^e * w) = NF(x_i * NF(x^(e - e_i) * w)): each x^e costs one reduced
+        vector times one variable, reduced once for all gs and not at all
+        once its parent is zero.
+        """
+        lay, p = self._lay, self.ctx.p
+        vec = self.reduce_terms(d)
         if not vec:
             return [True] * len(gs)
         top = max(map(lay.degree, vec))
-        one = lay.pack((0,) * (lay.m + 1))
-        nfs = {}  # e -> NF(x^e * w)
+        nfs = {(0,) * lay.m: vec}  # e -> NF(x^e * w)
+
+        def nf(e):
+            if e not in nfs and top + sum(e) > MAX_DEGREE:
+                raise _too_high("a product with a normal form")
+            chain = []  # e and its parents down to a known one, x_i the first variable
+            while e not in nfs:
+                i = next(i for i, a in enumerate(e) if a)
+                f = e[:i] + (e[i] - 1,) + e[i + 1:]  # x^f = x^e / x_i
+                chain.append((e, lay.pack((0,) + e) - lay.pack((0,) + f)))  # u + s is x_i * u
+                e = f
+            parent = nfs[e]
+            for e, s in reversed(chain):
+                parent = nfs[e] = parent and _normal_form_dict(
+                    {u + s: a for u, a in parent.items()}, self._by_comp, p, lay)
+            return parent
+
         out = []
         for g in gs:
             acc = {}
             for e, c in g.terms.items():
-                nf = nfs.get(e)
-                if nf is None:
-                    if top + sum(e) > MAX_DEGREE:
-                        raise _too_high("a product with a normal form")
-                    s = lay.pack((0,) + e) - one  # x^e as an offset: u + s is x^e * u
-                    nf = nfs[e] = _normal_form_dict({u + s: a for u, a in vec.items()},
-                                                    self._by_comp, p, lay)
-                for t, a in nf.items():
+                for t, a in nf(e).items():
                     b = (acc.get(t, 0) + a * c) % p
                     if b:
                         acc[t] = b
@@ -553,7 +563,8 @@ def syzygy_basis(gens, budget=None, image=False, modulo=()):
     ISSAC 1992) they generate the syzygies: the generators from the
     S-pair trace, unreduced, in basis order.  With image=True the same
     run also gives a GroebnerBasis of the submodule gens and modulo
-    generate, and the result is (syzygies, basis).
+    generate, and the result is (syzygies, basis), each syzygy as that
+    basis's packed terms (see reduce_terms), component i for gens[i].
     """
     gens = list(gens)
     if not gens:
@@ -569,10 +580,10 @@ def syzygy_basis(gens, budget=None, image=False, modulo=()):
     lay = gb._lay
     cs = lay.comp_shift
     off = rank << cs  # u - off is the term u with its component shifted by -rank
-    syz = [_dict_to_vec(ctx, k, [(r.lt - off, 1)] + [(u - off, a) for u, a in r.tail], lay)
+    syz = [dict([(r.lt - off, 1)] + [(u - off, a) for u, a in r.tail])
            for r in gb._rows if r.lt >> cs >= rank]
     if not image:
-        return syz
+        return [_dict_to_vec(ctx, k, d.items(), lay) for d in syz]
     # The other rows, cut to the original components, lie in the image
     # and keep their lead terms, and every lead term of the image is a
     # multiple of one of them: they are a Groebner basis of the image.

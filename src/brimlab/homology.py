@@ -20,9 +20,10 @@ reads every length and dimension in brimlab, reads the length off Q:
 INFINITE exactly when (1 - s)^m does not divide Q, and otherwise that
 quotient at s = 1.
 
-Each presentation keeps the basis of im d_(p+1) + I K_p, so the
-annihilation check is a set of packed membership tests against it and
-makes no Groebner run of its own.  Lengths may be INFINITE; the Euler
+Each presentation keeps the basis of im d_(p+1) + I K_p and its cycles
+as the engine's packed terms (kernel_gens converts them when read), so
+the annihilation check is a set of packed membership tests against it
+and makes no Groebner run of its own.  Lengths may be INFINITE; the Euler
 characteristic refuses to sum those and raises a structured error naming
 the offending degree instead.
 """
@@ -32,7 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .poly import INFINITE, AlgebraError, ContractError, VectorPolynomial
-from .groebner import dimension_and_length, hilbert_numerator, ideal_module_basis, syzygy_basis
+from .groebner import (_dict_to_vec, _Layout, dimension_and_length, hilbert_numerator,
+                       ideal_module_basis, syzygy_basis)
 from .rings import RingElement, quotient_basis
 
 
@@ -56,43 +58,56 @@ def kernel_generators(ring, matrix_over_a, budget=None):
     if not (rows and cols):
         raise ContractError("kernel of a %d x %d matrix: need at least one row and column" % (rows, cols))
     lifted = [VectorPolynomial(tuple(matrix_over_a[i][j].rep for i in range(rows))) for j in range(cols)]
-    return _kernel(ring, lifted, rows, budget)[0]
+    return _ring_vectors(ring, cols, _kernel(ring, lifted, rows, budget)[0])
 
 
 def _kernel(ring, lifted, rows, budget):
-    """(kernel generators, basis of the image plus I * F_p[x]^rows) of the
-    map whose lifted columns are given: one Groebner run, I * F_p[x]^rows
-    untagged, and one normal form modulo I * F_p[x]^cols per syzygy."""
-    cols = len(lifted)
+    """(cycles, basis of the image plus I * F_p[x]^rows) of the map whose
+    lifted columns are given: one Groebner run, I * F_p[x]^rows untagged,
+    and one normal form modulo I * F_p[x]^cols per syzygy.  The cycles are
+    distinct nonzero packed vectors {term: coefficient} of the basis."""
     syz, basis = syzygy_basis(lifted, budget, image=True, modulo=ring.lifted_ideal_columns(rows))
-    ideal = ideal_module_basis(ring.ctx, ring.ideal_basis, cols) if ring.ideal_basis is not None else None
-    out, seen = [], set()
-    for w in syz:
-        if ideal is not None:
-            w = ideal.normal_form(w)
-        key = tuple(frozenset(c.terms.items()) for c in w.components)
-        if w.is_zero() or key in seen:
-            continue
-        seen.add(key)
-        out.append(tuple(RingElement(ring, c) for c in w.components))
-    return out, basis
+    if ring.ideal_basis is not None:
+        syz = map(ideal_module_basis(ring.ctx, ring.ideal_basis, len(lifted)).reduce_terms, syz)
+    return list({frozenset(w.items()): w for w in syz if w}.values()), basis  # in syzygy order
 
 
-@dataclass(frozen=True)
+def _ring_vectors(ring, rank, cycles):
+    """Packed vectors of rank `rank` as tuples of RingElements."""
+    lay = _Layout(ring.ctx.nvars)
+    return [tuple(RingElement(ring, c) for c in _dict_to_vec(ring.ctx, rank, w.items(), lay).components)
+            for w in cycles]
+
+
+@dataclass(frozen=True, eq=False)
 class HomologyPresentation:
-    """H_p = ker d_p / im d_(p+1) with its length.
+    """H_p = ker d_p / im d_(p+1) of the complex cx, with its length.
 
-    kernel_gens: vectors u_1..u_k in K_p (tuples of RingElement) spanning
-    ker d_p (for p = 0 the basis vectors of K_0);
-    length: int or INFINITE;
-    basis: GroebnerBasis of im d_(p+1) + I K_p in F_p[x]^rank_p, so the
-    class of a cycle u vanishes exactly when its lift lies in it.
-    """
+    cycles: packed vectors {term: coefficient}, reduced mod I, spanning
+    ker d_p (for p = 0 the basis vectors of K_0); kernel_gens: the same as
+    tuples of RingElement, built on each read; length: int or INFINITE;
+    basis: GroebnerBasis of im d_(p+1) + I K_p in F_p[x]^rank_p, so the class
+    of a cycle u vanishes exactly when u lies in it.  Equality and hash go
+    by p, kernel_gens and length."""
 
     p: int
-    kernel_gens: tuple
+    cycles: tuple
     length: object
-    basis: object = field(default=None, compare=False, repr=False)
+    cx: object = field(repr=False)
+    basis: object = field(default=None, repr=False)
+
+    @property
+    def kernel_gens(self):
+        return tuple(_ring_vectors(self.cx.ring, self.cx.rank(self.p), self.cycles))
+
+    def _key(self):
+        return self.p, self.kernel_gens, self.length
+
+    def __eq__(self, other):
+        return isinstance(other, HomologyPresentation) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def homology(cx, p, budget=None):
@@ -132,16 +147,14 @@ def _presentations(cx, degrees, budget):
         num = {}  # degree -> coefficient of Q
         _add_coker_numerator(num, boundaries, cx.degrees[p], nums)
         if p == 0:
-            one = ring.one()
-            kernel = [tuple(one if i == j else ring.zero() for i in range(cx.rank(0)))
-                      for j in range(cx.rank(0))]
+            kernel = [{cx.lay.pack((j,) + (0,) * ring.ctx.nvars): 1} for j in range(cx.rank(0))]
         else:
             kernel, cycles_out = run(p)
             _add_coker_numerator(num, cycles_out, cx.degrees[p - 1], nums)
             for d in cx.degrees[p - 1]:
                 _add_shifted(num, -1, ideal, d)
         length = dimension_and_length(num, ring.ctx.nvars)[1]
-        out[p] = HomologyPresentation(p, tuple(kernel), length, boundaries)
+        out[p] = HomologyPresentation(p, tuple(kernel), length, cx, boundaries)
     return out
 
 
@@ -201,10 +214,10 @@ def euler_characteristics(cx, budget=None, presentations=None):
 def annihilation_check(cx, minors=None, presentations=None, budget=None):
     """Verify that every maximal minor kills every homology class.
 
-    For each degree p, each kernel generator u_i and each minor g, g*u_i
-    must lie in im d_(p+1) + I K_p, the module the presentation's basis
-    spans.  GroebnerBasis.contains_products reduces each u_i against it
-    once and multiplies the remainder by every g on packed terms.
+    For each degree p, each cycle u_i and each minor g, g*u_i must lie in
+    im d_(p+1) + I K_p, the module the presentation's basis spans.
+    GroebnerBasis.contains_products_of_terms tests the packed cycles as
+    they are, building the products one variable at a time.
     Returns the list of violations as (p, minor_index, kernel_index)
     triples; empty means the containment holds everywhere.
     """
@@ -219,8 +232,7 @@ def annihilation_check(cx, minors=None, presentations=None, budget=None):
     for p in range(cx.length + 1):
         pres = presentations[p]
         # passes[ki][mi]: minor mi kills the class of u_ki
-        passes = [pres.basis.contains_products(reps, VectorPolynomial(tuple(v.rep for v in u)))
-                  for u in pres.kernel_gens]
+        passes = [pres.basis.contains_products_of_terms(reps, w) for w in pres.cycles]
         bad += [(p, mi, ki) for mi in range(len(minors)) for ki in range(len(passes))
                 if not passes[ki][mi]]
     return bad

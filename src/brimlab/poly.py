@@ -241,8 +241,8 @@ class Polynomial:
         if not (isinstance(n, int) and n >= 0):
             raise ContractError("exponent must be a nonnegative int, not %r" % (n,))
         out = self.ctx.one()
-        for _ in range(n):
-            out = out * self
+        for bit in bin(n)[2:]:  # square and multiply, from the top bit down
+            out = out * out * self if bit == "1" else out * out
         return out
 
     def monic(self):

@@ -228,6 +228,28 @@ def test_huge_exponent_is_refused_before_expanding(problem, capsys):
     assert "input term of degree 3000000 passes the engine limit %d" % MAX_DEGREE in err
 
 
+def test_huge_constant_power_is_squared_not_expanded(problem, capsys):
+    text = "ring { p = 101 vars = [x, y] }\nmodule { rank = 1 matrix = [[%s*x, y]] }\n"
+    started = time.monotonic()
+    code, out, _ = run(capsys, ["analyze", problem(text % "2^1000000")])
+    assert time.monotonic() - started < 1.0
+    want_code, want, _ = run(capsys, ["analyze", problem(text % pow(2, 1000000, 101), "reduced.brim")])
+    mask = lambda s: s.split("telemetry")[0]
+    assert code == want_code == EXIT_OK and mask(out) == mask(want)
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_t_range_with_a_negative_lower_end_after_a_space(problem, capsys, command):
+    # argparse alone reads "-1..0" as an option and exits 2
+    path = problem(GOOD)
+    code, out, err = run(capsys, [command, path, "--t-range", "-1..0"])
+    want_code, want, _ = run(capsys, [command, path, "--t-range=-1..0"])
+    mask = lambda s: s.split("telemetry")[0]
+    assert code == want_code == EXIT_OK and mask(out) == mask(want), err
+    if command == "analyze":
+        assert "t=-1:" in out and "t=1:" not in out
+
+
 def test_nonpositive_file_option_is_input_error(problem, capsys):
     code, _, err = run(capsys, ["spread", problem(GOOD + "options { samples = 0 }\n")])
     assert code == EXIT_INPUT and "samples" in err

@@ -17,7 +17,9 @@ from brimlab.groebner import (
     elimination_basis,
     hilbert_numerator,
     syzygy_basis,
+    _dict_to_vec,
     _Layout,
+    _vec_to_dict,
 )
 from brimlab.homology import all_homology
 from brimlab.koszul import ModuleMatrix, build_koszul
@@ -314,7 +316,8 @@ def tagged_reference(gens, budget=None, image=False, modulo=()):
             syz.append(tags)
     if not image:
         return syz
-    return syz, buchberger(image_rows)
+    lay = _Layout(ctx.nvars)
+    return [_vec_to_dict(s, lay) for s in syz], buchberger(image_rows)
 
 
 def _module(vectors):
@@ -334,7 +337,9 @@ def test_trace_syzygies_generate_the_reference_module(data):
     shifts = draw(st.lists(st.integers(0, 1), min_size=rank, max_size=rank), label="shifts")
     cols, _, gens = _drawn_module(draw, ctx, shifts, draw(st.integers(rank, rank + 2)))
     modulo = gens[len(cols):] if draw(st.booleans(), label="modulo") else []
-    syz, basis = syzygy_basis(cols, image=True, modulo=modulo)
+    packed, basis = syzygy_basis(cols, image=True, modulo=modulo)
+    syz = [_dict_to_vec(ctx, len(cols), d.items(), _Layout(nvars)) for d in packed]
+    assert syz == syzygy_basis(cols, modulo=modulo)
     want = tagged_reference(cols, modulo=modulo)
     assert _module(syz) == _module(want)
     assert basis.generators == _module(cols + modulo)
@@ -550,6 +555,10 @@ def test_contains_products_matches_contains_of_the_product():
         assert gb.contains_products(gens, w) == want
         assert gb.contains_products(gens, v) == want
     assert not all(gb.contains_products(gens, gb.normal_form(vec(X, Y * Y))))
+    # x^2 * 1 lies in (x^2, y^2), so x^3 * 1 must too, with no reduction of its own
+    square = buchberger([vec(X * X), vec(Y * Y)])
+    assert square.contains_products([X ** 3, X * X * Y + X, X * Y, zero], vec(CTX.one())) == [
+        True, False, False, True]
     # the product keeps to the engine's degree limit
     w = buchberger([vec(X * X, zero)]).normal_form(vec(Y ** MAX_DEGREE, zero))
     with pytest.raises(BudgetExceededError) as err:
@@ -557,3 +566,32 @@ def test_contains_products_matches_contains_of_the_product():
     assert err.value.kind == "degree"
     with pytest.raises(ContractError):
         gb.contains_products([PolyContext(7, ["x", "y"]).variable(0)], w)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_chained_products_match_contains_of_each_product(data):
+    # contains_products builds NF(x^e * w) from NF(x^(e - e_i) * w); the
+    # reference reduces each g*w from scratch.  The multipliers share
+    # monomials (g_0 + g_1 and the repeats), and one is zero.
+    draw = data.draw
+    p = draw(st.sampled_from([2, 3, 101]), label="p")
+    nvars = draw(st.sampled_from([2, 3]), label="nvars")
+    ctx = PolyContext(p, ["x", "y", "z"][:nvars])
+    rank = draw(st.integers(1, 3), label="rank")
+    shifts = draw(st.lists(st.integers(0, 1), min_size=rank, max_size=rank), label="shifts")
+    gb = buchberger(_drawn_module(draw, ctx, shifts, draw(st.integers(1, rank + 1)))[2])
+    monomials = [e for d in range(4) for e in oracles.monomials_of_degree(nvars, d)]
+    term = st.tuples(st.sampled_from(monomials), st.integers(0, p - 1))
+    gs = [Polynomial.from_terms(ctx, draw(st.lists(term, min_size=1, max_size=4), label="g"))
+          for _ in range(draw(st.integers(1, 4)))]
+    gs += [gs[0] + gs[-1], gs[0], ctx.zero()]
+    low = [e for e in monomials if sum(e) <= 2]
+    entry = st.lists(st.tuples(st.sampled_from(low), st.integers(0, p - 1)), max_size=3)
+    vs = [VectorPolynomial(tuple(Polynomial.from_terms(ctx, draw(entry, label="w")) for _ in range(rank)))
+          for _ in range(2)]
+    # a monomial w: some x^e * w lies in the module sooner, so chains meet zero parents
+    c, e = draw(st.integers(0, rank - 1), label="component"), draw(st.sampled_from(low), label="monomial")
+    vs.append(VectorPolynomial(tuple(Polynomial.from_terms(ctx, [(e, 1)] if k == c else []) for k in range(rank))))
+    for v in vs:
+        assert gb.contains_products(gs, v) == [gb.contains(v.scale(g)) for g in gs]

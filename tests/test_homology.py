@@ -22,7 +22,7 @@ from brimlab.homology import (
 from brimlab.groebner import buchberger, syzygy_basis
 from brimlab.koszul import ModuleMatrix, build_koszul, fitting_ideal, sym_basis
 from brimlab.poly import ContractError, PolyContext, VectorPolynomial
-from brimlab.rings import make_ring, quotient_basis
+from brimlab.rings import RingElement, make_ring, quotient_basis
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 import oracles
@@ -230,6 +230,28 @@ def test_presentation_keeps_its_basis_out_of_equality():
     pres = homology(cx, 1)
     assert pres == dataclasses.replace(pres, basis=None)
     assert "basis" not in repr(pres)
+
+
+def test_presentations_compare_and_hash_by_degree_kernel_and_length():
+    # kernel_gens is built from the packed cycles on each read; equality
+    # and hash still go by (p, kernel_gens, length), as the dataclass
+    # fields they were
+    ring, cx = corpus_complex("E4", 1)
+    pres = all_homology(cx)
+    again = all_homology(build_koszul(cx.matrix, 1))
+    one, zero = ring.one(), ring.zero()
+    assert pres[0].kernel_gens == tuple(tuple(one if i == j else zero for i in range(cx.rank(0)))
+                                        for j in range(cx.rank(0)))
+    for p, pr in pres.items():
+        gens = pr.kernel_gens
+        assert type(gens) is tuple and len(gens) == len(pr.cycles)
+        assert all(type(u) is tuple and len(u) == cx.rank(p) for u in gens)
+        assert all(isinstance(c, RingElement) and c.ring == ring for u in gens for c in u)
+        assert pr == again[p] and hash(pr) == hash(again[p]) == hash((p, gens, pr.length))
+        assert pr == dataclasses.replace(pr, basis=None)
+        assert pr != dataclasses.replace(pr, length=pr.length + 1)
+    assert pres[1].cycles and pres[1] != dataclasses.replace(pres[1], cycles=pres[1].cycles[1:])
+    assert len(set(pres.values()) | set(again.values())) == len(pres)
 
 
 def test_homology_degree_out_of_range_is_contract_error():

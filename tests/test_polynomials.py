@@ -98,9 +98,11 @@ def test_canonical_str():
 
 def test_pow_matches_repeated_product():
     x, y = CTX.variable(0), CTX.variable(1)
-    f = x + y
-    assert f ** 3 == f * f * f
-    assert f ** 0 == CTX.one()
+    for f in (x + y, x * x * CTX.constant(3) - y + CTX.one(), CTX.constant(2), x, CTX.zero()):
+        want = CTX.one()
+        for k in range(11):
+            assert f ** k == want
+            want = want * f
 
 
 def test_negative_power_is_contract_error():
