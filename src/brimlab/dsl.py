@@ -23,7 +23,7 @@ line and column of the offending token.
 
 from dataclasses import dataclass, field
 
-from .groebner import MAX_DEGREE, _too_high
+from .groebner import check_term_degree
 from .poly import PolyContext, Polynomial
 
 
@@ -201,9 +201,7 @@ def _eval_poly(node, ctx):
         return -_eval_poly(node[1], ctx)
     if kind == "^":
         base, n = _eval_poly(node[1], ctx), node[2]
-        deg = (base.degree() or 0) * n  # the degree of base^n, known before expanding it
-        if deg > MAX_DEGREE:
-            raise _too_high("input term of degree %d" % deg)
+        check_term_degree((base.degree() or 0) * n)  # the degree of base^n, known before expanding it
         return base ** n
     a = _eval_poly(node[1], ctx)
     b = _eval_poly(node[2], ctx)

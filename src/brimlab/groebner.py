@@ -50,6 +50,7 @@ the first time it is read.
 
 from __future__ import annotations
 
+from functools import cache
 from heapq import heapify, heappop, heappush
 from operator import mul
 
@@ -74,6 +75,12 @@ MAX_DEGREE = TOP // 2           # largest total degree of a term in a row
 def _too_high(what):
     return BudgetExceededError(
         "degree", "degree budget exceeded: %s passes the engine limit %d" % (what, MAX_DEGREE))
+
+
+def check_term_degree(deg):
+    """Refuse an input term of total degree deg past MAX_DEGREE."""
+    if deg > MAX_DEGREE:
+        raise _too_high("input term of degree %d" % deg)
 
 
 class Budget:
@@ -120,8 +127,7 @@ class _Layout:
 
     def pack(self, t):
         deg = sum(t) - t[0]
-        if deg > MAX_DEGREE:
-            raise _too_high("input term of degree %d" % deg)
+        check_term_degree(deg)
         x = t[0]
         if self.block:
             x = (x << _W) | (TOP - sum(t[1 + self.m - self.block:]))
@@ -167,6 +173,51 @@ def _dict_to_vec(ctx, rank, items, lay):
         t = lay.unpack(x)
         polys[t[0]][t[1:]] = c
     return VectorPolynomial(tuple(Polynomial(ctx, terms) for terms in polys))
+
+
+_layout = cache(_Layout)  # one layout per (m, block)
+
+
+# Packed vectors {term: coefficient} over a PolyContext ctx, with no
+# elimination block: other modules handle them only through these.
+
+def pack_polynomial(f):
+    """The Polynomial f as a packed vector of component 0."""
+    lay = _layout(f.ctx.nvars, 0)
+    return {lay.pack((0,) + e): c for e, c in f.terms.items()}
+
+
+def in_components(ctx, parts):
+    """The packed vector that holds, for each (d, j) in parts, the packed
+    vector d of component 0 moved into component j; the j are distinct."""
+    cs = _layout(ctx.nvars, 0).comp_shift
+    return {u + (j << cs): c for d, j in parts for u, c in d.items()}
+
+
+def term_component(ctx, u):
+    """Component of the packed term u."""
+    return u >> _layout(ctx.nvars, 0).comp_shift
+
+
+def unpack_vector(ctx, rank, d):
+    """The packed vector d as a VectorPolynomial of the given rank."""
+    return _dict_to_vec(ctx, rank, d.items(), _layout(ctx.nvars, 0))
+
+
+def combine(ctx, columns, w):
+    """sum_v c_v x^mono(v) columns[comp(v)] over the terms c_v v of the
+    packed vector w, each columns[j] a packed vector: a matrix with those
+    columns applied to w.  One addition per monomial product."""
+    lay = _layout(ctx.nvars, 0)
+    cs = lay.comp_shift
+    one = TOP << lay.deg_shift  # the term 1 of component 0
+    acc = {}
+    for v, b in w.items():
+        j = v >> cs
+        s = v - (j << cs) - one  # the monomial of v as an offset
+        for u, c in columns[j].items():
+            acc[u + s] = acc.get(u + s, 0) + c * b
+    return {u: c % ctx.p for u, c in acc.items() if c % ctx.p}
 
 
 class _Row:
@@ -303,19 +354,18 @@ def _update_pairs(G, P, new_idx, lay):
     return kept
 
 
-def _minimal_rows(G, lay, tag_from):
+def _minimal_rows(by_comp, lay, tag_from):
     """Rows whose lead term no other row's divides, and every row led in
-    a component >= tag_from, largest lead term last.
+    a component >= tag_from, largest lead term last.  by_comp groups the
+    rows by the component of their lead term, the only rows that can
+    divide it.
 
     Lead terms are distinct: each row is a normal form against the rows
     before it.
     """
-    cs = lay.comp_shift
     guard = lay.guard
-    keep = [
-        r for r in G if r.lt >> cs >= tag_from
-        or not any(s is not r and s.lt >> cs == r.lt >> cs and not (r.lt - s.lt) & guard for s in G)
-    ]
+    keep = [r for comp, rows in by_comp.items() for r in rows
+            if comp >= tag_from or not any(s is not r and not (r.lt - s.lt) & guard for s in rows)]
     keep.sort(key=lambda r: r.lt, reverse=True)
     return keep
 
@@ -401,9 +451,8 @@ class GroebnerBasis:
         return _vec_to_dict(v, self._lay)
 
     def reduce_terms(self, d):
-        """Normal form of a vector given as packed terms {term: coefficient}
-        of _Layout(nvars) (a basis with no elimination block), as packed
-        terms."""
+        """Normal form of a packed vector (a basis with no elimination
+        block), as a packed vector."""
         return _normal_form_dict(d, self._by_comp, self.ctx.p, self._lay)
 
     def normal_form(self, v):
@@ -420,7 +469,7 @@ class GroebnerBasis:
         return self.contains_products_of_terms(gs, self._packed(w))
 
     def contains_products_of_terms(self, gs, d):
-        """contains_products of w given as packed terms (see reduce_terms).
+        """contains_products of w given as a packed vector.
 
         NF is linear and unique, so NF(g*w) = sum_e g_e NF(x^e * w) and
         NF(x^e * w) = NF(x_i * NF(x^(e - e_i) * w)): each x^e costs one reduced
@@ -454,12 +503,8 @@ class GroebnerBasis:
             acc = {}
             for e, c in g.terms.items():
                 for t, a in nf(e).items():
-                    b = (acc.get(t, 0) + a * c) % p
-                    if b:
-                        acc[t] = b
-                    else:
-                        del acc[t]
-            out.append(not acc)
+                    acc[t] = acc.get(t, 0) + a * c
+            out.append(not any(b % p for b in acc.values()))
         return out
 
     def colength(self):
@@ -501,7 +546,7 @@ def buchberger(gens, budget=None, eliminate=0, tags=0):
         budget = Budget()
     p = ctx.p
     m = ctx.nvars
-    lay = _Layout(m, eliminate)
+    lay = _layout(m, eliminate)
     cs = lay.comp_shift
     homogeneous = all(len({sum(e) for f in g.components for e in f.terms}) <= 1 for g in gens)
     G = []
@@ -550,21 +595,21 @@ def buchberger(gens, budget=None, eliminate=0, tags=0):
         h = _normal_form_dict(_spoly(G[i], G[j], lcm_t, p, lay), by_comp, p, lay)
         if h:
             P = add(h, sugar)
-    return GroebnerBasis(ctx, rank, _minimal_rows(G, lay, tag_from), budget.pairs_used - start, lay)
+    return GroebnerBasis(ctx, rank, _minimal_rows(by_comp, lay, tag_from), budget.pairs_used - start, lay)
 
 
-def syzygy_basis(gens, budget=None, image=False, modulo=()):
-    """Generators of {a : sum a_i g_i in <modulo>} in F_p[x]^len(gens).
+def syzygy_basis(gens, budget=None, modulo=()):
+    """(syzygies, basis): generators of {a : sum a_i g_i in <modulo>} in
+    F_p[x]^len(gens), each a packed vector (component i for gens[i]; see
+    unpack_vector), and a GroebnerBasis of the submodule gens and modulo
+    generate.
 
     Each g_i is tagged with a fresh component behind the original ones,
     the modulo vectors go in untagged, and buchberger pairs no two rows
     led in a tag component.  Such rows vanish in the original components,
     and by Schreyer's theorem (Schreyer 1980; Moeller, Mora and Traverso,
     ISSAC 1992) they generate the syzygies: the generators from the
-    S-pair trace, unreduced, in basis order.  With image=True the same
-    run also gives a GroebnerBasis of the submodule gens and modulo
-    generate, and the result is (syzygies, basis), each syzygy as that
-    basis's packed terms (see reduce_terms), component i for gens[i].
+    S-pair trace, unreduced, in basis order.
     """
     gens = list(gens)
     if not gens:
@@ -582,8 +627,6 @@ def syzygy_basis(gens, budget=None, image=False, modulo=()):
     off = rank << cs  # u - off is the term u with its component shifted by -rank
     syz = [dict([(r.lt - off, 1)] + [(u - off, a) for u, a in r.tail])
            for r in gb._rows if r.lt >> cs >= rank]
-    if not image:
-        return [_dict_to_vec(ctx, k, d.items(), lay) for d in syz]
     # The other rows, cut to the original components, lie in the image
     # and keep their lead terms, and every lead term of the image is a
     # multiple of one of them: they are a Groebner basis of the image.
@@ -596,7 +639,7 @@ def ideal_module_basis(ctx, ideal_basis, rank):
     """GroebnerBasis of J * F_p[x]^rank, with no Groebner run: the rank-1
     basis of the ideal J (None for J = 0) copied into every component,
     since no S-pair joins two components."""
-    lay = _Layout(ctx.nvars)
+    lay = _layout(ctx.nvars, 0)
     rows = []
     if ideal_basis is not None:
         for c in range(rank):

@@ -21,7 +21,7 @@ INFINITE exactly when (1 - s)^m does not divide Q, and otherwise that
 quotient at s = 1.
 
 Each presentation keeps the basis of im d_(p+1) + I K_p and its cycles
-as the engine's packed terms (kernel_gens converts them when read), so
+as the engine's packed vectors (kernel_gens converts them when read), so
 the annihilation check is a set of packed membership tests against it
 and makes no Groebner run of its own.  Lengths may be INFINITE; the Euler
 characteristic refuses to sum those and raises a structured error naming
@@ -33,8 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .poly import INFINITE, AlgebraError, ContractError, VectorPolynomial
-from .groebner import (_dict_to_vec, _Layout, dimension_and_length, hilbert_numerator,
-                       ideal_module_basis, syzygy_basis)
+from .groebner import (dimension_and_length, hilbert_numerator, ideal_module_basis, in_components,
+                       pack_polynomial, syzygy_basis, unpack_vector)
 from .rings import RingElement, quotient_basis
 
 
@@ -58,7 +58,8 @@ def kernel_generators(ring, matrix_over_a, budget=None):
     if not (rows and cols):
         raise ContractError("kernel of a %d x %d matrix: need at least one row and column" % (rows, cols))
     lifted = [VectorPolynomial(tuple(matrix_over_a[i][j].rep for i in range(rows))) for j in range(cols)]
-    return _ring_vectors(ring, cols, _kernel(ring, lifted, rows, budget)[0])
+    return [tuple(RingElement(ring, c) for c in unpack_vector(ring.ctx, cols, w).components)
+            for w in _kernel(ring, lifted, rows, budget)[0]]
 
 
 def _kernel(ring, lifted, rows, budget):
@@ -66,17 +67,10 @@ def _kernel(ring, lifted, rows, budget):
     lifted columns are given: one Groebner run, I * F_p[x]^rows untagged,
     and one normal form modulo I * F_p[x]^cols per syzygy.  The cycles are
     distinct nonzero packed vectors {term: coefficient} of the basis."""
-    syz, basis = syzygy_basis(lifted, budget, image=True, modulo=ring.lifted_ideal_columns(rows))
+    syz, basis = syzygy_basis(lifted, budget, modulo=ring.lifted_ideal_columns(rows))
     if ring.ideal_basis is not None:
         syz = map(ideal_module_basis(ring.ctx, ring.ideal_basis, len(lifted)).reduce_terms, syz)
     return list({frozenset(w.items()): w for w in syz if w}.values()), basis  # in syzygy order
-
-
-def _ring_vectors(ring, rank, cycles):
-    """Packed vectors of rank `rank` as tuples of RingElements."""
-    lay = _Layout(ring.ctx.nvars)
-    return [tuple(RingElement(ring, c) for c in _dict_to_vec(ring.ctx, rank, w.items(), lay).components)
-            for w in cycles]
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,7 +92,9 @@ class HomologyPresentation:
 
     @property
     def kernel_gens(self):
-        return tuple(_ring_vectors(self.cx.ring, self.cx.rank(self.p), self.cycles))
+        ring, rank = self.cx.ring, self.cx.rank(self.p)
+        return tuple(tuple(RingElement(ring, c) for c in unpack_vector(ring.ctx, rank, w).components)
+                     for w in self.cycles)
 
     def _key(self):
         return self.p, self.kernel_gens, self.length
@@ -147,7 +143,8 @@ def _presentations(cx, degrees, budget):
         num = {}  # degree -> coefficient of Q
         _add_coker_numerator(num, boundaries, cx.degrees[p], nums)
         if p == 0:
-            kernel = [{cx.lay.pack((j,) + (0,) * ring.ctx.nvars): 1} for j in range(cx.rank(0))]
+            one = pack_polynomial(ring.ctx.one())
+            kernel = [in_components(ring.ctx, [(one, j)]) for j in range(cx.rank(0))]
         else:
             kernel, cycles_out = run(p)
             _add_coker_numerator(num, cycles_out, cx.degrees[p - 1], nums)

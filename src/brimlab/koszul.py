@@ -31,9 +31,10 @@ degrees.  The label (J, alpha) of K_p has degree
 
 and each nonzero entry of d_p has degree deg(column) - deg(row).
 
-Each d_p is kept as sparse columns of the Groebner engine's packed terms
-(Monagan and Pearce), each a_ij and minor packed once; build_koszul checks
-every term's degree, verify_complex d o d = 0 modulo I, on those terms.
+Each d_p is kept as sparse columns of the Groebner engine's packed vectors
+(Monagan and Pearce), each a_ij and minor packed once and handled only
+through groebner's packed-vector functions; build_koszul checks every
+entry's degree, verify_complex d o d = 0 modulo I on those vectors.
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ from itertools import combinations, combinations_with_replacement
 from math import comb
 from typing import NamedTuple
 
-from .groebner import _dict_to_vec, _Layout, ideal_module_basis
+from .groebner import (combine, ideal_module_basis, in_components, pack_polynomial, term_component,
+                       unpack_vector)
 from .poly import ContractError
 from .rings import RingElement, SubmoduleOfFree
 
@@ -196,17 +198,16 @@ class FreeComplex:
     labels[p] is the basis of K_p as (ExteriorIndex, SymIndex) pairs and
     degrees[p] their degrees.  d_p : K_p -> K_(p-1) (1 <= p <= length)
     is stored column by column: columns[p][k], the image of labels[p][k],
-    is one dict {term: coefficient} of the Groebner engine's packed
-    terms (lay, a groebner._Layout) whose component is the row, an index
-    into labels[p-1]; its entries are normal forms modulo I, and a zero
-    entry has no term.  differential(p) builds the dense matrix of
-    RingElements on each call.  flip_sign is the one way to change an
-    entry; treat instances as frozen otherwise.
+    is one of the Groebner engine's packed vectors whose component is the
+    row, an index into labels[p-1]; its entries are normal forms modulo
+    I, and a zero entry has no term.  differential(p) builds the dense
+    matrix of RingElements on each call.  flip_sign is the one way to
+    change an entry; treat instances as frozen otherwise.
     """
 
-    __slots__ = ("ring", "matrix", "t", "length", "labels", "degrees", "columns", "lay")
+    __slots__ = ("ring", "matrix", "t", "length", "labels", "degrees", "columns")
 
-    def __init__(self, ring, matrix, t, length, labels, degrees, columns, lay):
+    def __init__(self, ring, matrix, t, length, labels, degrees, columns):
         self.ring = ring
         self.matrix = matrix
         self.t = t
@@ -214,15 +215,13 @@ class FreeComplex:
         self.labels = labels
         self.degrees = degrees
         self.columns = columns
-        self.lay = lay
 
     def rank(self, p):
         return len(self.labels.get(p, ()))
 
     def lifted_columns(self, p):
         """Columns of d_p as VectorPolynomials over F_p[x]."""
-        return [_dict_to_vec(self.ring.ctx, self.rank(p - 1), col.items(), self.lay)
-                for col in self.columns[p]]
+        return [unpack_vector(self.ring.ctx, self.rank(p - 1), col) for col in self.columns[p]]
 
     def differential(self, p):
         """Matrix of d_p as RingElements, rows indexed by labels[p-1] and
@@ -236,8 +235,9 @@ class FreeComplex:
         """Negate entry (row, col) of d_p in place: a test hook for verify_complex."""
         if not (1 <= p <= self.length and 0 <= row < self.rank(p - 1) and 0 <= col < self.rank(p)):
             raise ContractError("d_%d has no entry (%d, %d)" % (p, row, col))
-        cs, q = self.lay.comp_shift, self.ring.p
-        self.columns[p][col] = {u: q - c if u >> cs == row else c for u, c in self.columns[p][col].items()}
+        ctx = self.ring.ctx
+        self.columns[p][col] = {u: ctx.p - c if term_component(ctx, u) == row else c
+                                for u, c in self.columns[p][col].items()}
 
 
 def term_labels(r, n, t, p):
@@ -282,33 +282,30 @@ def build_koszul(matrix, t, check=True):
     if not -1 <= t <= length:
         raise ContractError("shift t=%d outside supported range [-1, %d]" % (t, length))
     ring = matrix.ring
-    lay = _Layout(ring.ctx.nvars)
     labels = {p: term_labels(r, n, t, p) for p in range(length + 1)}
     degrees = {p: tuple(label_degree(matrix, t, p, ext, sym) for ext, sym in labels[p])
                for p in labels}
     # each distinct entry packed once: a_ij below and above the splice,
     # the maximal minors at it, when the splice d_(t+1) is one of d_1..d_length
-    ent = [[_signed(e, lay) for e in row] for row in matrix.entries]
-    minors = (dict(zip(combinations(range(n), r), (_signed(g, lay) for g in fitting_ideal(matrix))))
+    ent = [[_signed(e) for e in row] for row in matrix.entries]
+    minors = (dict(zip(combinations(range(n), r), map(_signed, fitting_ideal(matrix))))
               if 0 <= t < length else None)
     columns = {}
     for p in range(1, length + 1):
         pos = {lab: i for i, lab in enumerate(labels[p - 1])}
         cols = []
         for col, (ext, sym) in enumerate(labels[p]):
-            column = {}
-            for d, lab in _image(ent, minors, t, p, ext, sym):
+            parts = []
+            for (f, deg, signed), odd, lab in _image(ent, minors, t, p, ext, sym):
                 row = pos[lab]
                 want = degrees[p][col] - degrees[p - 1][row]
-                off = row << lay.comp_shift
-                for u, c in d.items():
-                    if lay.degree(u) != want:
-                        bad = _dict_to_vec(ring.ctx, 1, d.items(), lay).components[0]
-                        raise RuntimeError("d_%d entry (%d,%d) (%s) is not of degree %d" % (p, row, col, bad, want))
-                    column[u + off] = c
-            cols.append(column)
+                if deg != want:
+                    raise RuntimeError("d_%d entry (%d,%d) (%s) is not of degree %d"
+                                       % (p, row, col, -f if odd else f, want))
+                parts.append((signed[odd], row))
+            cols.append(in_components(ring.ctx, parts))
         columns[p] = cols
-    cx = FreeComplex(ring, matrix, t, length, labels, degrees, columns, lay)
+    cx = FreeComplex(ring, matrix, t, length, labels, degrees, columns)
     if check:
         bad = verify_complex(cx)
         if bad:
@@ -316,17 +313,21 @@ def build_koszul(matrix, t, check=True):
     return cx
 
 
-def _signed(f, lay):
-    """(f, -f) for a RingElement f, as packed terms of component 0, or
-    None for f = 0."""
-    d = {lay.pack((0,) + e): c for e, c in f.rep.terms.items()}
-    return (d, {u: f.ring.p - c for u, c in d.items()}) if d else None
+def _signed(f):
+    """(f, its degree or None when f is not homogeneous, (f, -f) as packed
+    vectors of component 0) for a RingElement f, or None for f = 0."""
+    d = pack_polynomial(f.rep)
+    if not d:
+        return None
+    degs = {sum(e) for e in f.rep.terms}
+    return f, degs.pop() if len(degs) == 1 else None, (d, {u: f.ring.p - c for u, c in d.items()})
 
 
 def _image(ent, minors, t, p, ext, sym):
-    """d_p applied to one basis label of K_p, as (packed entry, label)
-    pairs with distinct labels; ent[i][j] and minors[S] are the _signed
-    pairs of a_ij and of the minor on the columns S."""
+    """d_p applied to one basis label of K_p, as (entry, sign, label)
+    triples with distinct labels, the sign 1 for a negated entry; ent[i][j]
+    and minors[S] are the _signed forms of a_ij and of the minor on the
+    columns S."""
     if p - 1 == t:
         # delta_r o ... o delta_1 (x) identity on S_0 takes ext to the sum,
         # over the r of its columns S at positions ks, of the minor on S,
@@ -338,14 +339,14 @@ def _image(ent, minors, t, p, ext, sym):
             cols = tuple(s[k] for k in ks)
             if minors[cols]:
                 face = ExteriorIndex(tuple(j for j in s if j not in cols))
-                out.append((minors[cols][(sum(ks) - r * (r - 1) // 2) % 2], (face, sym)))
+                out.append((minors[cols], (sum(ks) - r * (r - 1) // 2) % 2, (face, sym)))
         return out
     # sum_i delta_i (x) f_i-inverse above the splice, delta_i (x) f_i below
     out = []
     for i, row in enumerate(ent):
         moved = division_map(i, sym) if p - 1 > t else multiplication_map(i, sym)
         if moved is not None:
-            out += [(row[col][odd], (face, moved)) for col, odd, face in _faces(row, ext)]
+            out += [(row[col], odd, (face, moved)) for col, odd, face in _faces(row, ext)]
     return out
 
 
@@ -353,29 +354,15 @@ def verify_complex(cx):
     """All (p, row, col) positions where d_p o d_(p+1) is nonzero, sorted.
 
     Column k of the product is sum_j b_jk (column j of d_p), formed on
-    packed terms (one addition per monomial product), and reduced once
-    modulo I * K_(p-1).
+    packed vectors (groebner.combine), and reduced once modulo I * K_(p-1).
     """
     bad = []
-    lay = cx.lay
-    cs = lay.comp_shift
-    one = lay.pack((0,) * (lay.m + 1))
-    q = cx.ring.p
+    ctx = cx.ring.ctx
     for p in range(1, cx.length):
-        a = cx.columns[p]
-        ideal = ideal_module_basis(cx.ring.ctx, cx.ring.ideal_basis, cx.rank(p - 1))
+        ideal = ideal_module_basis(ctx, cx.ring.ideal_basis, cx.rank(p - 1))
         for k, col in enumerate(cx.columns[p + 1]):
-            acc = {}
-            for v, b in col.items():
-                j = v >> cs
-                s = v - (j << cs) - one  # the monomial of v as an offset
-                for u, c in a[j].items():
-                    e = (acc.get(u + s, 0) + c * b) % q
-                    if e:
-                        acc[u + s] = e
-                    else:
-                        del acc[u + s]
-            bad += [(p, i, k) for i in {u >> cs for u in ideal.reduce_terms(acc)}]
+            rem = ideal.reduce_terms(combine(ctx, cx.columns[p], col))
+            bad += [(p, i, k) for i in {term_component(ctx, u) for u in rem}]
     return sorted(bad)
 
 

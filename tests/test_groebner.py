@@ -1,5 +1,6 @@
 """Groebner engine: reduced bases, normal forms, budgets, determinism."""
 
+import ast
 import importlib
 import pathlib
 import sys
@@ -13,11 +14,15 @@ from brimlab.groebner import (
     TOP,
     Budget,
     buchberger,
+    combine,
     dimension_and_length,
     elimination_basis,
     hilbert_numerator,
+    in_components,
+    pack_polynomial,
     syzygy_basis,
-    _dict_to_vec,
+    term_component,
+    unpack_vector,
     _Layout,
     _vec_to_dict,
 )
@@ -273,9 +278,14 @@ def test_inhomogeneous_basis_is_order_free(data):
         assert gb.normal_form(g).is_zero()
 
 
+def syzygies(gens, **kwargs):
+    """syzygy_basis's syzygies as VectorPolynomials."""
+    return [unpack_vector(gens[0].ctx, len(gens), d) for d in syzygy_basis(gens, **kwargs)[0]]
+
+
 def test_syzygy_substitution_property():
     gens = [vec(X * X), vec(X * Y), vec(Y * Y)]
-    syz = syzygy_basis(gens)
+    syz = syzygies(gens)
     assert syz  # the Koszul relations exist
     for s in syz:
         acc = vec(CTX.zero())
@@ -286,22 +296,23 @@ def test_syzygy_substitution_property():
 
 def test_syzygy_of_free_generators_is_empty():
     gens = [vec(CTX.one(), CTX.zero()), vec(CTX.zero(), CTX.one())]
-    assert syzygy_basis(gens) == []
+    assert syzygies(gens) == []
 
 
 def test_syzygies_of_no_generators_are_a_contract_error():
-    for kwargs in ({}, {"image": True}, {"image": True, "modulo": [vec(X * X)]}):
+    for kwargs in ({}, {"modulo": [vec(X * X)]}):
         with pytest.raises(ContractError):
             syzygy_basis([], **kwargs)
 
 
-def tagged_reference(gens, budget=None, image=False, modulo=()):
+def tagged_reference(gens, budget=None, modulo=()):
     """syzygy_basis by the route the S-pair trace replaced, kept as its
     reference: every vector tagged, the modulo ones too, the full reduced
     Groebner basis of the tagged module, and its rows that vanish in the
     original components, cut to the tags of gens (zero cuts dropped).
     The image basis is a second run, outside the budget, over the other
-    rows cut to the original components."""
+    rows cut to the original components (None when there are none).
+    Returns them as syzygy_basis does."""
     ctx, rank, k = gens[0].ctx, gens[0].rank, len(gens)
     vectors = list(gens) + list(modulo)
     zero, one, n = ctx.zero(), ctx.one(), len(vectors)
@@ -314,10 +325,8 @@ def tagged_reference(gens, budget=None, image=False, modulo=()):
             image_rows.append(head)
         elif not tags.is_zero():
             syz.append(tags)
-    if not image:
-        return syz
     lay = _Layout(ctx.nvars)
-    return [_vec_to_dict(s, lay) for s in syz], buchberger(image_rows)
+    return [_vec_to_dict(s, lay) for s in syz], buchberger(image_rows) if image_rows else None
 
 
 def _module(vectors):
@@ -337,10 +346,10 @@ def test_trace_syzygies_generate_the_reference_module(data):
     shifts = draw(st.lists(st.integers(0, 1), min_size=rank, max_size=rank), label="shifts")
     cols, _, gens = _drawn_module(draw, ctx, shifts, draw(st.integers(rank, rank + 2)))
     modulo = gens[len(cols):] if draw(st.booleans(), label="modulo") else []
-    packed, basis = syzygy_basis(cols, image=True, modulo=modulo)
-    syz = [_dict_to_vec(ctx, len(cols), d.items(), _Layout(nvars)) for d in packed]
-    assert syz == syzygy_basis(cols, modulo=modulo)
-    want = tagged_reference(cols, modulo=modulo)
+    packed, basis = syzygy_basis(cols, modulo=modulo)
+    syz = [unpack_vector(ctx, len(cols), d) for d in packed]
+    assert syz == syzygies(cols, modulo=modulo)
+    want = [unpack_vector(ctx, len(cols), d) for d in tagged_reference(cols, modulo=modulo)[0]]
     assert _module(syz) == _module(want)
     assert basis.generators == _module(cols + modulo)
     inside = buchberger(modulo) if any(not v.is_zero() for v in modulo) else None
@@ -436,6 +445,41 @@ def test_degree_limit_inside_normal_forms():
     with pytest.raises(BudgetExceededError) as err:
         gb.contains(vec(X * X, zero))
     assert err.value.kind == "degree"
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_packed_vectors_round_trip(data):
+    # pack, move to component j and unpack agree with VectorPolynomial,
+    # and each term reads back its component, exponents and coefficient
+    nvars = data.draw(st.integers(1, 4), label="nvars")
+    ctx = PolyContext(101, ["x", "y", "z", "w"][:nvars])
+    exps = st.tuples(*[st.integers(0, 6)] * nvars)
+    f = Polynomial(ctx, data.draw(st.dictionaries(exps, st.integers(1, 100), max_size=6), label="f"))
+    g = Polynomial(ctx, data.draw(st.dictionaries(exps, st.integers(1, 100), max_size=3), label="g"))
+    j = data.draw(st.integers(0, 3), label="j")
+    moved = in_components(ctx, [(pack_polynomial(f), j)])
+    zeros = (ctx.zero(),) * j
+    assert unpack_vector(ctx, j + 1, moved) == VectorPolynomial(zeros + (f,))
+    for u, c in moved.items():
+        assert term_component(ctx, u) == j
+        (e, a), = unpack_vector(ctx, j + 1, {u: c}).components[j].terms.items()
+        assert a == f.terms[e]
+    assert unpack_vector(ctx, j + 1, combine(ctx, [moved], pack_polynomial(g))) == VectorPolynomial(zeros + (g * f,))
+
+
+def test_only_groebner_imports_its_private_names():
+    # the packed term format is groebner's alone: other modules reach it
+    # through its public functions
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "brimlab"
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "groebner.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "groebner":
+                offenders += ["%s: %s" % (path.name, a.name) for a in node.names if a.name.startswith("_")]
+    assert offenders == []
 
 
 def test_packed_terms_order_components_first():

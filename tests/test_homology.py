@@ -19,7 +19,7 @@ from brimlab.homology import (
     homology,
     kernel_generators,
 )
-from brimlab.groebner import buchberger, syzygy_basis
+from brimlab.groebner import buchberger, syzygy_basis, unpack_vector
 from brimlab.koszul import ModuleMatrix, build_koszul, fitting_ideal, sym_basis
 from brimlab.poly import ContractError, PolyContext, VectorPolynomial
 from brimlab.rings import RingElement, make_ring, quotient_basis
@@ -290,7 +290,8 @@ def syzygy_route_lengths(cx):
             continue
         k = len(kernel)
         lifted = [VectorPolynomial(tuple(v.rep for v in vec)) for vec in kernel]
-        syz = syzygy_basis(lifted + w + ring.lifted_ideal_columns(rank_p))
+        gens = lifted + w + ring.lifted_ideal_columns(rank_p)
+        syz = [unpack_vector(ring.ctx, len(gens), d) for d in syzygy_basis(gens)[0]]
         rels = [VectorPolynomial(s.components[:k]) for s in syz]
         out[p] = quotient_basis(ring, [v for v in rels if not v.is_zero()], k).colength()
     return out
@@ -363,7 +364,8 @@ def kernel_by_components(ring, matrix_over_a):
     as its reference."""
     rows, cols = len(matrix_over_a), len(matrix_over_a[0])
     out, seen = [], set()
-    for s in syzygy_basis(lifted_columns(matrix_over_a) + ring.lifted_ideal_columns(rows)):
+    gens = lifted_columns(matrix_over_a) + ring.lifted_ideal_columns(rows)
+    for s in (unpack_vector(ring.ctx, len(gens), d) for d in syzygy_basis(gens)[0]):
         vec = tuple(ring.element(c) for c in s.components[:cols])
         key = tuple(frozenset(v.rep.terms.items()) for v in vec)
         if all(v.is_zero() for v in vec) or key in seen:

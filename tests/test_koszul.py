@@ -9,6 +9,7 @@ import pytest
 
 from brimlab.corpus import ENTRIES, by_name
 from brimlab.dsl import build, parse
+from brimlab.groebner import term_component
 from brimlab.koszul import (
     ExteriorIndex,
     ModuleMatrix,
@@ -368,6 +369,6 @@ def test_export_triplets_lists_the_nonzero_entries_sorted():
                    for line in export_triplets(cx).splitlines()]
             assert got == sorted(want) == want
             # the dense view has a nonzero entry exactly where a column has a term
-            cs = cx.lay.comp_shift
-            assert {g[:3] for g in got} == {(p, u >> cs, k) for p in range(1, cx.length + 1)
+            ctx = cx.ring.ctx
+            assert {g[:3] for g in got} == {(p, term_component(ctx, u), k) for p in range(1, cx.length + 1)
                                            for k, col in enumerate(cx.columns[p]) for u in col}
