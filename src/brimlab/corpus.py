@@ -24,7 +24,6 @@ class CorpusEntry:
     len_i: int
     mu: int
     parameter: bool
-    cm: bool
     h_by_t: dict = field(hash=False)
 
     @property
@@ -69,7 +68,6 @@ module {
     len_i=6,
     mu=2,
     parameter=True,
-    cm=True,
     # regular sequence: the complex resolves A/(x^2, y^3) at every t
     h_by_t={-1: (6, 0, 0), 0: (6, 0, 0), 1: (6, 0, 0), 2: (6, 0, 0)},
 )
@@ -96,7 +94,6 @@ module {
     len_i=2,
     mu=1,
     parameter=True,
-    cm=False,
     # multiplicity 1 but colength 2: the strict inequality case, with the
     # defect showing up as H_1 = (socle element x) of length 1
     h_by_t={-1: (2, 1), 0: (2, 1), 1: (2, 1)},
@@ -126,7 +123,6 @@ module {
     len_i=2,
     mu=2,
     parameter=True,
-    cm=True,
     h_by_t={-1: (2, 0), 0: (2, 0), 1: (2, 0)},
 )
 
@@ -155,7 +151,6 @@ module {
     len_i=3,
     mu=2,
     parameter=True,
-    cm=False,
     # the two colengths differ (4 vs 3) and both exceed e_0 = 2; the
     # determinant complex (t = 0) sees the shorter quotient A/(y^2)
     h_by_t={-1: (4, 2), 0: (3, 1), 1: (4, 2)},
@@ -186,7 +181,6 @@ module {
     len_i=3,
     mu=3,
     parameter=True,
-    cm=True,
     h_by_t={-1: (3, 0, 0), 0: (3, 0, 0), 1: (3, 0, 0), 2: (3, 0, 0)},
 )
 
@@ -214,7 +208,6 @@ module {
     # three generators where dim + rank - 1 = 2: not a parameter module,
     # and the alternating sum of homology lengths collapses to zero
     parameter=False,
-    cm=False,
     h_by_t={-1: (3, 3, 0, 0), 0: (3, 3, 0, 0), 1: (3, 3, 0, 0), 2: (3, 3, 0, 0)},
 )
 

@@ -28,19 +28,27 @@ module.
 
 Normal forms pop leading terms from a heap.  S-pairs leave a heap by
 least sugar, then largest lcm (Giovini et al., ISSAC 1991); sugar is the
-lcm degree on homogeneous input.  Pair handling follows the
+(shifted) degree on homogeneous input.  Pair handling follows the
 Gebauer-Moeller update.  The coprime-lead-term shortcut is only sound for
 vectors concentrated in a single component (the classical
 one-variable-at-a-time proof multiplies the two inputs, which has no
 meaning for genuine vectors), so it is applied exactly then.
 
-When every input vector is homogeneous under the unshifted grading (all
-its terms, in every component, of one total degree), S-polynomials and
-their normal forms are homogeneous too and pairs leave the heap by
-degree.  If at the start of degree d every component's lead terms
-generate all monomials of degree d, every remaining pair reduces to zero
-term by term, so the run stops there with a Groebner basis.  Inputs of
-mixed degree run to the end.
+A run may shift the degree of each component c by s_c.  When every
+input vector is homogeneous under the shifted degrees, so are
+S-polynomials and normal forms; a row's sugar is its degree (deg(lcm) +
+s_c for a pair led in component c), and each input waits in the pair
+heap under its degree, to go in after every pair of that degree and
+below (inputs of one degree in the given order).  The run records the
+fresh inputs, whose normal form is nonzero when they go in: those
+outside the span of the inputs of their degree before them and the
+multiples of the lower-degree ones.  With the generators of I F of each
+degree first, the fresh generators of N minimally generate N modulo I F
+(Kreuzer and Robbiano, CCA 2, Ch. 4; Singular's mstd).  If at the start
+of degree d the lead terms of each component c generate every monomial
+of degree d - s_c, all remaining pairs and inputs reduce to zero term by
+term, so the run stops there.  Other runs take their inputs first, in
+order, and run to the end.
 
 buchberger returns the minimal basis.  Normal forms, membership and
 colengths need nothing more, since the full normal form against any
@@ -240,7 +248,7 @@ def _make_row(d, p, sugar, lay):
     comp = lt >> cs
     single = all(u >> cs == comp for u, _ in tail)
     deg = lay.degree(lt)
-    top = max([deg] + [lay.degree(u) for u, _ in tail])
+    top = TOP - min((u >> lay.deg_shift) & _FIELD for u in d)  # the largest term degree
     # t * row keeps every term within MAX_DEGREE iff TOP - deg(t) >= this
     excess = TOP - MAX_DEGREE + top - deg
     return _Row(lt, tail, single, sugar, deg,
@@ -412,17 +420,19 @@ class GroebnerBasis:
     minimal basis, sorted from the smallest term up; generators is the
     reduced basis in that order, monic and computed on first read, so
     equal submodules give equal generators.  pairs_used counts the
-    S-pairs of this run alone.
+    S-pairs of this run alone; fresh lists the positions in the run's
+    input of the vectors whose normal form was nonzero when they went in.
     """
 
-    __slots__ = ("ctx", "rank", "lead_terms", "pairs_used", "_lay", "_rows", "_by_comp",
+    __slots__ = ("ctx", "rank", "lead_terms", "pairs_used", "fresh", "_lay", "_rows", "_by_comp",
                  "_generators")
 
-    def __init__(self, ctx, rank, rows, pairs_used, lay):
+    def __init__(self, ctx, rank, rows, pairs_used, lay, fresh=()):
         self.ctx = ctx
         self.rank = rank
         self.lead_terms = tuple(lay.unpack(r.lt) for r in rows)
         self.pairs_used = pairs_used
+        self.fresh = fresh
         self._lay = lay
         self._rows = rows
         by_comp = {}
@@ -523,7 +533,7 @@ class GroebnerBasis:
         return total
 
 
-def buchberger(gens, budget=None, eliminate=0, tags=0):
+def buchberger(gens, budget=None, eliminate=0, tags=0, shifts=None):
     """Groebner basis of the submodule generated by gens.
 
     gens: nonempty sequence of VectorPolynomial of one common rank.
@@ -532,6 +542,8 @@ def buchberger(gens, budget=None, eliminate=0, tags=0):
     eliminate > 0 orders the terms of a component by their degree in the
     last `eliminate` variables first (see elimination_basis).  Rows led
     in the last `tags` components form no S-pairs and are all kept.
+    A term of component c has degree shifts[c] (all 0 by default) plus
+    its total degree; see the module text for homogeneous input.
     """
     gens = list(gens)
     if not gens:
@@ -542,16 +554,20 @@ def buchberger(gens, budget=None, eliminate=0, tags=0):
         if g.ctx != ctx or g.rank != rank:
             raise ContractError("generators of rank %d over %r and rank %d over %r mixed"
                                 % (rank, ctx, g.rank, g.ctx))
+    shifts = tuple(shifts or (0,) * rank)
+    if len(shifts) != rank:
+        raise ContractError("%d degree shifts for rank %d" % (len(shifts), rank))
     if budget is None:
         budget = Budget()
     p = ctx.p
     m = ctx.nvars
     lay = _layout(m, eliminate)
     cs = lay.comp_shift
-    homogeneous = all(len({sum(e) for f in g.components for e in f.terms}) <= 1 for g in gens)
+    vecs = [_vec_to_dict(g, lay) for g in gens]
+    homogeneous = all(len({sum(e) + s for f, s in zip(g.components, shifts) for e in f.terms}) <= 1 for g in gens)
+    fresh = []
     G = []
     by_comp = {}
-    P = []
     start = budget.pairs_used
     tag_from = rank - tags
 
@@ -561,41 +577,45 @@ def buchberger(gens, budget=None, eliminate=0, tags=0):
         by_comp.setdefault(row.lt >> cs, []).append(row)
         return P if row.lt >> cs >= tag_from else _update_pairs(G, P, len(G) - 1, lay)
 
-    for g in gens:
-        d = _normal_form_dict(_vec_to_dict(g, lay), by_comp, p, lay)
-        if d:
-            P = add(d, max(lay.degree(t) for t in d))
+    # input k waits under its degree (before every pair when the input is
+    # not homogeneous), behind the pairs of that degree: its lcm slot
+    # passes every term
+    P = [(lay.degree(min(d)) + shifts[min(d) >> cs] if homogeneous else -1, (rank << cs) + k, -1, k)
+         for k, d in enumerate(vecs) if d]
+    heapify(P)
     open_comps = range(rank)
     deg_done = 0
     while P:
         sugar, lcm_t, i, j = P[0]
         if homogeneous and sugar > deg_done:
-            # every pair below this degree is done: stop if nothing is left
-            # to find from here up
+            # every pair and input below this degree is done: stop if
+            # nothing is left to find from here up, component c being
+            # filled at degree sugar - shifts[c]
             deg_done = sugar
-            open_comps = [c for c in open_comps if not _fills_degree(
-                [lay.unpack(r.lt)[1:] for r in by_comp.get(c, ())], m, sugar)]
+            open_comps = [c for c in open_comps if sugar < shifts[c] or not _fills_degree(
+                [lay.unpack(r.lt)[1:] for r in by_comp.get(c, ())], m, sugar - shifts[c])]
             if not open_comps:
                 break
         heappop(P)
+        if i < 0:  # input j goes in
+            h = _normal_form_dict(vecs[j], by_comp, p, lay)
+            if h:
+                fresh.append(j)
+                P = add(h, max(lay.degree(t) + shifts[t >> cs] for t in h))
+            continue
         deg = lay.degree(lcm_t)
         if deg > budget.max_degree:
-            raise BudgetExceededError(
-                "degree",
-                "degree budget exceeded: S-pair lcm degree %d > %d" % (deg, budget.max_degree),
-            )
-        if deg > budget.max_degree_seen:
-            budget.max_degree_seen = deg
+            raise BudgetExceededError("degree", "degree budget exceeded: S-pair lcm degree %d > %d"
+                                      % (deg, budget.max_degree))
+        budget.max_degree_seen = max(budget.max_degree_seen, deg)
         budget.pairs_used += 1
         if budget.pairs_used > budget.max_pairs:
-            raise BudgetExceededError(
-                "pairs",
-                "pair budget exceeded: more than %d S-pairs" % budget.max_pairs,
-            )
+            raise BudgetExceededError("pairs", "pair budget exceeded: more than %d S-pairs" % budget.max_pairs)
         h = _normal_form_dict(_spoly(G[i], G[j], lcm_t, p, lay), by_comp, p, lay)
         if h:
             P = add(h, sugar)
-    return GroebnerBasis(ctx, rank, _minimal_rows(by_comp, lay, tag_from), budget.pairs_used - start, lay)
+    return GroebnerBasis(ctx, rank, _minimal_rows(by_comp, lay, tag_from), budget.pairs_used - start, lay,
+                         tuple(fresh))
 
 
 def syzygy_basis(gens, budget=None, modulo=()):

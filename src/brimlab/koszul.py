@@ -46,7 +46,7 @@ from typing import NamedTuple
 from .groebner import (combine, ideal_module_basis, in_components, pack_polynomial, term_component,
                        unpack_vector)
 from .poly import ContractError
-from .rings import RingElement, SubmoduleOfFree
+from .rings import RingElement, SubmoduleOfFree, grading
 
 
 class ExteriorIndex(NamedTuple):
@@ -107,7 +107,7 @@ class ModuleMatrix:
                     )
         if n < r:
             raise ContractError("matrix is %d x %d; need at least as many columns as rows" % (r, n))
-        self.row_shifts, self.col_degrees = _check_graded(rows)
+        self.row_shifts, self.col_degrees = grading(r, list(zip(*rows)))
         self.ring = ring
         self.r = r
         self.n = n
@@ -122,34 +122,6 @@ class ModuleMatrix:
 
     def __str__(self):
         return "[" + ", ".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.entries) + "]"
-
-
-def _check_graded(rows):
-    """Row shifts e_i and column degrees d_j with deg a_ij = d_j - e_i for
-    every nonzero entry, as two tuples, or ContractError when there are
-    none: one walk over the bipartite graph of nonzero entries, each
-    component's first row at 0 and a column with no entry at 0."""
-    r, n = len(rows), len(rows[0])
-    level = {}  # e_i at node i, d_j at node r + j
-    for root in range(r):
-        if root in level:
-            continue
-        level[root] = 0
-        todo = [root]
-        while todo:
-            v = todo.pop()
-            for i, j in [(v, j) for j in range(n)] if v < r else [(i, v - r) for i in range(r)]:
-                ent = rows[i][j]
-                if ent.is_zero():
-                    continue
-                w, want = (r + j, level[i] + ent.degree()) if v < r else (i, level[v] - ent.degree())
-                if w not in level:
-                    level[w] = want
-                    todo.append(w)
-                elif level[w] != want:
-                    raise ContractError("entry (%d,%d) (%s) breaks the grading: no row shifts and "
-                                        "column degrees make the matrix a graded map" % (i + 1, j + 1, ent))
-    return tuple(level[i] for i in range(r)), tuple(level.get(r + j, 0) for j in range(n))
 
 
 def contraction(matrix, i, idx):

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 from .poly import (
     INFINITE,
-    AlgebraError,
     ContractError,
     PolyContext,
     Polynomial,
@@ -68,14 +67,9 @@ class GradedRing:
     def lifted_ideal_columns(self, rank):
         """The vectors g*e_j for ideal generators g, used to work over A
         by lifting module questions to the free polynomial ring."""
-        cols = []
         zero = self.ctx.zero()
-        for g in self.ideal_gens:
-            for j in range(rank):
-                comps = [zero] * rank
-                comps[j] = g
-                cols.append(VectorPolynomial(tuple(comps)))
-        return cols
+        return [VectorPolynomial(tuple(g if k == j else zero for k in range(rank)))
+                for g in self.ideal_gens for j in range(rank)]
 
     def __eq__(self, other):
         return (
@@ -187,12 +181,12 @@ def make_ring(p, variables, ideal_gens=(), budget=None):
 class SubmoduleOfFree:
     """Submodule N of A^rank given by a finite list of generating vectors.
 
-    Generators are tuples of RingElement; every nonzero entry must be
-    homogeneous (degree zero entries are allowed here, parameter-module
-    checks reject them separately).
+    Generators are tuples of RingElement, homogeneous under the row
+    shifts kept as shifts (see grading); degree zero entries are allowed
+    here, parameter-module checks reject them separately.
     """
 
-    __slots__ = ("ring", "rank", "generators")
+    __slots__ = ("ring", "rank", "generators", "shifts")
 
     def __init__(self, ring, rank, generators):
         if rank < 1:
@@ -211,20 +205,50 @@ class SubmoduleOfFree:
         self.ring = ring
         self.rank = rank
         self.generators = tuple(gens)
+        self.shifts = grading(rank, gens)[0]
 
     def lifted_generators(self):
         return [VectorPolynomial(tuple(e.rep for e in vec)) for vec in self.generators]
 
 
-def quotient_basis(ring, lifted_vectors, rank, budget=None):
-    """GroebnerBasis of the nonzero lifted vectors plus I * F_p[x]^rank,
-    the submodule whose quotient is A^rank / (vectors).  Without a nonzero
-    vector it is I * F_p[x]^rank, built from the ring's own basis with no
-    Groebner run (for I = 0 the empty basis, whose colength is INFINITE)."""
+def grading(rank, columns):
+    """Row shifts e_i and column degrees d_j with deg a_ij = d_j - e_i for
+    every nonzero entry a_ij = columns[j][i], as two tuples, or
+    ContractError when there are none: one walk over the bipartite graph
+    of nonzero entries, each component's first row at 0 and a column with
+    no entry at 0."""
+    r, n = rank, len(columns)
+    level = {}  # e_i at node i, d_j at node r + j
+    for root in range(r):
+        if root in level:
+            continue
+        level[root] = 0
+        todo = [root]
+        while todo:
+            v = todo.pop()
+            for i, j in [(v, j) for j in range(n)] if v < r else [(i, v - r) for i in range(r)]:
+                ent = columns[j][i]
+                if ent.is_zero():
+                    continue
+                w, want = (r + j, level[i] + ent.degree()) if v < r else (i, level[v] - ent.degree())
+                if w not in level:
+                    level[w] = want
+                    todo.append(w)
+                elif level[w] != want:
+                    raise ContractError("entry (%d,%d) (%s) breaks the grading: no row shifts and "
+                                        "column degrees make the matrix a graded map" % (i + 1, j + 1, ent))
+    return tuple(level[i] for i in range(r)), tuple(level.get(r + j, 0) for j in range(n))
+
+
+def quotient_basis(ring, lifted_vectors, rank, budget=None, shifts=None):
+    """GroebnerBasis of the submodule whose quotient is A^rank / (vectors):
+    I * F_p[x]^rank and the nonzero lifted vectors, given to buchberger in
+    that order with the row shifts.  Without a nonzero vector it is built
+    from the ring's own basis with no Groebner run (for I = 0, empty)."""
     cols = [v for v in lifted_vectors if not v.is_zero()]
     if not cols:
         return ideal_module_basis(ring.ctx, ring.ideal_basis, rank)
-    return buchberger(cols + ring.lifted_ideal_columns(rank), budget)
+    return buchberger(ring.lifted_ideal_columns(rank) + cols, budget, shifts=shifts)
 
 
 def ideal_colength(ring, gens, budget=None):
@@ -234,31 +258,23 @@ def ideal_colength(ring, gens, budget=None):
     return quotient_basis(ring, lifted, 1, budget).colength()
 
 
+def _colength_run(ring, sub, budget):
+    """The Groebner run of N + I A^rank, and mu(N) read off it."""
+    basis = quotient_basis(ring, sub.lifted_generators(), sub.rank, budget, sub.shifts)
+    return basis, sum(k >= len(ring.ideal_gens) * sub.rank for k in basis.fresh)
+
+
 def submodule_colength(ring, sub, budget=None):
     """Length of A^rank / N for a SubmoduleOfFree N, or INFINITE."""
-    return quotient_basis(ring, sub.lifted_generators(), sub.rank, budget).colength()
+    return _colength_run(ring, sub, budget)[0].colength()
 
 
 def min_generators(ring, sub, budget=None):
-    """Minimal number of generators of N, via the two colengths of N and
-    of (x1..xm)N inside A^rank.  Requires N of finite colength."""
-    ln = submodule_colength(ring, sub, budget)
-    if ln is INFINITE:
-        raise AlgebraError("minimal generator count needs finite colength")
-    return _min_generators(ring, sub, ln, budget)
-
-
-def _min_generators(ring, sub, ln, budget):
-    """min_generators given ln = l(A^rank / N), finite."""
-    scaled = []
-    for vec in sub.lifted_generators():
-        for i in range(ring.ctx.nvars):
-            xi = ring.ctx.variable(i)
-            scaled.append(vec.scale(xi))
-    lmn = quotient_basis(ring, scaled, sub.rank, budget).colength()
-    if lmn is INFINITE:  # m^j A^rank inside N puts m^(j+1) A^rank inside (x1..xm)N
-        raise RuntimeError("l(A^rank / (x1..xm)N) is infinite although l(A^rank / N) = %d" % ln)
-    return lmn - ln
+    """Minimal number of generators of N, dim N / (x1..xm)N by graded
+    Nakayama: the generators of N that are fresh in the run of
+    N + I A^rank, which takes its inputs by degree, the columns of
+    I A^rank of a degree before the generators of N (see buchberger)."""
+    return _colength_run(ring, sub, budget)[1]
 
 
 @dataclass(frozen=True)
@@ -269,7 +285,7 @@ class ParameterVerdict:
     inside_max_ideal: bool
     generators_match: bool  # minimal generators == dim A + rank - 1
     colength: object        # int or INFINITE
-    mu: object              # int or None when not computable
+    mu: object              # int, or None when the colength is infinite
 
     @property
     def ok(self):
@@ -279,15 +295,13 @@ class ParameterVerdict:
 def is_parameter_module(ring, sub, budget=None):
     """Check the three defining conditions for a parameter module:
     finite colength, containment in (x1..xm)A^rank, and exactly
-    dim A + rank - 1 minimal generators."""
-    inside = all(
-        ent.is_zero() or ent.degree() >= 1
-        for vec in sub.generators
-        for ent in vec
-    )
-    ln = submodule_colength(ring, sub, budget)
+    dim A + rank - 1 minimal generators.  One Groebner run of
+    N + I A^rank gives both the colength and, when it is finite, the
+    generator count (see min_generators)."""
+    inside = all(ent.is_zero() or ent.degree() >= 1 for vec in sub.generators for ent in vec)
+    basis, mu = _colength_run(ring, sub, budget)
+    ln = basis.colength()
     if ln is INFINITE:
         return ParameterVerdict(False, inside, False, INFINITE, None)
-    mu = _min_generators(ring, sub, ln, budget)
     target = ring.dimension + sub.rank - 1
     return ParameterVerdict(True, inside, mu == target, ln, mu)

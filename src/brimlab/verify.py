@@ -43,7 +43,8 @@ def check_corpus(entries=None, budget=None):
     """Analyze every corpus entry and diff against its frozen record.
 
     Returns (rows, violations) where rows are table tuples
-    (name, d, r, n, len_F, len_I, e0, cm, status).
+    (name, d, r, n, len_F, len_I, e0, cm_witness, status), the witness
+    as computed: yes, no or - for none (not a parameter module).
     """
     rows = []
     violations = []
@@ -73,12 +74,12 @@ def check_corpus(entries=None, budget=None):
         status = "ok" if len(violations) == before else "MISMATCH"
         rows.append((entry.name, ring.dimension, matrix.r, matrix.n,
                      rep.len_f_mod_n, rep.len_a_mod_in, rep.e0,
-                     "CM" if entry.cm else "non-CM", status))
+                     {True: "yes", False: "no", None: "-"}[rep.verdicts["cm_witness"]], status))
     return rows, violations
 
 
 def corpus_table(rows):
-    header = ("name", "d", "r", "n", "l(F/N)", "l(A/I(N))", "e0", "CM?", "status")
+    header = ("name", "d", "r", "n", "l(F/N)", "l(A/I(N))", "e0", "witness", "status")
     all_rows = [header] + [tuple(str(c) for c in row) for row in rows]
     widths = [max(len(r[i]) for r in all_rows) for i in range(len(header))]
     lines = []

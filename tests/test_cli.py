@@ -159,6 +159,11 @@ def test_verify_corpus_table(capsys):
     for name in ("E1", "E2", "E3", "E4", "E5", "E6"):
         assert name in out
     assert "MISMATCH" not in out
+    # the computed cm_witness, not the frozen flag: E6 is no parameter module
+    rows = {line.split()[0]: line.split() for line in out.splitlines()[2:]}
+    assert out.split()[7] == "witness"
+    assert [rows[name][7] for name in ("E1", "E2", "E3", "E4", "E5", "E6")] == \
+        ["yes", "no", "yes", "no", "yes", "-"]
 
 
 def test_corpus_filter(capsys):

@@ -216,6 +216,7 @@ def test_colength_matches_degreewise_oracle(data):
     columns = draw(st.integers(rank, rank + 2), label="columns")
     cols, ideal, gens = _drawn_module(draw, ctx, shifts, columns)
     got = buchberger(gens).colength()
+    assert buchberger(gens, shifts=shifts).colength() == got  # by degree, with the stop
     # F/N is generated in degrees <= 1, so its top degree is at most its length
     cap = (12 if nvars == 2 else 7) if got is INFINITE else got + 2
     want = oracles.module_length(p, nvars, rank, [[c.terms for c in v.components] for v in cols],
@@ -257,6 +258,34 @@ def test_mixed_degree_run_does_not_stop_early():
     want = oracles.module_length(101, 2, 2, [[c.terms for c in v.components] for v in gens],
                                  [], shifts=[0, 1])
     assert gb.colength() == want == 3
+    # under the shifts (0, 1) the same vectors are homogeneous of degree 1
+    assert buchberger(gens, shifts=(0, 1)).generators == gb.generators
+
+
+def test_shifted_pairs_go_before_inputs_of_their_degree():
+    # Under the shifts (0, -1), S((0, x^2 + y^2), (0, xy)) = (0, y^3) has
+    # degree 2, the degree of the fourth input: that pair must run first,
+    # so the fourth input is not fresh.
+    zero = CTX.zero()
+    gens = [vec(X, Y * Y), vec(zero, X * X + Y * Y), vec(zero, X * Y), vec(zero, Y * Y * Y)]
+    gb = buchberger(gens, shifts=(0, -1))
+    assert sorted(gb.fresh) == [0, 1, 2]
+
+
+def test_shifted_component_is_filled_at_its_own_degree():
+    # Under the shifts (0, 1) component 1 holds x^3 and y^3 from degree 4:
+    # they cover every monomial of degree 5 but not x^2 y^2, which the
+    # last input brings at shifted degree 5.  The run must not stop there.
+    zero = CTX.zero()
+    gens = [vec(X, zero), vec(Y ** 4, zero), vec(Y ** 4, X ** 3), vec(zero, Y ** 3), vec(zero, X * X * Y * Y)]
+    gb = buchberger(gens, shifts=(0, 1))
+    assert sorted(gb.fresh) == [0, 1, 2, 3, 4]
+    assert gb.colength() == 4 + 8 == buchberger(gens).colength()
+    # Under (0, 3) component 1 has no monomial of degree 1 or 2: it is not
+    # filled there, and its inputs, of degree 4, still go in.
+    gens = [vec(X, zero), vec(Y, zero), vec(zero, X), vec(zero, Y)]
+    gb = buchberger(gens, shifts=(0, 3))
+    assert sorted(gb.fresh) == [0, 1, 2, 3] and gb.colength() == 2
 
 
 @given(st.data())

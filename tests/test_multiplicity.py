@@ -249,13 +249,6 @@ def test_coefficients_per_corpus():
         check_table(table, [lambda_value(mat, k) for k in range(1, 2 * len(table.values) + 1)])
 
 
-def test_corpus_cm_flags_match_their_witness():
-    # a parameter module is marked CM exactly when one colength equals e0
-    for entry in ENTRIES:
-        if entry.parameter:
-            assert entry.cm == (entry.len_f == entry.e0 or entry.len_i == entry.e0)
-
-
 # lambda reaches its polynomial only at k = 3 (LATE) and at k = 5 (LATER);
 # LATE_BOUND checks the polynomial well past the printed table
 LATE = ("ring { p = 101 vars = [x, y] }\n"

@@ -2,9 +2,9 @@
 
 import pathlib
 import sys
-from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from brimlab.corpus import ENTRIES
 from brimlab.dsl import build
@@ -161,49 +161,133 @@ def test_parameter_module_verdict_fields():
     thin = SubmoduleOfFree(ring, 1, [(x,)])
     v = is_parameter_module(ring, thin)
     assert not v.ok and not v.finite_colength
-    assert v.colength is INFINITE
+    assert v.colength is INFINITE and v.mu is None
+    assert min_generators(ring, thin) == 1  # read off the same run, finite colength or not
 
 
-def test_infinite_colength_of_mn_is_a_program_fault(monkeypatch):
-    # l(F/mN) is finite whenever l(F/N) is; an infinite one must not
-    # become mu = inf and a quiet "not a parameter module", with or
-    # without python -O
-    import brimlab.rings as rings_mod
+RINGS = {  # name -> (variables, ideal generators as {exponents: coefficient})
+    "P1": ("x", []),
+    "P2": ("xy", []),
+    "P3": ("xyz", []),
+    "cone": ("xyz", [{(1, 1, 0): 1, (0, 0, 2): -1}]),
+    "ncm": ("xyz", [{(2, 0, 0): 1}, {(1, 1, 0): 1}]),
+}
+
+
+def _form(draw, ring, degree):
+    """A drawn form of the given degree as an element of ring."""
+    items = [(e, draw(st.integers(0, ring.p - 1)))
+             for e in oracles.monomials_of_degree(ring.ctx.nvars, degree)]
+    return ring.element(Polynomial.from_terms(ring.ctx, items))
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_mu_from_the_colength_run_matches_the_dense_oracle(data):
+    # mu(N) = l(F/mN) - l(F/N), both counted degree by degree.  The
+    # columns are homogeneous under unequal row shifts and of mixed
+    # degrees; a column of the lowest degree has a unit in a row of the
+    # largest shift, and the redundant columns are sums of multiples of
+    # the others, so over a quotient ring they are redundant only modulo
+    # I F.
+    draw = data.draw
+    p = draw(st.sampled_from([2, 3, 101]), label="p")
+    names, ideal = RINGS[draw(st.sampled_from(sorted(RINGS)), label="ring")]
+    ctx = PolyContext(p, list(names))
+    ring = make_ring(p, list(names), [Polynomial(ctx, g) for g in ideal])
+    rank = draw(st.integers(1, 3 if ctx.nvars < 3 else 2), label="rank")
+    shifts = draw(st.lists(st.integers(0, 2), min_size=rank, max_size=rank), label="shifts")
+    low = max(shifts)
+    cols = []  # (degree, column)
+    for _ in range(draw(st.integers(rank + ring.dimension - 1, rank + ring.dimension), label="columns")):
+        d = draw(st.integers(low, low + (2 if ctx.nvars < 3 else 1)), label="degree")
+        cols.append((d, [_form(draw, ring, d - s) for s in shifts]))
+    for _ in range(draw(st.integers(0, 2), label="redundant columns")):
+        d = draw(st.integers(low + 1, low + 2), label="degree")
+        acc = [ring.zero()] * rank
+        for dj, col in draw(st.lists(st.sampled_from(cols), min_size=1, max_size=3), label="multiplied"):
+            if dj <= d:
+                g = _form(draw, ring, d - dj)
+                acc = [a + g * c for a, c in zip(acc, col)]
+        cols.append((d, acc))
+    gens = [cols[k][1] for k in draw(st.permutations(range(len(cols))), label="order")]
+    sub = SubmoduleOfFree(ring, rank, gens)
+    v = is_parameter_module(ring, sub)
+    vectors = [[dict(c.rep.terms) for c in g] for g in gens]
+    ideal_polys = [dict(g.terms) for g in ring.ideal_gens]
+    if v.colength is INFINITE:
+        assert v.mu is None and not v.finite_colength
+        assert oracles.module_length(p, ctx.nvars, rank, vectors, ideal_polys, low + 8, shifts) == oracles.INF
+        return
+    mn = [[{tuple(a + (k == i) for k, a in enumerate(e)): c for e, c in comp.items()} for comp in vec]
+          for vec in vectors for i in range(ctx.nvars)]
+    cap = low + 4 + v.colength + v.mu
+    ln = oracles.module_length(p, ctx.nvars, rank, vectors, ideal_polys, cap, shifts)
+    lmn = oracles.module_length(p, ctx.nvars, rank, mn, ideal_polys, cap, shifts)
+    assert (ln, lmn - ln) == (v.colength, v.mu)
+    assert min_generators(ring, sub) == v.mu
+
+
+def test_generator_redundant_only_modulo_the_ideal():
+    # Over F_101[x,y,z]/(x^2, xy), xz = x(x + z) - x^2 lies in mN + I but
+    # not in mN: it is redundant only once the column x^2 of degree 2
+    # has gone in.
+    ring = make_ring(101, ["x", "y", "z"], [Polynomial(PolyContext(101, ["x", "y", "z"]), g)
+                                            for g in RINGS["ncm"][1]])
+    x, z = ring.variable(0), ring.variable(2)
+    assert min_generators(ring, SubmoduleOfFree(ring, 1, [(x + z,), (x * z,)])) == 1
+
+
+def test_run_may_stop_while_higher_inputs_wait(monkeypatch):
+    # The unit fills every degree from 1 up, so the run stops at degree 1
+    # with x, given first, still waiting; x is not counted.
+    import brimlab.groebner as groebner_mod
 
     ring = make_ring(101, ["x", "y"])
-    sub = SubmoduleOfFree(ring, 1, [(ring.variable(0),), (ring.variable(1),)])
-    real = rings_mod.quotient_basis
-    calls = []
+    sub = SubmoduleOfFree(ring, 1, [(ring.variable(0),), (ring.one(),)])
+    reduced = []
+    real = groebner_mod._normal_form_dict
 
-    def second_unbounded(*args):
-        calls.append(args)
-        return real(*args) if len(calls) == 1 else SimpleNamespace(colength=lambda: INFINITE)
+    def counted(vec, *args):
+        reduced.append(dict(vec))
+        return real(vec, *args)
 
-    monkeypatch.setattr(rings_mod, "quotient_basis", second_unbounded)
-    with pytest.raises(RuntimeError):
-        is_parameter_module(ring, sub)
-    assert len(calls) == 2
+    monkeypatch.setattr(groebner_mod, "_normal_form_dict", counted)
+    v = is_parameter_module(ring, sub)
+    assert (v.colength, v.mu) == (0, 1)
+    assert len(reduced) == 1  # only the unit went in
 
 
 def test_parameter_test_runs_each_groebner_basis_once(monkeypatch):
+    # one run of N + I F gives both l(F/N) and mu(N)
     import brimlab.rings as rings_mod
 
-    ring = make_ring(101, ["x", "y"])
-    x = ring.variable(0)
-    y = ring.variable(1)
-    zero = ring.zero()
-    sub = SubmoduleOfFree(ring, 2, [(x, zero), (y, x), (zero, y)])
     calls = []
     real = rings_mod.buchberger
 
-    def counted(gens, budget=None):
+    def counted(gens, budget=None, **kwargs):
         calls.append(len(gens))
-        return real(gens, budget)
+        return real(gens, budget, **kwargs)
 
     monkeypatch.setattr(rings_mod, "buchberger", counted)
-    assert is_parameter_module(ring, sub).ok
-    # one run for l(F/N), one for l(F/mN)
-    assert calls == [3, 6]
+    for ideal, ideal_columns in (([], 0), ([X * X, X * Y], 4)):
+        ring = make_ring(101, ["x", "y"], ideal)
+        x = ring.variable(0)
+        y = ring.variable(1)
+        zero = ring.zero()
+        sub = SubmoduleOfFree(ring, 2, [(x, zero), (y, x), (zero, y)])
+        calls.clear()
+        is_parameter_module(ring, sub)
+        assert calls == [ideal_columns + 3]
+
+
+def test_submodule_needs_a_grading():
+    ring = make_ring(101, ["x", "y"])
+    x, y = ring.variable(0), ring.variable(1)
+    # (x, y) and (x, y^2) ask the second row for shifts 0 and 1 at once
+    with pytest.raises(ContractError, match="breaks the grading"):
+        SubmoduleOfFree(ring, 2, [(x, y), (x, y * y)])
+    assert SubmoduleOfFree(ring, 2, [(x, y * y), (y, x * y)]).shifts == (0, -1)
 
 
 def test_parameter_rejects_unit_components():
