@@ -13,7 +13,6 @@ Budgets apply per command via --budget-pairs / --budget-degree.
 
 import argparse
 import functools
-import json
 import sys
 import time
 import traceback
@@ -108,44 +107,44 @@ def _mutator(flip):
     return mutate
 
 
+def _finish(head, violations):
+    """Write head and the violations; the exit code says whether there were any."""
+    sys.stdout.write(head)
+    for v in violations:
+        sys.stdout.write(str(v) + "\n")
+    return EXIT_VIOLATION if violations else EXIT_OK
+
+
 def cmd_verify(args):
     if args.corpus:
         for given, what in ((args.file, "problem file"), (args.t_range, "--t-range"),
                             (args.flip_sign, "--flip-sign")):
             if given is not None:
                 raise ContractError("verify --corpus takes no %s" % what)
-        rows, violations = check_corpus(budget=_budget(_merged_options(args)))
-        sys.stdout.write(corpus_table(rows))
-    else:
-        if not args.file:
-            raise ContractError("verify needs a problem file or --corpus")
-        spec = parse(_read_text(args.file))
-        opts = _merged_options(args, spec.options)
-        budget = _budget(opts)
-        ring, matrix = build(spec, budget)
-        mutate = _mutator(args.flip_sign) if args.flip_sign else None
-        rep, violations = verify_instance(ring, matrix, budget,
-                                          trange=_trange(opts), mutate=mutate)
-        checked = sum(1 for v in rep.verdicts.values() if v is not None)
-        sys.stdout.write("checked %d verdicts, %d violation(s)\n" % (checked, len(violations)))
-    for v in violations:
-        sys.stdout.write(str(v) + "\n")
-    return EXIT_VIOLATION if violations else EXIT_OK
+        return cmd_corpus(args)
+    if not args.file:
+        raise ContractError("verify needs a problem file or --corpus")
+    spec = parse(_read_text(args.file))
+    opts = _merged_options(args, spec.options)
+    budget = _budget(opts)
+    ring, matrix = build(spec, budget)
+    mutate = _mutator(args.flip_sign) if args.flip_sign else None
+    rep, violations = verify_instance(ring, matrix, budget, trange=_trange(opts), mutate=mutate)
+    checked = sum(1 for v in rep.verdicts.values() if v is not None)
+    return _finish("checked %d verdicts, %d violation(s)\n" % (checked, len(violations)), violations)
 
 
 def cmd_corpus(args):
     entries = corpus_mod.ENTRIES
-    if args.names:
-        wanted = set(args.names)
+    names = getattr(args, "names", None)  # verify --corpus has no names: every entry
+    if names:
+        wanted = set(names)
         unknown = wanted - {e.name for e in entries}
         if unknown:
             raise ContractError("unknown corpus entries: %s" % ", ".join(sorted(unknown)))
         entries = tuple(e for e in entries if e.name in wanted)
     rows, violations = check_corpus(entries, budget=_budget(_merged_options(args)))
-    sys.stdout.write(corpus_table(rows))
-    for v in violations:
-        sys.stdout.write(str(v) + "\n")
-    return EXIT_VIOLATION if violations else EXIT_OK
+    return _finish(corpus_table(rows), violations)
 
 
 def cmd_spread(args):
@@ -161,18 +160,11 @@ def cmd_spread(args):
     budget = _budget(opts)
     ring, matrix = build(spec, budget)
     result = buchsbaum_spread(ring, matrix.r, samples, seed, budget=budget)
+    ring_doc = report_mod.ring_json(ring)
     if fmt == "json":
-        ring_doc = {
-            "p": ring.p,
-            "vars": list(ring.names),
-            "ideal": [str(g) for g in ring.ideal_gens],
-            "dim": ring.dimension,
-        }
-        doc = report_mod.spread_json(result, ring_doc)
-        sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(report_mod.to_json(report_mod.spread_json(result, ring_doc)))
     else:
-        quot = " / (%s)" % ", ".join(str(g) for g in ring.ideal_gens) if ring.ideal_gens else ""
-        line = "F_%d[%s]%s, rank %d" % (ring.p, ", ".join(ring.names), quot, matrix.r)
+        line = "%s, rank %d" % (report_mod.ring_text(ring_doc), matrix.r)
         sys.stdout.write(report_mod.render_spread_text(result, line))
     return EXIT_OK
 

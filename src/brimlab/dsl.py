@@ -208,93 +208,93 @@ def _eval_poly(node, ctx):
     return a + b if kind == "+" else a - b if kind == "-" else a * b
 
 
+def _open(ps, name, what):
+    """Take the `name {` header of a block."""
+    tok = ps.take("ident", what)
+    if tok.value != name:
+        raise ParseError("expected %s, found %r" % (what, tok.value), tok.line, tok.col)
+    ps.take("{", "'{'")
+
+
+def _settings(ps, what, noun, read):
+    """Read `key = value` lines up to '}': ({key: read(ps, key token)}, the '}' token)."""
+    values = {}
+    while not ps.at("}"):
+        key = ps.take("ident", what)
+        ps.take("=", "'='")
+        if key.value in values:
+            raise ParseError("duplicate %s %r" % (noun, key.value), key.line, key.col)
+        values[key.value] = read(ps, key)
+    return values, ps.take("}", "'}'")
+
+
+def _require(block, values, keys, close):
+    for key in keys:
+        if key not in values:
+            raise ParseError("%s block is missing %r" % (block, key), close.line, close.col)
+
+
+def _items(ps, item, opening="'['", closing="']'", empty=False):
+    """A bracketed comma list: (its '[' token, [item() for each entry])."""
+    first = ps.take("[", opening)
+    items = []
+    if not (empty and ps.at("]")):
+        items.append(item())
+        while ps.at(","):
+            ps.take()
+            items.append(item())
+    ps.take("]", closing)
+    return first, items
+
+
+def _ring_value(ps, key):
+    if key.value == "p":
+        return ps.take("int", "a prime").value
+    if key.value == "vars":
+        return tuple(_items(ps, lambda: ps.take("ident", "a variable name").value)[1])
+    if key.value == "ideal":
+        return _items(ps, ps.expr, empty=True)[1]
+    raise ParseError("unknown ring setting %r" % key.value, key.line, key.col)
+
+
+def _module_value(ps, key):
+    if key.value == "rank":
+        return ps.take("int", "a positive integer").value
+    if key.value == "matrix":  # the opening '[' token, kept for error positions, and the rows
+        return _items(ps, lambda: _items(ps, ps.expr, "'[' starting a matrix row")[1],
+                      closing="']' closing the matrix")
+    raise ParseError("unknown module setting %r" % key.value, key.line, key.col)
+
+
+def _option_value(ps, key):
+    if key.value not in OPTION_KEYS:
+        raise ParseError("unknown option %r (known: %s)" % (key.value, ", ".join(OPTION_KEYS)),
+                         key.line, key.col)
+    if key.value == "format":
+        val = ps.take("ident", "one of %s" % ", ".join(FORMATS))
+        if val.value not in FORMATS:
+            raise ParseError("format must be one of %s" % ", ".join(FORMATS), val.line, val.col)
+        return val.value
+    neg = ps.at("-")
+    if neg:
+        ps.take()
+    val = ps.take("int", "an integer").value
+    return -val if neg else val
+
+
 def parse(text):
     """Parse a problem text into a ProblemSpec."""
     ps = _Parser(_lex(text))
-    tok = ps.take("ident", "a 'ring' block")
-    if tok.value != "ring":
-        raise ParseError("expected a 'ring' block, found %r" % tok.value, tok.line, tok.col)
-    ps.take("{", "'{'")
-    p = None
-    variables = None
-    ideal_nodes = None
-    while not ps.at("}"):
-        key = ps.take("ident", "a ring setting (p, vars, ideal)")
-        ps.take("=", "'='")
-        if key.value == "p":
-            if p is not None:
-                raise ParseError("duplicate setting 'p'", key.line, key.col)
-            p = ps.take("int", "a prime").value
-        elif key.value == "vars":
-            if variables is not None:
-                raise ParseError("duplicate setting 'vars'", key.line, key.col)
-            ps.take("[", "'['")
-            names = [ps.take("ident", "a variable name").value]
-            while ps.at(","):
-                ps.take()
-                names.append(ps.take("ident", "a variable name").value)
-            ps.take("]", "']'")
-            variables = tuple(names)
-        elif key.value == "ideal":
-            if ideal_nodes is not None:
-                raise ParseError("duplicate setting 'ideal'", key.line, key.col)
-            ps.take("[", "'['")
-            ideal_nodes = []
-            if not ps.at("]"):
-                ideal_nodes.append(ps.expr())
-                while ps.at(","):
-                    ps.take()
-                    ideal_nodes.append(ps.expr())
-            ps.take("]", "']'")
-        else:
-            raise ParseError("unknown ring setting %r" % key.value, key.line, key.col)
-    close = ps.take("}", "'}'")
-    if p is None:
-        raise ParseError("ring block is missing 'p'", close.line, close.col)
-    if variables is None:
-        raise ParseError("ring block is missing 'vars'", close.line, close.col)
-    ctx = PolyContext(p, variables)
-    ideal = tuple(_eval_poly(nd, ctx) for nd in ideal_nodes or ())
+    _open(ps, "ring", "a 'ring' block")
+    ring, close = _settings(ps, "a ring setting (p, vars, ideal)", "setting", _ring_value)
+    _require("ring", ring, ("p", "vars"), close)
+    ctx = PolyContext(ring["p"], ring["vars"])
+    ideal = tuple(_eval_poly(nd, ctx) for nd in ring.get("ideal", ()))
 
-    tok = ps.take("ident", "a 'module' block")
-    if tok.value != "module":
-        raise ParseError("expected a 'module' block, found %r" % tok.value, tok.line, tok.col)
-    ps.take("{", "'{'")
-    rank = None
-    rows = None
-    first_row_tok = None
-    while not ps.at("}"):
-        key = ps.take("ident", "a module setting (rank, matrix)")
-        ps.take("=", "'='")
-        if key.value == "rank":
-            if rank is not None:
-                raise ParseError("duplicate setting 'rank'", key.line, key.col)
-            rank = ps.take("int", "a positive integer").value
-        elif key.value == "matrix":
-            if rows is not None:
-                raise ParseError("duplicate setting 'matrix'", key.line, key.col)
-            first_row_tok = ps.take("[", "'['")
-            rows = []
-            while True:
-                ps.take("[", "'[' starting a matrix row")
-                row = [ps.expr()]
-                while ps.at(","):
-                    ps.take()
-                    row.append(ps.expr())
-                ps.take("]", "']'")
-                rows.append(row)
-                if ps.at(","):
-                    ps.take()
-                    continue
-                break
-            ps.take("]", "']' closing the matrix")
-        else:
-            raise ParseError("unknown module setting %r" % key.value, key.line, key.col)
-    close = ps.take("}", "'}'")
-    if rank is None:
-        raise ParseError("module block is missing 'rank'", close.line, close.col)
-    if rows is None:
-        raise ParseError("module block is missing 'matrix'", close.line, close.col)
+    _open(ps, "module", "a 'module' block")
+    module, close = _settings(ps, "a module setting (rank, matrix)", "setting", _module_value)
+    _require("module", module, ("rank", "matrix"), close)
+    rank, (first_row_tok, rows) = module["rank"], module["matrix"]
     if rank < 1:
         raise ParseError("rank must be at least 1", close.line, close.col)
     width = len(rows[0])
@@ -309,34 +309,10 @@ def parse(text):
 
     options = {}
     if ps.at("ident"):
-        tok = ps.take("ident")
-        if tok.value != "options":
-            raise ParseError("expected an 'options' block or end of input, found %r" % tok.value,
-                             tok.line, tok.col)
-        ps.take("{", "'{'")
-        while not ps.at("}"):
-            key = ps.take("ident", "an option name")
-            ps.take("=", "'='")
-            if key.value not in OPTION_KEYS:
-                raise ParseError("unknown option %r (known: %s)" % (key.value, ", ".join(OPTION_KEYS)),
-                                 key.line, key.col)
-            if key.value in options:
-                raise ParseError("duplicate option %r" % key.value, key.line, key.col)
-            if key.value == "format":
-                val = ps.take("ident", "one of %s" % ", ".join(FORMATS))
-                if val.value not in FORMATS:
-                    raise ParseError("format must be one of %s" % ", ".join(FORMATS), val.line, val.col)
-                options[key.value] = val.value
-            else:
-                neg = False
-                if ps.at("-"):
-                    ps.take()
-                    neg = True
-                val = ps.take("int", "an integer")
-                options[key.value] = -val.value if neg else val.value
-        ps.take("}", "'}'")
+        _open(ps, "options", "an 'options' block or end of input")
+        options, _ = _settings(ps, "an option name", "option", _option_value)
     ps.take("eof", "end of input")
-    return ProblemSpec(p, variables, ideal, rank, matrix, options)
+    return ProblemSpec(ring["p"], ring["vars"], ideal, rank, matrix, options)
 
 
 def build(spec, budget=None):

@@ -234,17 +234,3 @@ def annihilation_check(cx, minors=None, presentations=None, budget=None):
                 if not passes[ki][mi]]
     return bad
 
-
-@dataclass(frozen=True)
-class AcyclicityReport:
-    """Lengths of the positive-degree homology and whether all vanish."""
-
-    lengths: dict
-    acyclic: bool
-
-
-def acyclicity_report(cx, budget=None, presentations=None):
-    if presentations is None:
-        presentations = all_homology(cx, budget)
-    lengths = {p: presentations[p].length for p in range(1, cx.length + 1)}
-    return AcyclicityReport(lengths, all(v == 0 for v in lengths.values()))

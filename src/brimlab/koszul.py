@@ -362,20 +362,3 @@ def _det(rows, ring):
         acc = acc + (-term if j % 2 else term)
     return acc
 
-
-def export_triplets(cx):
-    """Differentials as portable sparse triplets, one per line:
-
-        p <tab> row <tab> col <tab> entry
-
-    p runs over 1..length, indices are 0-based, entries are canonical
-    polynomial strings without spaces.  Lines are sorted by (p, row, col).
-    """
-    lines = []
-    for p in range(1, cx.length + 1):
-        mat = cx.differential(p)
-        for i, row in enumerate(mat):
-            for j, ent in enumerate(row):
-                if not ent.is_zero():
-                    lines.append("%d\t%d\t%d\t%s" % (p, i, j, str(ent).replace(" ", "")))
-    return "\n".join(lines) + ("\n" if lines else "")

@@ -43,7 +43,7 @@ from .poly import (
     Polynomial,
     VectorPolynomial,
 )
-from .rings import ideal_colength, is_parameter_module, submodule_colength
+from .rings import ideal_colength, is_parameter_module
 from .koszul import build_koszul, fitting_ideal, sym_basis, verify_complex
 from .homology import all_homology, annihilation_check, euler_characteristics
 
@@ -471,9 +471,8 @@ def buchsbaum_spread(ring, r, samples, seed, entry_degree=1, budget=None):
     out = []
     for _ in range(samples):
         mat = random_parameter_matrix(ring, r, rng, entry_degree, budget=budget)
-        ln = submodule_colength(ring, mat.submodule(), budget)
-        e0 = br_function_table(mat, ring.dimension, budget).e0
-        out.append(SpreadSample(str(mat), ln, e0))
+        table = br_function_table(mat, ring.dimension, budget)
+        out.append(SpreadSample(str(mat), table.values[0], table.e0))  # lambda(1) = l(F/N)
     return SpreadResult(
         seed=seed,
         entry_degree=entry_degree,

@@ -6,7 +6,10 @@ one row of values, which csv.reader reads back.  Infinite lengths serialize
 as the string "INFINITE" in both machine formats.
 """
 
+import csv
+import io
 import json
+from collections import Counter
 
 from .poly import INFINITE
 
@@ -110,18 +113,28 @@ def _len_json(v):
     return "INFINITE" if v is INFINITE else v
 
 
+def ring_json(ring):
+    """The "ring" part of a report: p, vars, ideal generators and dimension."""
+    return {
+        "p": ring.p,
+        "vars": list(ring.names),
+        "ideal": [str(g) for g in ring.ideal_gens],
+        "dim": ring.dimension,
+    }
+
+
+def ring_text(doc):
+    """F_p[vars] / (ideal) for the ring part of a report."""
+    quot = " / (%s)" % ", ".join(doc["ideal"]) if doc["ideal"] else ""
+    return "F_%d[%s]%s" % (doc["p"], ", ".join(doc["vars"]), quot)
+
+
 def build_report(rep, elapsed_ms, gb_pairs):
     """Plain-data report dict for one analyzed instance."""
-    ring = rep.ring
     mat = rep.matrix
     body = {
         "schema": SCHEMA_VERSION,
-        "ring": {
-            "p": ring.p,
-            "vars": list(ring.names),
-            "ideal": [str(g) for g in ring.ideal_gens],
-            "dim": ring.dimension,
-        },
+        "ring": ring_json(rep.ring),
         "module": {
             "r": mat.r,
             "n": mat.n,
@@ -158,9 +171,7 @@ def to_json(report):
 
 def render_text(report):
     lines = []
-    ring = report["ring"]
-    quot = " / (%s)" % ", ".join(ring["ideal"]) if ring["ideal"] else ""
-    lines.append("ring        F_%d[%s]%s   dim %d" % (ring["p"], ", ".join(ring["vars"]), quot, ring["dim"]))
+    lines.append("ring        %s   dim %d" % (ring_text(report["ring"]), report["ring"]["dim"]))
     mod = report["module"]
     lines.append("module      rank %d, %d columns" % (mod["r"], mod["n"]))
     lines.append("matrix      %s" % "; ".join("[" + ", ".join(row) + "]" for row in mod["matrix"]))
@@ -227,15 +238,9 @@ def to_csv(report):
     )
     if len(row) != len(CSV_COLUMNS):
         raise RuntimeError("CSV row has %d cells for %d columns" % (len(row), len(CSV_COLUMNS)))
-    out = []
-    for line in (CSV_COLUMNS, row):
-        cells = []
-        for cell in line:
-            if any(ch in cell for ch in ',"\n'):
-                cell = '"' + cell.replace('"', '""') + '"'
-            cells.append(cell)
-        out.append(",".join(cells))
-    return "\n".join(out) + "\n"
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows((CSV_COLUMNS, row))
+    return out.getvalue()
 
 
 def render_spread_text(result, ring_line):
@@ -243,9 +248,7 @@ def render_spread_text(result, ring_line):
              "seed        %d" % result.seed,
              "samples     %d" % len(result.samples),
              "differences %s" % " ".join(str(d) for d in result.differences)]
-    hist = {}
-    for d in result.differences:
-        hist[d] = hist.get(d, 0) + 1
+    hist = Counter(result.differences)
     for d in sorted(hist):
         lines.append("  diff %d: %s (%d)" % (d, "#" * hist[d], hist[d]))
     for s in result.samples:
@@ -254,16 +257,13 @@ def render_spread_text(result, ring_line):
 
 
 def spread_json(result, ring_report):
-    hist = {}
-    for d in result.differences:
-        hist[str(d)] = hist.get(str(d), 0) + 1
     return {
         "schema": SCHEMA_VERSION,
         "ring": ring_report,
         "seed": result.seed,
         "entry_degree": result.entry_degree,
         "differences": list(result.differences),
-        "histogram": hist,
+        "histogram": {str(d): n for d, n in Counter(result.differences).items()},
         "samples": [
             {"matrix": s.matrix_text, "colength": s.colength, "e0": s.e0}
             for s in result.samples

@@ -12,7 +12,6 @@ from brimlab.corpus import by_name
 from brimlab.dsl import build, parse
 from brimlab.homology import (
     InfiniteLengthError,
-    acyclicity_report,
     all_homology,
     annihilation_check,
     euler_characteristics,
@@ -105,12 +104,11 @@ def test_annihilation_flags_fake_minor():
 
 
 def test_acyclicity_split():
-    _, cx = corpus_complex("E1", 1)
-    rep = acyclicity_report(cx)
-    assert rep.acyclic and set(rep.lengths) == {1, 2}
-    _, cx2 = corpus_complex("E2", 1)
-    rep2 = acyclicity_report(cx2)
-    assert not rep2.acyclic and rep2.lengths == {1: 1}
+    # positive-degree homology lengths: zero for E1 at t = 1, H_1 of length 1 for E2
+    for name, want in (("E1", {1: 0, 2: 0}), ("E2", {1: 1})):
+        _, cx = corpus_complex(name, 1)
+        pres = all_homology(cx)
+        assert {p: pres[p].length for p in range(1, cx.length + 1)} == want
 
 
 def test_homology_matches_dense_oracle():

@@ -19,7 +19,6 @@ from brimlab.koszul import (
     division_map,
     expected_rank,
     exterior_basis,
-    export_triplets,
     fitting_ideal,
     multiplication_map,
     sym_basis,
@@ -346,29 +345,16 @@ def test_minors_computed_once_and_only_for_a_splice(monkeypatch):
     assert calls.count(2) == 3  # one top-level determinant per column pair, once
 
 
-def test_export_triplets_format():
-    ring = ring_xy()
-    x, y = poly_vars(ring)
-    m = mat_of(ring, [[x, y]])
-    lines = export_triplets(build_koszul(m, 1)).splitlines()
-    assert lines[0].split("\t") == ["1", "0", "0", "x"]
-    assert all(len(l.split("\t")) == 4 for l in lines)
-
-
-def test_export_triplets_lists_the_nonzero_entries_sorted():
+def test_dense_differential_matches_the_packed_columns():
     rng = random.Random(3)
     mats = [build(parse(text))[1] for text in [e.text for e in ENTRIES] + [CONE_R2]]
     mats += [random_graded_matrix(rng, differential_rings()) for _ in range(10)]
     for mat in mats:
         for t in range(-1, mat.n - mat.r + 2):
             cx = build_koszul(mat, t)
-            want = [(p, i, j, str(e).replace(" ", "")) for p in range(1, cx.length + 1)
-                    for i, row in enumerate(cx.differential(p)) for j, e in enumerate(row)
-                    if not e.is_zero()]
-            got = [tuple(map(int, line.split("\t")[:3])) + (line.split("\t")[3],)
-                   for line in export_triplets(cx).splitlines()]
-            assert got == sorted(want) == want
-            # the dense view has a nonzero entry exactly where a column has a term
             ctx = cx.ring.ctx
-            assert {g[:3] for g in got} == {(p, term_component(ctx, u), k) for p in range(1, cx.length + 1)
-                                           for k, col in enumerate(cx.columns[p]) for u in col}
+            for p in range(1, cx.length + 1):
+                # the dense view has a nonzero entry exactly where a column has a term
+                dense = {(i, j) for i, row in enumerate(cx.differential(p))
+                         for j, e in enumerate(row) if not e.is_zero()}
+                assert dense == {(term_component(ctx, u), k) for k, col in enumerate(cx.columns[p]) for u in col}

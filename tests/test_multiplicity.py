@@ -353,6 +353,23 @@ def test_spread_deterministic_and_constant_on_hypersurface():
     assert all(s.colength >= s.e0 for s in a.samples)
 
 
+def test_spread_runs_one_rings_groebner_basis_per_sample(monkeypatch):
+    # the parameter test accepting a sample is its only rings-level run;
+    # l(F/N) is lambda(1) of the sample's lambda table
+    rings_mod = importlib.import_module("brimlab.rings")
+    ring = make_ring(101, ["x", "y", "z"])
+    runs = []
+
+    def counted(*args, **kwargs):
+        runs.append(1)
+        return real(*args, **kwargs)
+
+    real = rings_mod.buchberger
+    monkeypatch.setattr(rings_mod, "buchberger", counted)
+    result = buchsbaum_spread(ring, 2, 5, seed=1)
+    assert len(result.samples) == 5 and len(runs) == 5
+
+
 def test_random_parameter_matrix_seeded():
     ring, _ = corpus_pair("E1")
     rng = random.Random(11)

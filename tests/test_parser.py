@@ -102,6 +102,32 @@ def test_error_positions():
     assert "starting a matrix row" in e.reason
 
 
+_RING = "ring { p = 101 vars = [x, y] }\n"
+_MODULE = "module { rank = 1 matrix = [[x, y]] }\n"
+
+
+@pytest.mark.parametrize("text, fragment, line, col", [
+    (_RING + _MODULE + "options { seed = 1\nseed = 2 }", "duplicate option 'seed'", 4, 1),
+    ("ring { p = 101 vars = [x]\nvars = [y] }\n" + _MODULE, "duplicate setting 'vars'", 2, 1),
+    ("ring { p = 101 vars = [x, y] ideal = []\nideal = [x] }\n" + _MODULE, "duplicate setting 'ideal'", 2, 1),
+    (_RING + "module { rank = 1\nrank = 1 matrix = [[x, y]] }", "duplicate setting 'rank'", 3, 1),
+    (_RING + "module { rank = 1 matrix = [[x, y]]\nmatrix = [[x, y]] }", "duplicate setting 'matrix'", 3, 1),
+    (_RING + "module { rank = 1 cols = 2 }", "unknown module setting 'cols'", 2, 19),
+    ("ring { p = 101 }\n" + _MODULE, "missing 'vars'", 1, 16),
+    (_RING + "module { matrix = [[x, y]] }", "missing 'rank'", 2, 28),
+    (_RING + "module { rank = 1 }", "missing 'matrix'", 2, 19),
+    (_RING + _MODULE + "settings { seed = 1 }", "expected an 'options' block or end of input", 3, 1),
+    (_RING + "module { rank = 1 matrix = [[x, y] }", "']' closing the matrix", 2, 36),
+    (_RING + "modul { rank = 1 matrix = [[x, y]] }", "expected a 'module' block, found 'modul'", 2, 1),
+    ("ring { p = 101 vars = [] }\n" + _MODULE, "expected a variable name, found ']'", 1, 24),
+    (_RING + _MODULE + "options { seed = x }", "expected an integer, found 'x'", 3, 18),
+    (_RING + _MODULE + "options { seed = 1 } options { }", "expected end of input, found 'options'", 3, 22),
+])
+def test_error_messages_and_positions(text, fragment, line, col):
+    e = err(text)
+    assert fragment in e.reason and (e.line, e.col) == (line, col)
+
+
 def test_parse_error_str_carries_position():
     e = err("ring { p = 101 vars = [x] }\nmodule { rank = 1 matrix = [[w]] }")
     s = str(e)
