@@ -173,7 +173,8 @@ def _add_budget_flags(sub):
     sub.add_argument("--budget-pairs", type=int, metavar="N",
                      help="abort Groebner runs after N S-pairs (default %d)" % Budget().max_pairs)
     sub.add_argument("--budget-degree", type=int, metavar="N",
-                     help="abort Groebner runs past degree N (default %d, at most %d)"
+                     help="abort Groebner runs past degree N, weighted in the lambda table's "
+                          "Rees run (default %d, at most %d)"
                      % (Budget().max_degree, MAX_DEGREE))
 
 

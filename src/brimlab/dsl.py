@@ -17,11 +17,14 @@ block:
     }
 
 Comments run from # to end of line.  Polynomials use +, -, *, ^ and
-parentheses with explicit multiplication only.  Parse errors carry the
-line and column of the offending token.
+parentheses with explicit multiplication only, nested at most
+MAX_NESTING deep.  Parse errors carry the line and column of the
+offending token.
 """
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import mul
 
 from .groebner import check_term_degree
 from .poly import PolyContext, Polynomial
@@ -31,6 +34,7 @@ OPTION_KEYS = ("tmin", "tmax", "seed", "samples", "pairs", "degree", "format")
 FORMATS = ("text", "json", "csv")
 
 _SYMBOLS = "{}[]=,+-*^()"
+MAX_NESTING = 64  # parentheses inside one another; each level costs a few stack frames
 
 
 class ParseError(Exception):
@@ -128,6 +132,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # parentheses open around the current token
 
     def peek(self):
         return self.tokens[self.pos]
@@ -143,25 +148,23 @@ class _Parser:
     def at(self, kind):
         return self.tokens[self.pos].kind == kind
 
-    # polynomial expressions, parsed to small tuple trees first
+    # polynomial expressions, parsed to small tuple trees first: a sum or
+    # product is one flat node, so only parentheses make a tree deeper
     def expr(self):
-        if self.at("-"):
+        neg = self.at("-")
+        if neg:
             self.take()
-            node = ("neg", self.term())
-        else:
-            node = self.term()
+        terms = [(neg, self.term())]
         while self.at("+") or self.at("-"):
-            op = self.take().kind
-            rhs = self.term()
-            node = (op, node, rhs)
-        return node
+            terms.append((self.take().kind == "-", self.term()))
+        return ("+", terms)
 
     def term(self):
-        node = self.factor()
+        factors = [self.factor()]
         while self.at("*"):
             self.take()
-            node = ("*", node, self.factor())
-        return node
+            factors.append(self.factor())
+        return ("*", factors)
 
     def factor(self):
         node = self.base()
@@ -180,9 +183,13 @@ class _Parser:
             self.take()
             return ("var", tok.value, tok.line, tok.col)
         if tok.kind == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError("parentheses nested deeper than %d" % MAX_NESTING, tok.line, tok.col)
             self.take()
+            self.depth += 1
             node = self.expr()
             self.take(")", "a closing parenthesis")
+            self.depth -= 1
             return node
         shown = tok.value if tok.kind != "eof" else "end of input"
         raise ParseError("expected a polynomial, found %r" % shown, tok.line, tok.col)
@@ -197,15 +204,13 @@ def _eval_poly(node, ctx):
         if name not in ctx.names:
             raise ParseError("unknown variable %r" % name, node[2], node[3])
         return ctx.variable(ctx.names.index(name))
-    if kind == "neg":
-        return -_eval_poly(node[1], ctx)
     if kind == "^":
         base, n = _eval_poly(node[1], ctx), node[2]
         check_term_degree((base.degree() or 0) * n)  # the degree of base^n, known before expanding it
         return base ** n
-    a = _eval_poly(node[1], ctx)
-    b = _eval_poly(node[2], ctx)
-    return a + b if kind == "+" else a - b if kind == "-" else a * b
+    if kind == "*":
+        return reduce(mul, (_eval_poly(f, ctx) for f in node[1]))
+    return sum((-_eval_poly(t, ctx) if neg else _eval_poly(t, ctx) for neg, t in node[1]), ctx.zero())
 
 
 def _open(ps, name, what):

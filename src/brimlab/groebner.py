@@ -19,12 +19,14 @@ degree <= MAX_DEGREE, half of TOP, so the lcm of any two of them still
 fits; a term that would pass MAX_DEGREE raises BudgetExceededError
 ("degree") instead of wrapping.
 
-A run that eliminates the last variables of the context
-(elimination_basis) puts one more field, TOP - (degree in those
-variables), between the component and the total degree.  Within a
-component the order then compares that degree first: a block order,
-under which the basis rows free of the block generate the elimination
-module.
+A run that eliminates the last variables of the context puts one more
+field, TOP - (degree in those variables), between the component and the
+degree.  Within a component the order then compares that degree
+first: a block order, under which the basis rows free of the block
+generate the elimination module.  A run may also give x_i the degree
+w_i > 0; both degree fields then hold sums sum_i w_i e_i, MAX_DEGREE and
+the degree budget bound that weighted degree, and the order is the
+weighted one.
 
 Normal forms pop leading terms from a heap.  S-pairs leave a heap by
 least sugar, then largest lcm (Giovini et al., ISSAC 1991); sugar is the
@@ -94,7 +96,8 @@ def check_term_degree(deg):
 class Budget:
     """Caps on the total work of every run given it, plus a tally of that work.
 
-    max_degree may not exceed MAX_DEGREE.  The tally fields are the one
+    max_degree may not exceed MAX_DEGREE; in a weighted run it bounds the
+    weighted degree (see buchberger).  The tally fields are the one
     deliberately mutable spot in the library; concurrent computations
     must use distinct Budget instances.
     """
@@ -114,14 +117,19 @@ class Budget:
 
 class _Layout:
     """Packing of flat terms (component, e1..em) into ints for m variables,
-    the last `block` of them eliminated (block 0: no elimination field)."""
+    the last `block` of them eliminated (block 0: no elimination field),
+    x_i of degree weights[i] (None: every degree 1)."""
 
-    __slots__ = ("m", "block", "deg_shift", "elim_shift", "comp_shift", "ones", "guard",
-                 "exp_mask", "block_mask", "elim_bits")
+    __slots__ = ("m", "block", "weights", "groups", "deg_shift", "elim_shift", "comp_shift", "ones",
+                 "guard", "exp_mask", "block_mask", "elim_bits")
 
-    def __init__(self, m, block=0):
+    def __init__(self, m, block=0, weights=None):
         self.m = m
         self.block = block
+        self.weights = None if weights is None or set(weights) <= {1} else tuple(weights)
+        self.groups = self.weights and tuple(  # (w, the fields of weight w) per distinct weight
+            (w, sum(_FIELD << (i * _W) for i, v in enumerate(self.weights) if v == w))
+            for w in sorted(set(self.weights)))
         self.deg_shift = m * _W
         self.elim_shift = (m + 1) * _W
         self.comp_shift = (m + 1 + (block > 0)) * _W
@@ -134,11 +142,13 @@ class _Layout:
         self.elim_bits = _FIELD << self.elim_shift if block else 0
 
     def pack(self, t):
-        deg = sum(t) - t[0]
+        w = self.weights
+        deg = sum(t) - t[0] if w is None else sum(map(mul, w, t[1:]))
         check_term_degree(deg)
         x = t[0]
         if self.block:
-            x = (x << _W) | (TOP - sum(t[1 + self.m - self.block:]))
+            b = 1 + self.m - self.block  # the block's first exponent in t
+            x = (x << _W) | (TOP - (sum(t[b:]) if w is None else sum(map(mul, w[b - 1:], t[b:]))))
         x = (x << _W) | (TOP - deg)
         for e in reversed(t[1:]):
             x = (x << _W) | e
@@ -161,13 +171,19 @@ class _Layout:
         sel = ((ea | self.guard) - eb) & self.guard  # guard set where a_i >= b_i
         sel -= sel >> (_W - 1)                        # ... widened to the value bits
         e = (ea & sel) | (eb & ~sel)
-        deg = ((e * self.ones) >> (self.deg_shift - _W)) & _FIELD  # sum of the fields
         cs = self.comp_shift
-        x = ((a >> cs) << cs) | ((TOP - deg) << self.deg_shift) | e
+        x = ((a >> cs) << cs) | ((TOP - self.degree_of(e)) << self.deg_shift) | e
         if self.block:
-            deg = (((e & self.block_mask) * self.ones) >> (self.deg_shift - _W)) & _FIELD
-            x |= (TOP - deg) << self.elim_shift
+            x |= (TOP - self.degree_of(e & self.block_mask)) << self.elim_shift
         return x
+
+    def degree_of(self, e):
+        """sum_i w_i e_i for the packed exponents e."""
+        low = self.deg_shift - _W  # the sum of the fields of e lands here in e * ones
+        if self.groups is None:
+            return ((e * self.ones) >> low) & _FIELD
+        # one sum per weight: its partial sums stay below it, so none carries
+        return sum(w * (((e & fields) * self.ones >> low) & _FIELD) for w, fields in self.groups)
 
 
 def _vec_to_dict(v, lay):
@@ -183,7 +199,7 @@ def _dict_to_vec(ctx, rank, items, lay):
     return VectorPolynomial(tuple(Polynomial(ctx, terms) for terms in polys))
 
 
-_layout = cache(_Layout)  # one layout per (m, block)
+_layout = cache(_Layout)  # one layout per (m, block, weights)
 
 
 # Packed vectors {term: coefficient} over a PolyContext ctx, with no
@@ -444,15 +460,10 @@ class GroebnerBasis:
     @property
     def generators(self):
         if self._generators is None:
-            self._generators = self._reduced(self._rows)
+            lay = self._lay
+            self._generators = tuple(_dict_to_vec(self.ctx, self.rank, [(r.lt, 1)] + r.tail, lay)
+                                     for r in _reduce_tails(self._rows, self.ctx.p, lay))
         return self._generators
-
-    def _reduced(self, rows):
-        """Reduced vectors of rows, which must hold every row whose lead
-        term divides one of their terms."""
-        lay = self._lay
-        return tuple(_dict_to_vec(self.ctx, self.rank, [(r.lt, 1)] + r.tail, lay)
-                     for r in _reduce_tails(rows, self.ctx.p, lay))
 
     def _packed(self, v):
         if v.ctx != self.ctx or v.rank != self.rank:
@@ -533,17 +544,20 @@ class GroebnerBasis:
         return total
 
 
-def buchberger(gens, budget=None, eliminate=0, tags=0, shifts=None):
+def buchberger(gens, budget=None, eliminate=0, tags=0, shifts=None, weights=None):
     """Groebner basis of the submodule generated by gens.
 
     gens: nonempty sequence of VectorPolynomial of one common rank.
     Zero generators are skipped.  Raises BudgetExceededError when the
     pair count or lcm degree cap is hit, or a term would pass MAX_DEGREE.
     eliminate > 0 orders the terms of a component by their degree in the
-    last `eliminate` variables first (see elimination_basis).  Rows led
-    in the last `tags` components form no S-pairs and are all kept.
-    A term of component c has degree shifts[c] (all 0 by default) plus
-    its total degree; see the module text for homogeneous input.
+    last `eliminate` variables first; the basis rows whose lead term is
+    free of them, all their terms free of them, are a Groebner basis of
+    the elimination module.  Rows led in the last `tags` components form
+    no S-pairs and are all kept.  A term x^e of component c has degree
+    shifts[c] (all 0 by default) plus sum_i weights[i] e_i (all weights 1
+    by default); see the module text for homogeneous input.  Weighted
+    runs do not stop early.
     """
     gens = list(gens)
     if not gens:
@@ -561,10 +575,14 @@ def buchberger(gens, budget=None, eliminate=0, tags=0, shifts=None):
         budget = Budget()
     p = ctx.p
     m = ctx.nvars
-    lay = _layout(m, eliminate)
+    if weights is not None and (len(weights) != m or min(weights, default=1) < 1):
+        raise ContractError("weights %r for %d variables: need one positive weight each" % (weights, m))
+    lay = _layout(m, eliminate, weights and tuple(weights))
     cs = lay.comp_shift
+    ds = lay.deg_shift
     vecs = [_vec_to_dict(g, lay) for g in gens]
-    homogeneous = all(len({sum(e) + s for f, s in zip(g.components, shifts) for e in f.terms}) <= 1 for g in gens)
+    # TOP - degree + shift is one number across each homogeneous vector
+    homogeneous = all(len({(u >> ds & _FIELD) - shifts[u >> cs] for u in d}) <= 1 for d in vecs)
     fresh = []
     G = []
     by_comp = {}
@@ -587,10 +605,10 @@ def buchberger(gens, budget=None, eliminate=0, tags=0, shifts=None):
     deg_done = 0
     while P:
         sugar, lcm_t, i, j = P[0]
-        if homogeneous and sugar > deg_done:
+        if homogeneous and lay.weights is None and sugar > deg_done:
             # every pair and input below this degree is done: stop if
             # nothing is left to find from here up, component c being
-            # filled at degree sugar - shifts[c]
+            # filled at degree sugar - shifts[c] (unweighted runs only)
             deg_done = sugar
             open_comps = [c for c in open_comps if sugar < shifts[c] or not _fills_degree(
                 [lay.unpack(r.lt)[1:] for r in by_comp.get(c, ())], m, sugar - shifts[c])]
@@ -668,20 +686,6 @@ def ideal_module_basis(ctx, ideal_basis, rank):
                           r.floor + off) for r in ideal_basis._rows]
     rows.sort(key=lambda r: r.lt, reverse=True)
     return GroebnerBasis(ctx, rank, rows, 0, lay)
-
-
-def elimination_basis(gens, count, budget=None):
-    """Generators of the submodule of gens free of the last `count`
-    variables of the context, as vectors over the same context.
-
-    Under the block order of buchberger(..., eliminate=count) a basis row
-    whose lead term avoids the block avoids it in every term, and those
-    rows form a Groebner basis of the elimination module; only they
-    divide their own terms, so they are reduced alone.
-    """
-    gb = buchberger(gens, budget, eliminate=count)
-    lay = gb._lay
-    return list(gb._reduced([r for r in gb._rows if not r.lt & lay.block_mask]))
 
 
 def hilbert_numerator(exp_vectors, weights=None):

@@ -12,19 +12,17 @@ D = dim A + r - 1 written in the binomial basis
 
 and e_0 is the multiplicity.
 
-lambda is counted in the associated graded ring of J = (l_1..l_n) inside
-B = S(F) = A[T_1..T_r], l_j = sum_i a_ij T_i.  R_k(N) = (J^k)_k, so
-lambda(k) = sum_(i<k) dim (J^i/J^(i+1))_k.  Two Groebner runs per matrix
-give gr_J(B) = F_p[x, T, y]/(K' + J), with the Rees ideal K' found by
-eliminating u from (I, y_j - u l_j) (Vasconcelos, Computational Methods
-in Commutative Algebra and Algebraic Geometry, 1998; Eisenbud, Huneke
-and Ulrich, Proc. AMS 2003), and lambda(k) is the number of its standard
-monomials x^a T^b y^c with |b| + |c| = k and |c| < k.  One Hilbert
-series of those monomials, graded by |a| and by |b| + |c| (Bigatti, JPAA
-1997), gives every lambda(k) at once: its generating function in k is
-R(z) / (1 - z)^(D + 1) for an integer polynomial R, which yields the
-exact polynomial P, its coefficients and a proven index from which
-lambda equals P.
+lambda is counted in the Rees algebra R(N) = A[l_1..l_n] inside
+S(F) = A[T_1..T_r], l_j = sum_i a_ij T_i, whose degree-k part is R_k(N):
+lambda(k) = dim S_k(F) - dim R_k(N), degree by degree.  One weighted
+Groebner run per matrix gives R(N) = F_p[x, y]/E, E the part of
+(I, y_j - l_j) free of T (Simis, Ulrich and Vasconcelos, Proc. LMS 2003;
+Buchsbaum and Rim, Trans. AMS 1964); the weights make every input
+homogeneous.  One Hilbert series of the lead terms of E (Bigatti, JPAA
+1997), graded by degree and by k, against that of S(F) gives every
+lambda(k) at once: its generating function in k is R(z) / (1 - z)^(D + 1)
+for an integer polynomial R, which yields the exact polynomial P, its
+coefficients and a proven index from which lambda equals P.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from math import comb
 
-from .groebner import buchberger, dimension_and_length, elimination_basis, hilbert_numerator
+from .groebner import buchberger, dimension_and_length, hilbert_numerator
 from .poly import (
     INFINITE,
     AlgebraError,
@@ -103,72 +101,61 @@ def rees_power_generators(matrix, k):
     return labels, gens
 
 
-def _gr_lead_terms(matrix, budget):
-    """Exponent vectors over x, T and y of the lead terms of a Groebner
-    basis of gr_J(B).
+def _rees_series(matrix, budget):
+    """[Q_0(s), Q_1(s), ...], each {degree: coefficient}, with
 
-    B = A[T_1..T_r], J = (l_1..l_n)B with l_j = sum_i a_ij T_i, and
-    gr_J(B) = F_p[x, T, y]/(K' + J), where the Rees ideal K' is the part
-    of (I, y_j - u l_j) free of u.  Two Groebner runs: the elimination,
-    then K' + J.
+        sum_k H_k(s) z^k = sum_j Q_j(s) z^j / ((1 - s)^m prod_w (1 - s^w z)),
+
+    H_k the Hilbert series of S_k(F)/R_k(N), w over the degrees of T and y.
+
+    R(N) = F_p[x, y]/E, E the part of (I, y_j - l_j) free of T: one
+    buchberger run eliminates T, with x of degree 1, T_i of degree e_i + c
+    and y_j of degree d_j + c (row shifts e, column degrees d, c = 1 - min
+    e), which make every input homogeneous.  The rows led free of T give
+    in(E), whose numerator N_E(s, z) is over prod_j (1 - s^(d_j + c) z);
+    S(F) has N_A(s), the z^0 part of N_E since E meets F_p[x] in I, over
+    prod_i (1 - s^(e_i + c) z).  Shifting every e_i and d_j by c multiplies
+    H_k by s^(ck) and changes no length.
     """
-    ring = matrix.ring
-    ctx = ring.ctx
+    ctx = matrix.ring.ctx
     m, r, n = ctx.nvars, matrix.r, matrix.n
-    # fresh names, longer than every ring variable's
-    pad = "_" * (1 + max(len(nm) for nm in ctx.names))
-    big = PolyContext(ctx.p, ctx.names + tuple(pad + "T%d" % i for i in range(r))
-                      + tuple(pad + "y%d" % j for j in range(n)) + (pad + "u",))
-    u = r + n  # the index of u among the new variables
+    c = 1 - min(matrix.row_shifts)
+    t_deg = tuple(e + c for e in matrix.row_shifts)
+    y_deg = tuple(d + c for d in matrix.col_degrees)
+    pad = "_" * (1 + max(len(nm) for nm in ctx.names))  # longer than every ring variable's name
+    big = PolyContext(ctx.p, ctx.names + tuple("%sy%d" % (pad, j) for j in range(n))
+                      + tuple("%sT%d" % (pad, i) for i in range(r)))
 
-    def times(f, *vs):
-        """{exponents: coefficient} of f over A times the new variables vs"""
-        mono = tuple(vs.count(v) for v in range(u + 1))
-        return {e + mono: c for e, c in f.terms.items()}
+    def vector(*parts):  # sum of f * (new variable v, or 1) over (f, v), no monomial shared
+        return VectorPolynomial((Polynomial(big, {e + tuple(int(i == v) for i in range(n + r)): a
+                                                  for f, v in parts for e, a in f.terms.items()}),))
 
-    def vector(*parts):
-        terms = {}
-        for part in parts:
-            terms.update(part)  # the parts share no monomial
-        return VectorPolynomial((Polynomial(big, terms),))
+    gens = [vector((g, None)) for g in matrix.ring.ideal_gens]
+    gens += [vector((ctx.one(), j), *((-a.rep, n + i) for i, a in enumerate(col)))
+             for j, col in enumerate(matrix.columns())]  # y_j - l_j
+    gb = buchberger(gens, budget, eliminate=r, weights=(1,) * m + y_deg + t_deg)
+    leads = [t[1:m + n + 1] for t in gb.lead_terms if not any(t[m + n + 1:])]
+    # z is s^Z, with Z above the degree of the lcm of the lead terms
+    Z = 1 + sum(max((t[i] for t in leads), default=0) * w for i, w in enumerate((1,) * m + y_deg))
+    n_e = {divmod(key, Z): a for key, a in hilbert_numerator(leads, (1,) * m + tuple(w + Z for w in y_deg)).items()}
 
-    cols = matrix.columns()
-    graph = [vector(times(g)) for g in ring.ideal_gens]
-    graph += [vector(times(ctx.one(), r + j), *(times(-a.rep, i, u) for i, a in enumerate(col)))
-              for j, col in enumerate(cols)]  # y_j - u l_j
-    lin = [vector(*(times(a.rep, i) for i, a in enumerate(col))) for col in cols]
-    gb = buchberger(elimination_basis(graph, 1, budget) + lin, budget)
-    return [t[1:m + 1 + u] for t in gb.lead_terms]
+    def over(num, degrees):  # num, keyed (z-degree, degree), times prod_w (1 - s^w z)
+        for w in degrees:
+            out = dict(num)
+            for (j, a), b in num.items():
+                out[j + 1, a + w] = out.get((j + 1, a + w), 0) - b
+            num = out
+        return num
 
-
-def _gr_series(matrix, budget):
-    """[Q_0(s), Q_1(s), ...] with the standard monomials x^a T^b y^c of
-    gr_J(B) with b != 0 counted by
-
-        sum_j Q_j(s) z^j / ((1 - s)^m (1 - z)^(r + n)),
-
-    s marking |a| and z marking |b| + |c|: the bigraded numerator of the
-    lead term ideal L less that of L + (T_1..T_r), split by z-degree.
-    Each Q_j is {x-degree: coefficient}.
-    """
-    leads = _gr_lead_terms(matrix, budget)
-    m, r, q = matrix.ring.ctx.nvars, matrix.r, matrix.r + matrix.n
-    # z is s^Z, with Z above the x-degree of the lcm of the lead terms
-    Z = 1 + sum(max((t[i] for t in leads), default=0) for i in range(m))
-    weights = (1,) * m + (Z,) * q
-    ts = [(0,) * m + tuple(int(i == v) for i in range(q)) for v in range(r)]
-    series = []
-    for sign, num in ((1, hilbert_numerator(leads, weights)),
-                      (-1, hilbert_numerator(leads + ts, weights))):
-        for key, c in num.items():
-            j, a = divmod(key, Z)
-            series += [{} for _ in range(j + 1 - len(series))]
-            series[j][a] = series[j].get(a, 0) + sign * c
+    series = [{} for _ in range(1 + max(j for j, _ in n_e) + r + n)]
+    for sign, num in ((1, over({k: a for k, a in n_e.items() if not k[0]}, y_deg)), (-1, over(n_e, t_deg))):
+        for (j, a), b in num.items():
+            series[j][a] = series[j].get(a, 0) + sign * b
     return series
 
 
 def _lambda(series, k, matrix):
-    """lambda(k) from the _gr_series of matrix."""
+    """lambda(k) from the _rees_series of matrix."""
     q = matrix.r + matrix.n
     total = {}
     for j, num in enumerate(series[:k + 1]):
@@ -180,19 +167,22 @@ def _lambda(series, k, matrix):
 def lambda_value(matrix, k, budget=None):
     """length of S_k(F)/R_k(N); k = 0 gives 0.  INFINITE when not finite.
 
-    lambda(k) = sum_(i<k) dim (J^i/J^(i+1))_k counts the standard
-    monomials x^a T^b y^c of gr_J(B) with |b| + |c| = k and |c| < k, that
-    is b != 0: the z^k coefficient of the series of _gr_series, whose
-    length is INFINITE exactly when (1 - s)^m does not divide
-    sum_(j<=k) binom(k - j + r + n - 1, r + n - 1) Q_j(s).  Every call
-    runs both Groebner runs and charges them to budget;
-    br_function_table runs them once for the whole table.
+    lambda(k) is the length of
+    sum_(j<=k) binom(k - j + r + n - 1, r + n - 1) Q_j(s) / (1 - s)^m
+    over the Q_j of _rees_series: its z^k coefficient H_k(s) with each
+    1 - s^w z made 1 - z.  That adds to H_k only terms (1 - s) h(s) H_t(s),
+    t < k, which change no finite length; and when F/N has infinite
+    length, every S_t(F)/R_t(N), t >= 1, has its dimension, so H_k keeps
+    the highest pole at s = 1: INFINITE exactly when (1 - s)^m does not
+    divide the sum.  Every call
+    makes the Groebner run and charges it to budget; br_function_table
+    makes it once for the whole table.
     """
     if k < 0:
         raise ContractError("symmetric power k must be at least 0, got %d" % k)
     if k == 0:
         return 0
-    return _lambda(_gr_series(matrix, budget), k, matrix)
+    return _lambda(_rees_series(matrix, budget), k, matrix)
 
 
 @dataclass(frozen=True)
@@ -220,9 +210,9 @@ class BRFunctionTable:
 
 def br_function_table(matrix, ring_dim, budget=None):
     """lambda, its polynomial and where the two start to agree, from one
-    bigraded Hilbert series of gr_J(B).
+    bigraded Hilbert series of R(N).
 
-    With R_j the length of Q_j (see _gr_series), sum_k lambda(k) z^k is
+    With R_j the length of Q_j (see _rees_series), sum_k lambda(k) z^k is
     R(z) / (1 - z)^(r + n).  Dividing R by (1 - z) while R(1) = 0 leaves
     R'(z) / (1 - z)^(D + 1), so
     lambda(k) = sum_(j<=k) R'_j binom(k - j + D, D).  P(k), the same sum
@@ -239,7 +229,7 @@ def br_function_table(matrix, ring_dim, budget=None):
                             % (ring_dim, matrix.ring.dimension))
     D = ring_dim + matrix.r - 1
     m = matrix.ring.ctx.nvars
-    series = _gr_series(matrix, budget)
+    series = _rees_series(matrix, budget)
     if _lambda(series, 1, matrix) is INFINITE:
         raise AlgebraError("lambda(1) is infinite; the module has no finite colength")
     R = [dimension_and_length(num, m)[1] for num in series]

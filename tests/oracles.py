@@ -236,10 +236,19 @@ def sym_power_products(columns, k, p, nvars):
     return basis, vectors
 
 
-def lambda_oracle(p, nvars, columns, ideal_polys, k, max_degree=60):
-    """length of S_k(F)/R_k by brute-force expansion + degreewise count."""
-    _, vectors = sym_power_products(columns, k, p, nvars)
-    return module_length(p, nvars, len(vectors[0]), vectors, ideal_polys, max_degree)
+def lambda_oracle(p, nvars, columns, ideal_polys, k, max_degree=60, row_shifts=None):
+    """length of S_k(F)/R_k by brute-force expansion + degreewise count.
+
+    row_shifts: the degree e_i of each basis vector of F (default all 0);
+    the label b of S_k(F) then has degree sum_(i in b) e_i, all of them
+    raised by one constant so that none is negative.
+    """
+    basis, vectors = sym_power_products(columns, k, p, nvars)
+    shifts = None
+    if row_shifts is not None:
+        low = min(row_shifts)
+        shifts = [sum(row_shifts[i] - low for i in b) for b in basis]
+    return module_length(p, nvars, len(vectors[0]), vectors, ideal_polys, max_degree, shifts)
 
 
 def ordinary_koszul(gen_exp_coeff_dicts, p, nvars, n):

@@ -95,6 +95,14 @@ def test_analyze_dimension_zero(problem, capsys):
     assert code == EXIT_INPUT and "dimension" in err
 
 
+def test_deeply_nested_entry_is_input_error(problem, capsys):
+    # 400 parentheses once ran the parser out of stack (exit 4)
+    text = "ring { p = 101 vars = [x, y] }\nmodule { rank = 1 matrix = [[%sx%s, y]] }\n"
+    code, out, err = run(capsys, ["analyze", problem(text % ("(" * 400, ")" * 400))])
+    assert code == EXIT_INPUT and out == ""
+    assert "line 2, column" in err and "nested deeper" in err and "Traceback" not in err
+
+
 def test_verify_clean(problem, capsys):
     code, out, _ = run(capsys, ["verify", problem(GOOD)])
     assert code == EXIT_OK

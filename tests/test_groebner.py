@@ -16,7 +16,6 @@ from brimlab.groebner import (
     buchberger,
     combine,
     dimension_and_length,
-    elimination_basis,
     hilbert_numerator,
     in_components,
     pack_polynomial,
@@ -536,14 +535,88 @@ def test_elimination_layout_orders_the_block_first():
     assert lay.lcm(pack((0, 3, 0, 1)), pack((0, 1, 2, 2))) == pack((0, 3, 2, 2))
 
 
-def test_elimination_basis_of_a_parametrized_curve():
+def free_of_block(gb, count):
+    """The reduced basis vectors of gb led free of the last count variables."""
+    return [g for t, g in zip(gb.lead_terms, gb.generators) if not any(t[-count:])]
+
+
+@pytest.mark.parametrize("weights", [None, (2, 3, 1)])
+def test_elimination_of_a_parametrized_curve(weights):
     ctx = PolyContext(101, ["x", "y", "u"])
     x, y, u = (ctx.variable(i) for i in range(3))
-    # x = u^2, y = u^3 leaves the cusp x^3 - y^2
-    gens = elimination_basis([vec(x - u * u), vec(y - u * u * u)], 1)
-    assert gens == list(buchberger([vec(x * x * x - y * y)]).generators)
+    cusp = buchberger([vec(x * x * x - y * y)])
+    # x = u^2, y = u^3 leaves the cusp x^3 - y^2; the weights make both
+    # inputs homogeneous
+    gb = buchberger([vec(x - u * u), vec(y - u * u * u)], eliminate=1, weights=weights)
+    gens = free_of_block(gb, 1)
+    assert len(gens) == 1 and cusp.contains(gens[0]) and buchberger(gens).contains(cusp.generators[0])
+    if weights is None:
+        assert gens == list(cusp.generators)
     # nothing free of u: the elimination ideal is zero
-    assert elimination_basis([vec(x - u), vec(y - u)], 2) == []
+    assert free_of_block(buchberger([vec(x - u), vec(y - u)], eliminate=2, weights=weights), 2) == []
+
+
+def test_all_ones_weights_change_no_packed_term():
+    for m, block in ((2, 0), (3, 1)):
+        plain, ones = _Layout(m, block), _Layout(m, block, (1,) * m)
+        assert ones.weights is None and ones.groups is None
+        for t in ((0, 1, 2, 3)[:m + 1], (2,) + (7,) * m):
+            assert ones.pack(t) == plain.pack(t)
+    gens = [vec(X * X - Y * Y), vec(X * Y * Y), vec(X ** 3 + Y ** 3)]
+    plain_run, ones_run = (buchberger(gens, weights=w) for w in (None, (1, 1)))
+    assert (ones_run.lead_terms, ones_run.pairs_used, ones_run.generators) == (
+        plain_run.lead_terms, plain_run.pairs_used, plain_run.generators)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_weighted_layout_degrees_and_lcms(data):
+    draw = data.draw
+    m = draw(st.integers(1, 4), label="m")
+    block = draw(st.integers(0, m), label="block")
+    weights = tuple(draw(st.lists(st.integers(1, 9), min_size=m, max_size=m), label="weights"))
+    lay = _Layout(m, block, weights)
+    plain = _Layout(m, block)
+    # any terms the engine holds: a light variable's high exponent times a
+    # heavy weight must not carry into the sum
+    term = st.tuples(*[st.integers(0, MAX_DEGREE // (w * m)) for w in weights])
+    a, b = draw(term, label="a"), draw(term, label="b")
+    for t in (a, b):
+        u = lay.pack((0,) + t)
+        assert lay.unpack(u) == (0,) + t
+        assert lay.degree(u) == sum(w * e for w, e in zip(weights, t))
+        # only the degree field differs from the unweighted packing
+        assert u & lay.exp_mask == plain.pack((0,) + t) & plain.exp_mask
+    lcm = tuple(map(max, a, b))
+    assert lay.lcm(lay.pack((0,) + a), lay.pack((0,) + b)) == lay.pack((0,) + lcm)
+
+
+def test_weighted_lcm_of_a_light_variable_does_not_carry():
+    # x^16383 times a weight-9 field would carry from one field to the next
+    lay = _Layout(2, 1, (1, 9))
+    top = MAX_DEGREE // 9
+    lcm = lay.lcm(lay.pack((0, MAX_DEGREE, 0)), lay.pack((0, 0, top)))
+    assert lay.unpack(lcm) == (0, MAX_DEGREE, top)
+    assert lay.degree(lcm) == MAX_DEGREE + 9 * top
+    assert (lcm >> lay.elim_shift) & 0xFFFF == TOP - 9 * top  # the block's weighted degree
+
+
+def test_weighted_run_spans_the_same_ideal():
+    # x of degree 3 makes x - y^3 homogeneous and x its lead term, where
+    # the plain order leads with y^3
+    gens = [vec(X - Y ** 3), vec(Y ** 5)]
+    weighted = buchberger(gens, weights=(3, 1))
+    plain = buchberger(gens)
+    assert (0, 1, 0) in weighted.lead_terms and (0, 1, 0) not in plain.lead_terms
+    assert all(plain.contains(g) for g in weighted.generators)
+    assert all(weighted.contains(g) for g in plain.generators)
+    assert weighted.colength() == plain.colength() == 5
+
+
+@pytest.mark.parametrize("weights", [(1,), (1, 0), (1, -2)])
+def test_weights_must_be_positive_one_per_variable(weights):
+    with pytest.raises(ContractError):
+        buchberger([vec(X)], weights=weights)
 
 
 def test_degree_limit_inside_elimination_runs():

@@ -24,6 +24,7 @@ from brimlab.multiplicity import (
     rees_power_generators,
     theorem_check,
 )
+from brimlab.groebner import Budget
 from brimlab.koszul import ModuleMatrix
 from brimlab.poly import (
     INFINITE,
@@ -82,9 +83,11 @@ def _random_form(draw, ctx, degree):
 @given(st.data())
 @settings(max_examples=40, deadline=None)
 def test_lambda_matches_brute_force_oracle(data):
-    # Each column has one entry degree, so every product of k columns is
-    # homogeneous; fewer ideal generators than variables keep the
-    # dimension positive.
+    # Each column has one degree d_j and each row one shift e_i, so every
+    # product of k columns is homogeneous; fewer ideal generators than
+    # variables keep the dimension positive.  Rank-2 matrices may have
+    # their rows one degree apart (e = (0, 1) or (0, -1)), as may the
+    # columns' degrees.
     draw = data.draw
     p = draw(st.sampled_from([2, 3, 5, 101]), label="p")
     names = ["x", "y", "z"][:draw(st.sampled_from([2, 3]), label="nvars")]
@@ -93,17 +96,23 @@ def test_lambda_matches_brute_force_oracle(data):
              for _ in range(draw(st.integers(0, len(names) - 1), label="ideal generators"))]
     ring = make_ring(p, names, ideal)
     r = draw(st.integers(1, 2), label="rank")
-    n = draw(st.integers(r, r + 2), label="columns")
-    degrees = draw(st.lists(st.integers(1, 2), min_size=n, max_size=n), label="column degrees")
-    entries = [[ring.element(_random_form(draw, ctx, degrees[j])) for j in range(n)] for _ in range(r)]
+    apart = draw(st.sampled_from([0, 1, -1]), label="second row shift") if r == 2 else 0
+    n = draw(st.integers(r, r + (1 if apart else 2)), label="columns")
+    top = 3 if apart else 2
+    degrees = draw(st.lists(st.integers(1, top), min_size=n, max_size=n), label="column degrees")
+    shifts = (0, apart)[:r]
+    entries = [[ring.element(_random_form(draw, ctx, degrees[j] - shifts[i]))
+                if degrees[j] > shifts[i] else ring.zero() for j in range(n)] for i in range(r)]
     mat = ModuleMatrix(ring, entries)
     cols = dict_columns(mat)
     ideal_d = [dict(g.terms) for g in ring.ideal_gens]
-    for k in range(1, 4):
+    for k in range(1, 4 - (apart != 0)):
         got = lambda_value(mat, k)
-        # S_k(F)/R_k(N) is generated in degree 0: its top degree is below its length
-        cap = (12 if len(names) == 2 else 7) if got is INFINITE else got + 2
-        want = oracles.lambda_oracle(p, len(names), cols, ideal_d, k, max_degree=cap)
+        # S_k(F)/R_k(N) is generated in the degrees of its labels: its top
+        # degree is below its length plus the largest of them
+        cap = (12 if len(names) == 2 else 7) if got is INFINITE else got + 2 + k * abs(apart)
+        want = oracles.lambda_oracle(p, len(names), cols, ideal_d, k, max_degree=cap,
+                                     row_shifts=mat.row_shifts)
         assert want == (oracles.INF if got is INFINITE else got)
 
 
@@ -286,6 +295,36 @@ def test_later_start_table():
     check_table(table, [lambda_value(mat, k) for k in range(1, 2 * len(table.values) + 1)])
 
 
+# Column degrees far apart: the elimination input of the earlier route,
+# (I, y_j - u l_j), was not homogeneous, and these two ran past the
+# default degree cap and for minutes
+SPREAD_COLUMNS = ("ring { p = 101 vars = [x, y] }\n"
+                  "module { rank = 1 matrix = [[x^9, x*y^8, y^7, y^2]] }\n")
+ROWS_APART = ("ring { p = 101 vars = [x, y, z] }\n"
+              "module { rank = 2 matrix = [[20*z, 8*x^3 + 4*x*y^2 + 85*y^3 + 30*x^2*z + 76*y*z^2 + 97*z^3, "
+              "39*x^2 + 89*x*y + 23*y^2, 34*x + 92*y, "
+              "63*x^3 + 21*x^2*y + 36*x*y^2 + 17*x^2*z + 13*y^2*z + 62*y*z^2], "
+              "[0, 72*x^2 + 58*y^2 + 32*x*z + 64*y*z + 85*z^2, 46*y + 7*z, 0, 96*x^2 + 76*y*z + 40*z^2]] }\n")
+
+
+def test_spread_column_degrees_under_the_default_budget():
+    _, mat = build(parse(SPREAD_COLUMNS))
+    table = br_function_table(mat, 2, Budget())
+    assert table.values == (18, 54, 108, 180, 270)
+    assert table.e0 == 18
+
+
+def test_rows_one_degree_apart_under_the_default_budget():
+    ring, mat = build(parse(ROWS_APART))
+    assert mat.row_shifts == (0, 1) and mat.col_degrees == (1, 3, 2, 1, 3)
+    table = br_function_table(mat, 3, Budget())
+    assert table.e0 == 10
+    cols = dict_columns(mat)
+    for k in (1, 2):
+        want = oracles.lambda_oracle(101, 3, cols, [], k, row_shifts=mat.row_shifts)
+        assert table.values[k - 1] == want == (8, 41)[k - 1]
+
+
 def test_wrong_ring_dim_is_contract_error():
     _, mat = corpus_pair("E1")
     with pytest.raises(ContractError):
@@ -436,27 +475,24 @@ def test_theorem_verdicts_are_the_ten_theorem_keys():
     assert all(VERDICTS[k] for k in THEOREM_VERDICTS)
 
 
-@pytest.mark.parametrize("name", ["E1", "E4"])
-def test_lambda_table_runs_two_groebner_bases_per_matrix(monkeypatch, name):
-    groebner_mod = importlib.import_module("brimlab.groebner")
+@pytest.mark.parametrize("name", ["E1", "E4", "E5"])
+def test_lambda_table_runs_one_groebner_basis_per_matrix(monkeypatch, name):
     multiplicity_mod = importlib.import_module("brimlab.multiplicity")
     entry = by_name(name)
     _, mat = corpus_pair(name)
     calls = []
-    real = groebner_mod.buchberger
+    real = multiplicity_mod.buchberger
 
-    def counted(gens, budget=None, eliminate=0):
+    def counted(gens, budget=None, eliminate=0, **kwargs):
         calls.append(eliminate)
-        return real(gens, budget, eliminate)
+        return real(gens, budget, eliminate, **kwargs)
 
-    # elimination_basis calls groebner's binding, the gr_J(B) run this one
-    monkeypatch.setattr(groebner_mod, "buchberger", counted)
     monkeypatch.setattr(multiplicity_mod, "buchberger", counted)
     for _ in range(2):
         assert br_function_table(mat, entry.dim).values == entry.lam
-    # the Rees ideal by elimination, then gr_J(B), again on the second call:
-    # nothing is cached between calls
-    assert calls == [1, 0, 1, 0]
+    # R(N) by eliminating T_1..T_r, again on the second call: nothing is
+    # cached between calls
+    assert calls == [mat.r, mat.r]
 
 
 def test_lambda_memo_with_alternating_matrices():

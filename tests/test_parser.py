@@ -3,7 +3,7 @@
 import pytest
 
 from brimlab.corpus import ENTRIES
-from brimlab.dsl import FORMATS, OPTION_KEYS, ParseError, ProblemSpec, build, parse
+from brimlab.dsl import FORMATS, MAX_NESTING, OPTION_KEYS, ParseError, ProblemSpec, build, parse
 
 
 def err(text):
@@ -44,6 +44,21 @@ def test_expression_grammar():
     assert entry("2^3") == entry("8")
     # precedence: ^ binds over *, * over +
     assert entry("2*x^2") == entry("x^2 + x^2")
+
+
+def test_nesting_cap_and_long_chains():
+    def entry(src):
+        return parse("ring { p = 101 vars = [x, y] }\n"
+                     "module { rank = 1 matrix = [[%s]] }\n" % src).matrix[0][0]
+
+    assert entry("(" * MAX_NESTING + "x" + ")" * MAX_NESTING) == entry("x")
+    e = err("ring { p = 101 vars = [x, y] }\n"
+            "module { rank = 1 matrix = [[%sx%s]] }\n" % ("(" * 400, ")" * 400))
+    # the first parenthesis past the cap
+    assert (e.line, e.col) == (2, 30 + MAX_NESTING) and "nested deeper" in e.reason
+    # a sum or product is one node however long, so it needs no cap
+    assert entry(" + ".join(["x"] * 5000)) == entry("%d*x" % (5000 % 101))
+    assert entry("*".join(["2"] * 5000) + "*y") == entry("%d*y" % pow(2, 5000, 101))
 
 
 def test_no_implicit_multiplication():
