@@ -126,10 +126,10 @@ class _Layout:
     def __init__(self, m, block=0, weights=None):
         self.m = m
         self.block = block
-        self.weights = None if weights is None or set(weights) <= {1} else tuple(weights)
-        self.groups = self.weights and tuple(  # (w, the fields of weight w) per distinct weight
-            (w, sum(_FIELD << (i * _W) for i, v in enumerate(self.weights) if v == w))
-            for w in sorted(set(self.weights)))
+        self.weights = weights = tuple(weights or (1,) * m)
+        self.groups = tuple(  # (w, the fields of weight w) per distinct weight
+            (w, sum(_FIELD << (i * _W) for i, v in enumerate(weights) if v == w))
+            for w in sorted(set(weights)))
         self.deg_shift = m * _W
         self.elim_shift = (m + 1) * _W
         self.comp_shift = (m + 1 + (block > 0)) * _W
@@ -142,13 +142,12 @@ class _Layout:
         self.elim_bits = _FIELD << self.elim_shift if block else 0
 
     def pack(self, t):
-        w = self.weights
-        deg = sum(t) - t[0] if w is None else sum(map(mul, w, t[1:]))
+        deg = sum(map(mul, self.weights, t[1:]))
         check_term_degree(deg)
         x = t[0]
         if self.block:
             b = 1 + self.m - self.block  # the block's first exponent in t
-            x = (x << _W) | (TOP - (sum(t[b:]) if w is None else sum(map(mul, w[b - 1:], t[b:]))))
+            x = (x << _W) | (TOP - sum(map(mul, self.weights[b - 1:], t[b:])))
         x = (x << _W) | (TOP - deg)
         for e in reversed(t[1:]):
             x = (x << _W) | e
@@ -180,10 +179,10 @@ class _Layout:
     def degree_of(self, e):
         """sum_i w_i e_i for the packed exponents e."""
         low = self.deg_shift - _W  # the sum of the fields of e lands here in e * ones
-        if self.groups is None:
-            return ((e * self.ones) >> low) & _FIELD
-        # one sum per weight: its partial sums stay below it, so none carries
-        return sum(w * (((e & fields) * self.ones >> low) & _FIELD) for w, fields in self.groups)
+        d = 0
+        for w, fields in self.groups:  # one sum per weight: its partial sums stay below it
+            d += w * (((e & fields) * self.ones >> low) & _FIELD)
+        return d
 
 
 def _vec_to_dict(v, lay):
@@ -199,7 +198,7 @@ def _dict_to_vec(ctx, rank, items, lay):
     return VectorPolynomial(tuple(Polynomial(ctx, terms) for terms in polys))
 
 
-_layout = cache(_Layout)  # one layout per (m, block, weights)
+_layout = cache(_Layout)  # one unweighted layout per (m, block)
 
 
 # Packed vectors {term: coefficient} over a PolyContext ctx, with no
@@ -577,7 +576,8 @@ def buchberger(gens, budget=None, eliminate=0, tags=0, shifts=None, weights=None
     m = ctx.nvars
     if weights is not None and (len(weights) != m or min(weights, default=1) < 1):
         raise ContractError("weights %r for %d variables: need one positive weight each" % (weights, m))
-    lay = _layout(m, eliminate, weights and tuple(weights))
+    weighted = weights is not None and any(w != 1 for w in weights)
+    lay = _Layout(m, eliminate, weights) if weighted else _layout(m, eliminate)
     cs = lay.comp_shift
     ds = lay.deg_shift
     vecs = [_vec_to_dict(g, lay) for g in gens]
@@ -605,7 +605,7 @@ def buchberger(gens, budget=None, eliminate=0, tags=0, shifts=None, weights=None
     deg_done = 0
     while P:
         sugar, lcm_t, i, j = P[0]
-        if homogeneous and lay.weights is None and sugar > deg_done:
+        if homogeneous and not weighted and sugar > deg_done:
             # every pair and input below this degree is done: stop if
             # nothing is left to find from here up, component c being
             # filled at degree sugar - shifts[c] (unweighted runs only)

@@ -559,9 +559,10 @@ def test_elimination_of_a_parametrized_curve(weights):
 def test_all_ones_weights_change_no_packed_term():
     for m, block in ((2, 0), (3, 1)):
         plain, ones = _Layout(m, block), _Layout(m, block, (1,) * m)
-        assert ones.weights is None and ones.groups is None
         for t in ((0, 1, 2, 3)[:m + 1], (2,) + (7,) * m):
             assert ones.pack(t) == plain.pack(t)
+        a, b = ones.pack((0,) + (4,) * m), ones.pack((0, 9) + (0,) * (m - 1))
+        assert ones.lcm(a, b) == plain.lcm(a, b) == plain.pack((0, 9) + (4,) * (m - 1))
     gens = [vec(X * X - Y * Y), vec(X * Y * Y), vec(X ** 3 + Y ** 3)]
     plain_run, ones_run = (buchberger(gens, weights=w) for w in (None, (1, 1)))
     assert (ones_run.lead_terms, ones_run.pairs_used, ones_run.generators) == (
