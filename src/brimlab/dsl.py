@@ -68,10 +68,10 @@ def _lex(text):
         elif ch == "#":
             while i < len(text) and text[i] != "\n":
                 i += 1
-        elif ch.isdigit():
+        elif "0" <= ch <= "9":
             start = i
             c0 = col
-            while i < len(text) and text[i].isdigit():
+            while i < len(text) and "0" <= text[i] <= "9":
                 i += 1
                 col += 1
             tokens.append(Token("int", int(text[start:i]), line, c0))

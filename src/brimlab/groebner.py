@@ -432,20 +432,20 @@ class GroebnerBasis:
     """Groebner basis of a submodule of F_p[x]^rank.
 
     Read-only.  lead_terms are the flat tuples (component, e1..em) of the
-    minimal basis, sorted from the smallest term up; generators is the
-    reduced basis in that order, monic and computed on first read, so
-    equal submodules give equal generators.  pairs_used counts the
-    S-pairs of this run alone; fresh lists the positions in the run's
-    input of the vectors whose normal form was nonzero when they went in.
+    minimal basis, sorted from the smallest term up, unpacked on first
+    read; generators is the reduced basis in that order, monic and
+    computed on first read, so equal submodules give equal generators.
+    pairs_used counts the S-pairs of this run alone; fresh lists the
+    positions in the run's input of the vectors whose normal form was
+    nonzero when they went in.
     """
 
-    __slots__ = ("ctx", "rank", "lead_terms", "pairs_used", "fresh", "_lay", "_rows", "_by_comp",
-                 "_generators")
+    __slots__ = ("ctx", "rank", "pairs_used", "fresh", "_lay", "_rows", "_by_comp", "_lead_terms",
+                 "_generators", "_numerators")
 
     def __init__(self, ctx, rank, rows, pairs_used, lay, fresh=()):
         self.ctx = ctx
         self.rank = rank
-        self.lead_terms = tuple(lay.unpack(r.lt) for r in rows)
         self.pairs_used = pairs_used
         self.fresh = fresh
         self._lay = lay
@@ -454,7 +454,13 @@ class GroebnerBasis:
         for r in rows:
             by_comp.setdefault(r.lt >> lay.comp_shift, []).append(r)
         self._by_comp = by_comp
-        self._generators = None
+        self._lead_terms = self._generators = self._numerators = None
+
+    @property
+    def lead_terms(self):
+        if self._lead_terms is None:
+            self._lead_terms = tuple(self._lay.unpack(r.lt) for r in self._rows)
+        return self._lead_terms
 
     @property
     def generators(self):
@@ -527,20 +533,31 @@ class GroebnerBasis:
             out.append(not any(b % p for b in acc.values()))
         return out
 
+    def numerator(self, degrees=None):
+        """Q with HS(F_p[x]^rank / submodule) = Q(s) / (1 - s)^m for a
+        submodule homogeneous with basis vector c in degree degrees[c] (all
+        0 by default) and an unweighted run, as a new dict with no zero
+        coefficient: one hilbert_numerator per distinct component lead set,
+        found once per basis, shifted and summed."""
+        degrees = tuple(degrees or (0,) * self.rank)
+        if len(degrees) != self.rank:
+            raise ContractError("%d degrees for rank %d" % (len(degrees), self.rank))
+        if self._numerators is None:
+            unpack = self._lay.unpack
+            leads = [tuple(unpack(r.lt)[1:] for r in self._by_comp.get(c, ())) for c in range(self.rank)]
+            nums = {exps: hilbert_numerator(exps) for exps in set(leads)}
+            self._numerators = tuple(nums[exps] for exps in leads)
+        out = {}
+        for d, num in zip(degrees, self._numerators):
+            for k, c in num.items():
+                out[k + d] = out.get(k + d, 0) + c
+        return {k: c for k, c in out.items() if c}
+
     def colength(self):
-        """Length of F_p[x]^rank modulo the submodule, or INFINITE: the
-        standard monomials of the lead term module, component by
-        component, read off their Hilbert series numerators."""
-        per_comp = [[] for _ in range(self.rank)]
-        for t in self.lead_terms:
-            per_comp[t[0]].append(t[1:])
-        total = 0
-        for exps in per_comp:
-            n = dimension_and_length(hilbert_numerator(exps), self.ctx.nvars)[1]
-            if n is INFINITE:
-                return INFINITE
-            total += n
-        return total
+        """Length of F_p[x]^rank / submodule, or INFINITE, off numerator().  Exact: each
+        component's Hilbert function is nonnegative, so their sum has the largest
+        component dimension and finite length exactly when every component has."""
+        return dimension_and_length(self.numerator(), self.ctx.nvars)[1]
 
 
 def buchberger(gens, budget=None, eliminate=0, tags=0, shifts=None, weights=None):

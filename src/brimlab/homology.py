@@ -13,8 +13,9 @@ Groebner run per differential, over those columns, tagged, and I times
 each basis vector of K_(p-1), untagged (groebner.syzygy_basis), gives
 ker d_p (the syzygies its S-pair trace leaves, by Schreyer's theorem,
 one normal form modulo I each) and a Groebner basis of im d_p +
-I K_(p-1), whose lead terms give the numerator of HS(coker d_p), each
-component shifted by its label's degree (groebner.hilbert_numerator).  The numerators sum to Q(s) with
+I K_(p-1), whose GroebnerBasis.numerator, each basis vector in its
+label's degree, is the numerator of HS(coker d_p); that of the basis of
+I K_(p-1) gives HS(K_(p-1)).  The numerators sum to Q(s) with
 HS(H_p) = Q(s) / (1 - s)^m, and groebner.dimension_and_length, which
 reads every length and dimension in brimlab, reads the length off Q:
 INFINITE exactly when (1 - s)^m does not divide Q, and otherwise that
@@ -30,11 +31,12 @@ the offending degree instead.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .poly import INFINITE, AlgebraError, ContractError, VectorPolynomial
-from .groebner import (dimension_and_length, hilbert_numerator, ideal_module_basis, in_components,
-                       pack_polynomial, syzygy_basis, unpack_vector)
+from .groebner import (dimension_and_length, ideal_module_basis, in_components, pack_polynomial,
+                       syzygy_basis, unpack_vector)
 from .rings import RingElement, quotient_basis
 
 
@@ -124,10 +126,7 @@ def _presentations(cx, degrees, budget):
     """HomologyPresentations for the given degrees, each differential
     they need run once."""
     ring = cx.ring
-    ideal = hilbert_numerator([t[1:] for t in ring.ideal_basis.lead_terms]
-                              if ring.ideal_basis is not None else [])
     runs = {}  # q -> (ker d_q, basis of im d_q + I K_(q-1))
-    nums = {}  # lead exponents of one component -> their numerator
 
     def run(q):
         if q not in runs:
@@ -140,38 +139,17 @@ def _presentations(cx, degrees, budget):
     out = {}
     for p in degrees:
         boundaries = run(p + 1)[1]
-        num = {}  # degree -> coefficient of Q
-        _add_coker_numerator(num, boundaries, cx.degrees[p], nums)
+        num = Counter(boundaries.numerator(cx.degrees[p]))  # degree -> coefficient of Q
         if p == 0:
             one = pack_polynomial(ring.ctx.one())
             kernel = [in_components(ring.ctx, [(one, j)]) for j in range(cx.rank(0))]
         else:
             kernel, cycles_out = run(p)
-            _add_coker_numerator(num, cycles_out, cx.degrees[p - 1], nums)
-            for d in cx.degrees[p - 1]:
-                _add_shifted(num, -1, ideal, d)
+            num.update(cycles_out.numerator(cx.degrees[p - 1]))
+            num.subtract(quotient_basis(ring, [], cx.rank(p - 1)).numerator(cx.degrees[p - 1]))
         length = dimension_and_length(num, ring.ctx.nvars)[1]
         out[p] = HomologyPresentation(p, tuple(kernel), length, cx, boundaries)
     return out
-
-
-def _add_coker_numerator(num, basis, degrees, nums):
-    """Add the Hilbert series numerator of F_p[x]^rank / basis, basis
-    vector c in degree degrees[c], into num; nums caches
-    hilbert_numerator by its input."""
-    per_comp = [[] for _ in degrees]
-    for t in basis.lead_terms:
-        per_comp[t[0]].append(t[1:])
-    for d, exps in zip(degrees, per_comp):
-        key = tuple(exps)
-        if key not in nums:
-            nums[key] = hilbert_numerator(exps)
-        _add_shifted(num, 1, nums[key], d)
-
-
-def _add_shifted(num, sign, part, shift):
-    for k, c in part.items():
-        num[k + shift] = num.get(k + shift, 0) + sign * c
 
 
 @dataclass(frozen=True)

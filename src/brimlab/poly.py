@@ -35,17 +35,23 @@ class BudgetExceededError(AlgebraError):
 INFINITE = float("inf")
 
 
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def is_prime(n):
+    """Deterministic Miller-Rabin on the primes up to 37, exact for
+    n < 3317044064679887385961981 (Sorenson and Webster, Math. Comp. 2017)."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    if n < 37 * 37:  # no prime factor up to its square root
+        return True
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s * odd
+    # a passes when a^odd = 1 or a^(odd * 2^i) = -1 for some i < s
+    return all(pow(a, (n - 1) >> s, n) == 1 or any(pow(a, (n - 1) >> j, n) == n - 1 for j in range(1, s + 1))
+               for a in _WITNESSES)
 
 
 def degrevlex_key(exps):
@@ -58,12 +64,14 @@ def degrevlex_key(exps):
 
 
 class PolyContext:
-    """Prime modulus and ordered variable names shared by one computation."""
+    """Prime modulus below 2^64 and ordered variable names shared by one computation."""
 
     __slots__ = ("p", "names", "nvars")
 
     def __init__(self, p, names):
         names = tuple(names)
+        if not isinstance(p, int) or p >= 2 ** 64:
+            raise ContractError("modulus %r is not an int below 2^64" % (p,))
         if not is_prime(p):
             raise ContractError("modulus %r is not prime" % (p,))
         if not names:

@@ -21,7 +21,7 @@ from .poly import (
     Polynomial,
     VectorPolynomial,
 )
-from .groebner import Budget, buchberger, dimension_and_length, hilbert_numerator, ideal_module_basis
+from .groebner import buchberger, dimension_and_length, ideal_module_basis
 
 
 class GradedRing:
@@ -150,8 +150,9 @@ def make_ring(p, variables, ideal_gens=(), budget=None):
     """Build F_p[variables]/(ideal_gens) and check it has positive dimension.
 
     ideal_gens: Polynomials over PolyContext(p, variables), each nonzero,
-    homogeneous and of positive degree.  Rejects non-prime p, duplicate or
-    malformed names, inhomogeneous generators and dimension zero.
+    homogeneous and of positive degree.  Rejects a p that is not a prime
+    below 2^64, duplicate or malformed names, inhomogeneous generators
+    and dimension zero.
     """
     ctx = PolyContext(p, variables)
     gens = []
@@ -166,13 +167,8 @@ def make_ring(p, variables, ideal_gens=(), budget=None):
             raise ContractError("ideal generator %d is a unit" % i)
         gens.append(g)
     gens = tuple(gens)
-    if gens:
-        basis = buchberger([VectorPolynomial((g,)) for g in gens], budget)
-        lead_exps = [t[1:] for t in basis.lead_terms]
-    else:
-        basis = None
-        lead_exps = []
-    d = dimension_and_length(hilbert_numerator(lead_exps), ctx.nvars)[0]
+    basis = buchberger([VectorPolynomial((g,)) for g in gens], budget) if gens else None
+    d = dimension_and_length(basis.numerator() if gens else {0: 1}, ctx.nvars)[0]
     if d <= 0:
         raise ContractError("quotient ring has dimension %d; positive dimension required" % d)
     return GradedRing(ctx, gens, basis, d)

@@ -6,7 +6,7 @@ expansion, symmetric powers by brute-force expansion over index tuples.
 Expected values frozen in the test suite were produced by these routes.
 """
 
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations_with_replacement, count, permutations, product
 
 INF = float("inf")
 
@@ -47,16 +47,16 @@ def rank_mod_p(rows, p):
     return rank
 
 
-def module_length(p, nvars, rank, gen_vectors, ideal_polys, max_degree=60, shifts=None):
-    """Length of F_p[x]^rank / (gen_vectors + ideal_polys * basis).
+def module_hilbert_function(p, nvars, rank, gen_vectors, ideal_polys, shifts=None):
+    """Yield dim (F_p[x]^rank / (gen_vectors + ideal_polys * basis))_t for
+    t = 0, 1, 2, ..., each by the rank of one dense matrix over F_p.
 
     gen_vectors: list of vectors, each a list of rank term-dicts
     (exponent tuple -> coefficient).  shifts: the degree of each basis
     vector (default all 0), so a term x^e in component c has degree
     |e| + shifts[c]; every vector must be homogeneous of one degree
     across its nonzero entries.  ideal_polys: list of homogeneous
-    term-dicts.  Counts the Hilbert function degree by degree until it
-    vanishes; INF past max_degree.
+    term-dicts.
     """
     shifts = list(shifts) if shifts is not None else [0] * rank
 
@@ -72,9 +72,7 @@ def module_length(p, nvars, rank, gen_vectors, ideal_polys, max_degree=60, shift
             degs = {sum(e) for e in g}
             assert len(degs) == 1
             ideal.append((g, degs.pop()))
-    total = 0
-    zeros = 0
-    for t in range(max_degree + 1):
+    for t in count():
         pos = {}
         for c in range(rank):
             if t >= shifts[c]:
@@ -99,11 +97,22 @@ def module_length(p, nvars, rank, gen_vectors, ideal_polys, max_degree=60, shift
                     for e, k in g.items():
                         row[pos[(c, tuple(a + b for a, b in zip(e, shift)))]] = k % p
                     rows.append(row)
-        h = len(pos) - rank_mod_p(rows, p)
+        yield len(pos) - rank_mod_p(rows, p)
+
+
+def module_length(p, nvars, rank, gen_vectors, ideal_polys, max_degree=60, shifts=None):
+    """Length of F_p[x]^rank / (gen_vectors + ideal_polys * basis), the
+    sum of module_hilbert_function (same arguments) until it vanishes;
+    INF past max_degree."""
+    top = max(shifts or [0])
+    total = 0
+    zeros = 0
+    hf = module_hilbert_function(p, nvars, rank, gen_vectors, ideal_polys, shifts)
+    for t, h in zip(range(max_degree + 1), hf):
         total += h
         # F/N is generated in degrees <= max(shifts): past them, two zero
         # degrees in a row mean all later ones vanish too
-        zeros = zeros + 1 if h == 0 and t >= max(shifts, default=0) else 0
+        zeros = zeros + 1 if h == 0 and t >= top else 0
         if zeros >= 2:
             return total
     return INF

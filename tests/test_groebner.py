@@ -4,6 +4,7 @@ import ast
 import importlib
 import pathlib
 import sys
+from itertools import accumulate, islice
 from math import comb
 
 import pytest
@@ -215,12 +216,21 @@ def test_colength_matches_degreewise_oracle(data):
     columns = draw(st.integers(rank, rank + 2), label="columns")
     cols, ideal, gens = _drawn_module(draw, ctx, shifts, columns)
     got = buchberger(gens).colength()
-    assert buchberger(gens, shifts=shifts).colength() == got  # by degree, with the stop
+    shifted = buchberger(gens, shifts=shifts)
+    assert shifted.colength() == got  # by degree, with the stop
     # F/N is generated in degrees <= 1, so its top degree is at most its length
     cap = (12 if nvars == 2 else 7) if got is INFINITE else got + 2
-    want = oracles.module_length(p, nvars, rank, [[c.terms for c in v.components] for v in cols],
-                                 [g.terms for g in ideal], max_degree=cap, shifts=shifts)
+    args = (p, nvars, rank, [[c.terms for c in v.components] for v in cols], [g.terms for g in ideal])
+    want = oracles.module_length(*args, max_degree=cap, shifts=shifts)
     assert want == (oracles.INF if got is INFINITE else got)
+    # numerator(shifts) / (1 - s)^m is the Hilbert series, degree by degree
+    # up to two degrees past its last nonzero one
+    num = shifted.numerator(shifts)
+    series = [num.get(t, 0) for t in range(cap + 1)]
+    for _ in range(nvars):
+        series = list(accumulate(series))
+    top = min(cap, max((t for t, h in enumerate(series) if h), default=0) + 2)
+    assert series[:top + 1] == list(islice(oracles.module_hilbert_function(*args, shifts=shifts), top + 1))
 
 
 @given(st.data())
@@ -426,6 +436,21 @@ def test_colength_splits_components():
         vec(CTX.zero(), X * X), vec(CTX.zero(), Y),
     ])
     assert gb.colength() == 1 + 2
+
+
+def test_one_infinite_component_makes_the_colength_infinite():
+    # component 0 modulo (x, y), finite; component 1 modulo (x), not.  In
+    # degrees (0, 1) the numerators 1 - 2s + s^2 and s - s^2 sum to 1 - s:
+    # the s^2 terms cancel and leave no zero coefficient behind.
+    gb = buchberger([vec(X, CTX.zero()), vec(Y, CTX.zero()), vec(CTX.zero(), X)])
+    assert gb.colength() is INFINITE
+    assert gb.numerator() == {0: 2, 1: -3, 2: 1}
+    num = gb.numerator((0, 1))
+    assert num == {0: 1, 1: -1}
+    num[0] = 5  # a new dict each call
+    assert gb.numerator((0, 1)) == {0: 1, 1: -1}
+    with pytest.raises(ContractError):
+        gb.numerator((0,))
 
 
 def test_standard_monomials_against_enumeration():

@@ -137,6 +137,9 @@ _MODULE = "module { rank = 1 matrix = [[x, y]] }\n"
     ("ring { p = 101 vars = [] }\n" + _MODULE, "expected a variable name, found ']'", 1, 24),
     (_RING + _MODULE + "options { seed = x }", "expected an integer, found 'x'", 3, 18),
     (_RING + _MODULE + "options { seed = 1 } options { }", "expected end of input, found 'options'", 3, 22),
+    # digits are ASCII only: a superscript two or an Arabic-Indic zero is no digit
+    (_RING + "module { rank = 1 matrix = [[x^\u00b2, y]] }", "unexpected character '\u00b2'", 2, 32),
+    ("ring { p = 1\u06601 vars = [x, y] }\n" + _MODULE, "unexpected character '\u0660'", 1, 13),
 ])
 def test_error_messages_and_positions(text, fragment, line, col):
     e = err(text)

@@ -1,5 +1,7 @@
 """Arithmetic laws for exact polynomials over F_p."""
 
+from math import isqrt
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -136,6 +138,12 @@ def test_context_rejects_bad_input():
 def test_is_prime():
     assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert not is_prime(1) and not is_prime(0)
+    assert all(is_prime(n) == (n > 1 and all(n % f for f in range(2, isqrt(n) + 1))) for n in range(10 ** 4))
+    assert not is_prime(3825123056546413051)  # a strong pseudoprime to every base up to 23
+    assert is_prime(2 ** 61 - 1) and is_prime(1000000000000000003)
+    assert PolyContext(2 ** 61 - 1, ["x"]).p == 2 ** 61 - 1
+    with pytest.raises(ContractError):
+        PolyContext(2 ** 64 + 13, ["x"])  # prime, but past the largest modulus
 
 
 @given(poly_strategy(), poly_strategy(), poly_strategy())
