@@ -20,7 +20,7 @@ import traceback
 from . import corpus as corpus_mod
 from . import report as report_mod
 from .dsl import ParseError, build, parse
-from .groebner import MAX_DEGREE, Budget
+from .groebner import DEFAULT_MAX_DEGREE, DEFAULT_MAX_PAIRS, MAX_DEGREE, Budget
 from .multiplicity import SamplingError, buchsbaum_spread, theorem_check
 from .poly import AlgebraError, BudgetExceededError, ContractError
 from .verify import check_corpus, corpus_table, verify_instance
@@ -39,11 +39,19 @@ def _read_text(path):
         return fh.read()
 
 
+def integer(text):
+    """The int that text writes as -?[0-9]+; int alone also reads other digits and "_"."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError("not an integer: %r" % text)
+    return int(text)
+
+
 def _parse_trange(text):
     lo, sep, hi = text.partition("..")
     if not sep:
         raise ValueError("t range must look like a..b, e.g. -1..2")
-    return int(lo), int(hi)
+    return integer(lo), integer(hi)
 
 
 def _merged_options(args, file_options=()):
@@ -62,10 +70,7 @@ def _merged_options(args, file_options=()):
 
 
 def _budget(opts):
-    return Budget(
-        max_pairs=opts.get("pairs", Budget().max_pairs),
-        max_degree=opts.get("degree", Budget().max_degree),
-    )
+    return Budget(opts.get("pairs", DEFAULT_MAX_PAIRS), opts.get("degree", DEFAULT_MAX_DEGREE))
 
 
 def _trange(opts):
@@ -96,7 +101,7 @@ def cmd_analyze(args):
 
 
 def _mutator(flip):
-    p, row, col = (int(v) for v in flip.split(","))
+    p, row, col = map(integer, flip.split(","))
 
     def mutate(cx):
         try:
@@ -170,12 +175,12 @@ def cmd_spread(args):
 
 
 def _add_budget_flags(sub):
-    sub.add_argument("--budget-pairs", type=int, metavar="N",
-                     help="abort Groebner runs after N S-pairs (default %d)" % Budget().max_pairs)
-    sub.add_argument("--budget-degree", type=int, metavar="N",
+    sub.add_argument("--budget-pairs", type=integer, metavar="N",
+                     help="abort Groebner runs after N S-pairs (default %d)" % DEFAULT_MAX_PAIRS)
+    sub.add_argument("--budget-degree", type=integer, metavar="N",
                      help="abort Groebner runs past degree N, weighted in the lambda table's "
                           "Rees run (default %d, at most %d)"
-                     % (Budget().max_degree, MAX_DEGREE))
+                     % (DEFAULT_MAX_DEGREE, MAX_DEGREE))
 
 
 @functools.cache  # built once per process; parse_args keeps no state between calls
@@ -209,8 +214,8 @@ def make_parser():
 
     s = sp.add_parser("spread", help="sample random parameter modules and report colength - e0")
     s.add_argument("file", help="problem file giving the ring and rank")
-    s.add_argument("--samples", type=int, metavar="N")
-    s.add_argument("--seed", type=int, metavar="S")
+    s.add_argument("--samples", type=integer, metavar="N")
+    s.add_argument("--seed", type=integer, metavar="S")
     s.add_argument("--format", choices=("text", "json"))
     _add_budget_flags(s)
     s.set_defaults(func=cmd_spread)

@@ -17,7 +17,9 @@ t - lt borrows from no exponent field, that is when
 (t - lt) & guard == 0.  Terms of basis rows and normal forms stay at
 degree <= MAX_DEGREE, half of TOP, so the lcm of any two of them still
 fits; a term that would pass MAX_DEGREE raises BudgetExceededError
-("degree") instead of wrapping.
+("degree") instead of wrapping.  Vectors are packed where they enter the
+engine and unpacked where they leave it; each layout converts a monomial
+once and keeps it, in a memo that grows with the distinct monomials.
 
 A run that eliminates the last variables of the context puts one more
 field, TOP - (degree in those variables), between the component and the
@@ -28,13 +30,15 @@ w_i > 0; both degree fields then hold sums sum_i w_i e_i, MAX_DEGREE and
 the degree budget bound that weighted degree, and the order is the
 weighted one.
 
-Normal forms pop leading terms from a heap.  S-pairs leave a heap by
-least sugar, then largest lcm (Giovini et al., ISSAC 1991); sugar is the
-(shifted) degree on homogeneous input.  Pair handling follows the
-Gebauer-Moeller update.  The coprime-lead-term shortcut is only sound for
-vectors concentrated in a single component (the classical
-one-variable-at-a-time proof multiplies the two inputs, which has no
-meaning for genuine vectors), so it is applied exactly then.
+Normal forms pop leading terms from a heap.  S-polynomials and the
+reduction steps leave coefficients unreduced; a normal form reduces each
+one mod p once, when its term is popped, and drops it if that gives 0.
+S-pairs leave a heap by least sugar, then largest lcm (Giovini et al.,
+ISSAC 1991); sugar is the (shifted) degree on homogeneous input.  Pair
+handling follows the Gebauer-Moeller update.  The coprime-lead-term
+shortcut is only sound for vectors concentrated in a single component
+(the classical one-variable-at-a-time proof multiplies the two inputs,
+which has no meaning for genuine vectors), so it is applied exactly then.
 
 A run may shift the degree of each component c by s_c.  When every
 input vector is homogeneous under the shifted degrees, so are
@@ -115,13 +119,28 @@ class Budget:
         self.max_degree_seen = 0
 
 
+class _Memo(dict):
+    """A dict that fills a missing key k with f(k)."""
+
+    __slots__ = ("f",)
+
+    def __init__(self, f):
+        self.f = f
+
+    def __missing__(self, k):
+        v = self[k] = self.f(k)
+        return v
+
+
 class _Layout:
     """Packing of flat terms (component, e1..em) into ints for m variables,
     the last `block` of them eliminated (block 0: no elimination field),
-    x_i of degree weights[i] (None: every degree 1)."""
+    x_i of degree weights[i] (None: every degree 1).  packed maps an
+    exponent tuple to its packed term of component 0, exps the exponent
+    fields of a term back to the tuple; each is filled on first use."""
 
     __slots__ = ("m", "block", "weights", "groups", "deg_shift", "elim_shift", "comp_shift", "ones",
-                 "guard", "exp_mask", "block_mask", "elim_bits")
+                 "guard", "exp_mask", "block_mask", "elim_bits", "packed", "exps")
 
     def __init__(self, m, block=0, weights=None):
         self.m = m
@@ -140,25 +159,25 @@ class _Layout:
         # every bit of the elimination field, or 0 without one: a floor
         # test ORs them into the term so that it compares degrees alone
         self.elim_bits = _FIELD << self.elim_shift if block else 0
+        self.packed = _Memo(self._pack)
+        self.exps = _Memo(lambda x: tuple(x >> (i * _W) & _FIELD for i in range(m)))
 
-    def pack(self, t):
-        deg = sum(map(mul, self.weights, t[1:]))
+    def _pack(self, e):
+        deg = sum(map(mul, self.weights, e))
         check_term_degree(deg)
-        x = t[0]
+        x = 0
         if self.block:
-            b = 1 + self.m - self.block  # the block's first exponent in t
-            x = (x << _W) | (TOP - sum(map(mul, self.weights[b - 1:], t[b:])))
+            x = TOP - sum(map(mul, self.weights[-self.block:], e[-self.block:]))
         x = (x << _W) | (TOP - deg)
-        for e in reversed(t[1:]):
-            x = (x << _W) | e
+        for a in reversed(e):
+            x = (x << _W) | a
         return x
 
+    def pack(self, t):
+        return self.packed[t[1:]] + (t[0] << self.comp_shift)
+
     def unpack(self, x):
-        exps = []
-        for _ in range(self.m):
-            exps.append(x & _FIELD)
-            x >>= _W
-        return (x >> (self.comp_shift - self.deg_shift),) + tuple(exps)
+        return (x >> self.comp_shift,) + self.exps[x & self.exp_mask]
 
     def degree(self, x):
         return TOP - ((x >> self.deg_shift) & _FIELD)
@@ -186,15 +205,14 @@ class _Layout:
 
 
 def _vec_to_dict(v, lay):
-    return {lay.pack((comp,) + exps): c for comp, poly in enumerate(v.components)
+    return {lay.packed[exps] + (comp << lay.comp_shift): c for comp, poly in enumerate(v.components)
             for exps, c in poly.terms.items()}
 
 
 def _dict_to_vec(ctx, rank, items, lay):
     polys = [{} for _ in range(rank)]
     for x, c in items:
-        t = lay.unpack(x)
-        polys[t[0]][t[1:]] = c
+        polys[x >> lay.comp_shift][lay.exps[x & lay.exp_mask]] = c
     return VectorPolynomial(tuple(Polynomial(ctx, terms) for terms in polys))
 
 
@@ -207,7 +225,7 @@ _layout = cache(_Layout)  # one unweighted layout per (m, block)
 def pack_polynomial(f):
     """The Polynomial f as a packed vector of component 0."""
     lay = _layout(f.ctx.nvars, 0)
-    return {lay.pack((0,) + e): c for e, c in f.terms.items()}
+    return {lay.packed[e]: c for e, c in f.terms.items()}
 
 
 def in_components(ctx, parts):
@@ -273,8 +291,9 @@ def _make_row(d, p, sugar, lay):
 def _normal_form_dict(vec, by_comp, p, lay):
     """Full normal form of a dict-vector against rows grouped by component.
 
-    Terms wait in a min-heap of ints (the largest term first); one popped
-    after leaving work is skipped.
+    Terms wait in a min-heap of ints (the largest term first).  Each
+    term's coefficient adds up unreduced in work and is reduced mod p once,
+    when the term is popped; a term that is then 0 is dropped.
     """
     work = dict(vec)
     heap = list(work)
@@ -285,8 +304,8 @@ def _normal_form_dict(vec, by_comp, p, lay):
     elim_bits = lay.elim_bits
     while heap:
         t = heappop(heap)
-        c = work.pop(t, None)
-        if c is None:
+        c = work.pop(t) % p
+        if not c:
             continue
         for r in by_comp.get(t >> cs, ()):
             if not (t - r.lt) & guard:
@@ -303,18 +322,14 @@ def _normal_form_dict(vec, by_comp, p, lay):
             nt = u + s
             b = work.get(nt)
             if b is None:
-                work[nt] = a * c % p
+                work[nt] = a * c
                 heappush(heap, nt)
             else:
-                b = (b + a * c) % p
-                if b:
-                    work[nt] = b
-                else:
-                    del work[nt]
+                work[nt] = b + a * c
     return rem
 
 
-def _spoly(f, g, lcm_t, p, lay):
+def _spoly(f, g, lcm_t, lay):
     t = lcm_t | lay.elim_bits
     if t < f.floor or t < g.floor:
         raise _too_high("an S-polynomial")
@@ -322,12 +337,7 @@ def _spoly(f, g, lcm_t, p, lay):
     out = {u + sf: a for u, a in f.tail}
     sg = lcm_t - g.lt
     for u, a in g.tail:
-        nt = u + sg
-        b = (out.get(nt, 0) - a) % p
-        if b:
-            out[nt] = b
-        else:
-            out.pop(nt, None)
+        out[u + sg] = out.get(u + sg, 0) - a
     return out
 
 
@@ -516,7 +526,7 @@ class GroebnerBasis:
             while e not in nfs:
                 i = next(i for i, a in enumerate(e) if a)
                 f = e[:i] + (e[i] - 1,) + e[i + 1:]  # x^f = x^e / x_i
-                chain.append((e, lay.pack((0,) + e) - lay.pack((0,) + f)))  # u + s is x_i * u
+                chain.append((e, lay.packed[e] - lay.packed[f]))  # u + s is x_i * u
                 e = f
             parent = nfs[e]
             for e, s in reversed(chain):
@@ -646,7 +656,7 @@ def buchberger(gens, budget=None, eliminate=0, tags=0, shifts=None, weights=None
         budget.pairs_used += 1
         if budget.pairs_used > budget.max_pairs:
             raise BudgetExceededError("pairs", "pair budget exceeded: more than %d S-pairs" % budget.max_pairs)
-        h = _normal_form_dict(_spoly(G[i], G[j], lcm_t, p, lay), by_comp, p, lay)
+        h = _normal_form_dict(_spoly(G[i], G[j], lcm_t, lay), by_comp, p, lay)
         if h:
             P = add(h, sugar)
     return GroebnerBasis(ctx, rank, _minimal_rows(by_comp, lay, tag_from), budget.pairs_used - start, lay,

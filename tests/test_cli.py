@@ -215,6 +215,31 @@ def test_nonpositive_flags_are_input_errors(problem, capsys, argv, value):
     assert out == ""
 
 
+@pytest.mark.parametrize("value", ["\u0663", "1_000", " 3", "+3", "2\u00b2", ""])
+@pytest.mark.parametrize("argv", [
+    ["analyze", "{file}", "--budget-pairs", "{value}"],
+    ["analyze", "{file}", "--budget-degree", "{value}"],
+    ["spread", "{file}", "--samples", "{value}"],
+    ["spread", "{file}", "--samples", "1", "--seed", "{value}"],
+    ["analyze", "{file}", "--t-range", "{value}..1"],
+    ["analyze", "{file}", "--t-range", "-1..{value}"],
+    ["verify", "{file}", "--flip-sign", "{value},0,0"],
+    ["verify", "{file}", "--flip-sign", "2,{value},0"],
+    ["verify", "{file}", "--flip-sign", "2,0,{value}"],
+])
+def test_integer_flags_read_ascii_digits_only(problem, capsys, argv, value):
+    # int() alone also reads other Unicode digits (the Arabic-Indic 3 here),
+    # "_" between digits, spaces and a sign; a problem file refuses them too
+    path = problem(GOOD)
+    try:
+        code = main([a.format(file=path, value=value) for a in argv])
+    except SystemExit as exc:  # argparse refuses the value of a typed flag
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == EXIT_INPUT and out == ""
+    assert "invalid integer value: %r" % value in err or "not an integer: %r" % value in err
+
+
 def test_budget_degree_engine_limit(problem, capsys):
     path = problem(GOOD)
     code, _, _ = run(capsys, ["analyze", path, "--budget-degree", str(MAX_DEGREE)])

@@ -6,6 +6,7 @@ import pathlib
 import sys
 from itertools import accumulate, islice
 from math import comb
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +25,8 @@ from brimlab.groebner import (
     term_component,
     unpack_vector,
     _Layout,
+    _dict_to_vec,
+    _layout,
     _vec_to_dict,
 )
 from brimlab.homology import all_homology
@@ -231,6 +234,54 @@ def test_colength_matches_degreewise_oracle(data):
         series = list(accumulate(series))
     top = min(cap, max((t for t, h in enumerate(series) if h), default=0) + 2)
     assert series[:top + 1] == list(islice(oracles.module_hilbert_function(*args, shifts=shifts), top + 1))
+
+
+def _coefficients(packed=(), vectors=()):
+    """Every coefficient of the packed vectors and VectorPolynomials."""
+    return ([c for d in packed for c in d.values()]
+            + [c for v in vectors for f in v.components for c in f.terms.values()])
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_engine_hands_out_coefficients_reduced_mod_p(data):
+    # S-polynomials and reduction steps add coefficients up unreduced; a
+    # normal form reduces each one when its term is popped and drops a 0.
+    # Small p cancels often; 2^61 - 1 makes the unreduced sums big ints.
+    draw = data.draw
+    p = draw(st.sampled_from([2, 3, 101, 2 ** 61 - 1]), label="p")
+    nvars = draw(st.sampled_from([2, 3]), label="nvars")
+    ctx = PolyContext(p, ["x", "y", "z"][:nvars])
+    rank = draw(st.integers(1, 2), label="rank")
+    shifts = draw(st.lists(st.integers(0, 1), min_size=rank, max_size=rank), label="shifts")
+    cols, ideal, gens = _drawn_module(draw, ctx, shifts, draw(st.integers(rank, rank + 2), label="columns"))
+    gb = buchberger(gens)
+    syz, image = syzygy_basis(gens)
+    assert all(0 < c < p for c in _coefficients(syz, gb.generators + image.generators))
+    # a combination of the generators of one degree d, and that plus a
+    # drawn vector of degree d, against the degree-d oracle
+    d = draw(st.integers(max(shifts), max(shifts) + 3), label="d")
+    degree = lambda v: next(f.degree() + s for f, s in zip(v.components, shifts) if f.terms)
+    inside = VectorPolynomial((ctx.zero(),) * rank)
+    for g in gens:
+        if not g.is_zero() and degree(g) <= d:
+            inside = inside + g.scale(_random_form(draw, ctx, d - degree(g)))
+    drawn = VectorPolynomial(tuple(_random_form(draw, ctx, d - s) if d >= s else ctx.zero() for s in shifts))
+    terms = lambda vs: [[f.terms for f in v.components] for v in vs]
+    args = (p, nvars, rank)
+    before = next(islice(oracles.module_hilbert_function(*args, terms(gens), [], shifts=shifts), d, None))
+    for v in (inside, inside + drawn):
+        after = next(islice(oracles.module_hilbert_function(*args, terms(gens + [v]), [], shifts=shifts), d, None))
+        packed = gb.reduce_terms(in_components(ctx, [(pack_polynomial(f), c) for c, f in enumerate(v.components)]))
+        nf = gb.normal_form(v)
+        assert all(0 < c < p for c in _coefficients([packed], [nf]))
+        assert gb.contains(v) == (after == before) == (not packed) == nf.is_zero()
+        assert gb.contains(v - nf)
+    assert gb.contains(inside)
+    got = gb.colength()
+    cap = (12 if nvars == 2 else 7) if got is INFINITE else got + 2
+    want = oracles.module_length(*args, terms(cols), [g.terms for g in ideal], max_degree=cap, shifts=shifts)
+    assert want == (oracles.INF if got is INFINITE else got)
 
 
 @given(st.data())
@@ -625,6 +676,43 @@ def test_weighted_lcm_of_a_light_variable_does_not_carry():
     assert lay.unpack(lcm) == (0, MAX_DEGREE, top)
     assert lay.degree(lcm) == MAX_DEGREE + 9 * top
     assert (lcm >> lay.elim_shift) & 0xFFFF == TOP - 9 * top  # the block's weighted degree
+
+
+def reference_pack(t, block, weights):
+    """The packed term t = (component, e1..em), written field by field."""
+    e = t[1:]
+    fields = [t[0]]
+    if block:
+        fields.append(TOP - sum(map(mul, weights[-block:], e[-block:])))
+    fields.append(TOP - sum(map(mul, weights, e)))
+    x = 0
+    for f in fields + list(reversed(e)):
+        x = (x << 16) | f
+    return x
+
+
+def test_each_layout_keeps_its_own_monomial_memo():
+    # one exponent tuple packs differently under each layout: a memo shared
+    # between layouts, or keyed without the block or the weights, would hand
+    # a term packed by one layout to another
+    ctx = PolyContext(101, ["x", "y", "u"])
+    exps = [(0, 0, 0), (1, 0, 0), (0, 2, 1), (3, 1, 4), (0, 0, 2)]
+    v = VectorPolynomial((Polynomial(ctx, {e: 7 for e in exps}), Polynomial(ctx, {exps[3]: 1, exps[4]: 2})))
+    for order in (1, -1):
+        kinds = [(0, (1, 1, 1)), (1, (1, 1, 1)), (0, (2, 1, 3)), (1, (2, 1, 3))][::order]
+        # the unweighted layouts are the ones every run shares
+        layouts = [_layout(3, block) if w == (1, 1, 1) else _Layout(3, block, w) for block, w in kinds]
+        packed = {}
+        for lay, (block, w) in zip(layouts, kinds):
+            for e in exps:
+                for c in (0, 2):
+                    u = lay.pack((c,) + e)
+                    assert u == reference_pack((c,) + e, block, w)
+                    assert lay.unpack(u) == (c,) + e
+                packed[block, w, e] = lay.packed[e]
+            assert _dict_to_vec(ctx, 2, _vec_to_dict(v, lay).items(), lay) == v
+        # x has weight 2 and lies outside the block: four layouts, four ints
+        assert len({packed[b, w, (1, 0, 0)] for b, w in kinds}) == 4
 
 
 def test_weighted_run_spans_the_same_ideal():
