@@ -53,8 +53,10 @@ degree first, the fresh generators of N minimally generate N modulo I F
 (Kreuzer and Robbiano, CCA 2, Ch. 4; Singular's mstd).  If at the start
 of degree d the lead terms of each component c generate every monomial
 of degree d - s_c, all remaining pairs and inputs reduce to zero term by
-term, so the run stops there.  Other runs take their inputs first, in
-order, and run to the end.
+term, so the run stops there; a run told its quotient's Hilbert series
+drops the rest of each degree once it has all its lead terms (Traverso,
+J. Symb. Comp. 22, 1996; Bigatti, JPAA 1997).  Other runs take their
+inputs first, in order, and run to the end.
 
 buchberger returns the minimal basis.  Normal forms, membership and
 colengths need nothing more, since the full normal form against any
@@ -422,6 +424,49 @@ def _reduce_tails(rows, p, lay):
     return out
 
 
+class _Deficit:
+    """HF_J(d) - HF_Q(d), the lead terms a homogeneous rank-1 run still misses
+    in degree d: J the ideal of its lead terms so far, Q the numerator of its
+    quotient over prod_i (1 - s^w_i).  num is N(J) - Q; a new lead term u
+    takes N(J) to N(J) - s^deg(u) N(J : u) (Bigatti, JPAA 1997)."""
+
+    __slots__ = ("lay", "num", "folded")
+
+    def __init__(self, q, lay):
+        self.lay, self.folded = lay, 0
+        self.num = _poly_add({0: 1}, {a: -b for a, b in q.items()})
+
+    def at(self, d, G, P, vecs):
+        """The count at the start of degree d; None while the work waiting there
+        (each pair's tails, each input) is under 8 times the lead terms to fold."""
+        if sum(len(vecs[j]) if i < 0 else len(G[i].tail) + len(G[j].tail)
+               for s, _, i, j in P if s == d) < 8 * (len(G) - self.folded + 1):
+            return None
+        lay, guard = self.lay, self.lay.guard
+        for k in range(self.folded, len(G)):
+            u = G[k].lt & lay.exp_mask
+            colon = set()  # J : u, generated by lcm(g, u) / u over the lead terms g before u
+            for r in G[:k]:
+                t = (r.lt | guard) - u  # each field 2^15 + g_i - u_i: guard set where g_i >= u_i
+                sel = t & guard
+                colon.add(t & (sel - (sel >> (_W - 1))))  # g_i - u_i there, 0 elsewhere
+            gens = []
+            for e in sorted(colon):  # a divisor is a smaller int than its multiples
+                if all((e - f) & guard for f in gens):
+                    gens.append(e)
+            deg = lay.degree(G[k].lt)
+            self.num = _poly_add(self.num, {a + deg: -c for a, c in _numerator(
+                [lay.exps.f(e) for e in gens], lay.weights).items()})  # exps.f: no term of the run, no memo
+        self.folded = len(G)
+        hf = [self.num.get(a, 0) for a in range(d + 1)]  # num / prod_i (1 - s^w_i) up to degree d
+        for w in lay.weights:
+            for k in range(w, d + 1):
+                hf[k] += hf[k - w]
+        if hf[d] < 0:
+            raise RuntimeError("degree %d has more lead terms than the Hilbert series allows" % d)
+        return hf[d]
+
+
 def _fills_degree(exps, nvars, d):
     """Does the monomial ideal generated by exps hold every monomial of
     degree d?  Recursion on the last variable: the monomials of degree d
@@ -570,7 +615,7 @@ class GroebnerBasis:
         return dimension_and_length(self.numerator(), self.ctx.nvars)[1]
 
 
-def buchberger(gens, budget=None, eliminate=0, tags=0, shifts=None, weights=None):
+def buchberger(gens, budget=None, eliminate=0, tags=0, shifts=None, weights=None, hilbert=None):
     """Groebner basis of the submodule generated by gens.
 
     gens: nonempty sequence of VectorPolynomial of one common rank.
@@ -583,7 +628,11 @@ def buchberger(gens, budget=None, eliminate=0, tags=0, shifts=None, weights=None
     no S-pairs and are all kept.  A term x^e of component c has degree
     shifts[c] (all 0 by default) plus sum_i weights[i] e_i (all weights 1
     by default); see the module text for homogeneous input.  Weighted
-    runs do not stop early.
+    runs do not stop early.  hilbert, the numerator of the quotient's
+    Hilbert series over prod_i (1 - s^weights[i]) for homogeneous rank-1
+    input (else ContractError), drops the rest of a degree once all its
+    lead terms are found (Traverso 1996; Bigatti 1997): the same rows,
+    fewer pairs charged, RuntimeError if the run finds more.
     """
     gens = list(gens)
     if not gens:
@@ -610,6 +659,9 @@ def buchberger(gens, budget=None, eliminate=0, tags=0, shifts=None, weights=None
     vecs = [_vec_to_dict(g, lay) for g in gens]
     # TOP - degree + shift is one number across each homogeneous vector
     homogeneous = all(len({(u >> ds & _FIELD) - shifts[u >> cs] for u in d}) <= 1 for d in vecs)
+    if hilbert is not None and (rank > 1 or not homogeneous):
+        raise ContractError("a Hilbert numerator drives homogeneous runs of rank 1 only")
+    count = None if hilbert is None else _Deficit(hilbert, lay)
     fresh = []
     G = []
     by_comp = {}
@@ -629,36 +681,41 @@ def buchberger(gens, budget=None, eliminate=0, tags=0, shifts=None, weights=None
          for k, d in enumerate(vecs) if d]
     heapify(P)
     open_comps = range(rank)
-    deg_done = 0
+    deg_done, deficit = 0, None  # deficit: lead terms still missing in degree deg_done, when counted
     while P:
         sugar, lcm_t, i, j = P[0]
-        if homogeneous and not weighted and sugar > deg_done:
+        if homogeneous and sugar > deg_done:
             # every pair and input below this degree is done: stop if
             # nothing is left to find from here up, component c being
             # filled at degree sugar - shifts[c] (unweighted runs only)
             deg_done = sugar
-            open_comps = [c for c in open_comps if sugar < shifts[c] or not _fills_degree(
+            open_comps = [c for c in open_comps if weighted or sugar < shifts[c] or not _fills_degree(
                 [lay.unpack(r.lt)[1:] for r in by_comp.get(c, ())], m, sugar - shifts[c])]
             if not open_comps:
                 break
+            deficit = count and count.at(sugar, G, P, vecs)
         heappop(P)
-        if i < 0:  # input j goes in
-            h = _normal_form_dict(vecs[j], by_comp, p, lay)
+        if i < 0:  # input j goes in, unless every lead term of its degree is found
+            h = deficit != 0 and _normal_form_dict(vecs[j], by_comp, p, lay)
             if h:
                 fresh.append(j)
                 P = add(h, max(lay.degree(t) + shifts[t >> cs] for t in h))
+                deficit = deficit and deficit - 1
             continue
         deg = lay.degree(lcm_t)
         if deg > budget.max_degree:
             raise BudgetExceededError("degree", "degree budget exceeded: S-pair lcm degree %d > %d"
                                       % (deg, budget.max_degree))
         budget.max_degree_seen = max(budget.max_degree_seen, deg)
+        if deficit == 0:
+            continue  # every lead term of this degree is found: the rest reduces to zero
         budget.pairs_used += 1
         if budget.pairs_used > budget.max_pairs:
             raise BudgetExceededError("pairs", "pair budget exceeded: more than %d S-pairs" % budget.max_pairs)
         h = _normal_form_dict(_spoly(G[i], G[j], lcm_t, lay), by_comp, p, lay)
         if h:
             P = add(h, sugar)
+            deficit = deficit and deficit - 1
     return GroebnerBasis(ctx, rank, _minimal_rows(by_comp, lay, tag_from), budget.pairs_used - start, lay,
                          tuple(fresh))
 

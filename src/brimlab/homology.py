@@ -14,12 +14,12 @@ each basis vector of K_(p-1), untagged (groebner.syzygy_basis), gives
 ker d_p (the syzygies its S-pair trace leaves, by Schreyer's theorem,
 one normal form modulo I each) and a Groebner basis of im d_p +
 I K_(p-1), whose GroebnerBasis.numerator, each basis vector in its
-label's degree, is the numerator of HS(coker d_p); that of the basis of
-I K_(p-1) gives HS(K_(p-1)).  The numerators sum to Q(s) with
-HS(H_p) = Q(s) / (1 - s)^m, and groebner.dimension_and_length, which
-reads every length and dimension in brimlab, reads the length off Q:
-INFINITE exactly when (1 - s)^m does not divide Q, and otherwise that
-quotient at s = 1.
+label's degree, is the numerator of HS(coker d_p); HS(K_(p-1)) has the
+ring's numerator N_A shifted to each label's degree.  The numerators
+sum to Q(s) with HS(H_p) = Q(s) / (1 - s)^m, and
+groebner.dimension_and_length, which reads every length and dimension
+in brimlab, reads the length off Q: INFINITE exactly when (1 - s)^m
+does not divide Q, and otherwise that quotient at s = 1.
 
 Each presentation keeps the basis of im d_(p+1) + I K_p and its cycles
 as the engine's packed vectors (kernel_gens converts them when read), so
@@ -146,7 +146,8 @@ def _presentations(cx, degrees, budget):
         else:
             kernel, cycles_out = run(p)
             num.update(cycles_out.numerator(cx.degrees[p - 1]))
-            num.subtract(quotient_basis(ring, [], cx.rank(p - 1)).numerator(cx.degrees[p - 1]))
+            for d in cx.degrees[p - 1]:  # HS(K_(p-1)): N_A(s) s^d per label
+                num.subtract({k + d: c for k, c in ring.numerator.items()})
         length = dimension_and_length(num, ring.ctx.nvars)[1]
         out[p] = HomologyPresentation(p, tuple(kernel), length, cx, boundaries)
     return out

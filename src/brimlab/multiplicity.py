@@ -113,9 +113,10 @@ def _rees_series(matrix, budget):
     and y_j of degree d_j + c (row shifts e, column degrees d, c = 1 - min
     e), which make every input homogeneous.  The rows led free of T give
     in(E), whose numerator N_E(s, z) is over prod_j (1 - s^(d_j + c) z);
-    S(F) has N_A(s), the z^0 part of N_E since E meets F_p[x] in I, over
-    prod_i (1 - s^(e_i + c) z).  Shifting every e_i and d_j by c multiplies
-    H_k by s^(ck) and changes no length.
+    S(F) has the ring's N_A(s), the z^0 part of N_E as E meets F_p[x] in
+    I, over prod_i (1 - s^(e_i + c) z), and the run's quotient is A[T].
+    Shifting every e_i and d_j by c multiplies H_k by s^(ck) and changes
+    no length.
     """
     ctx = matrix.ring.ctx
     m, r, n = ctx.nvars, matrix.r, matrix.n
@@ -133,11 +134,6 @@ def _rees_series(matrix, budget):
     gens = [vector((g, None)) for g in matrix.ring.ideal_gens]
     gens += [vector((ctx.one(), j), *((-a.rep, n + i) for i, a in enumerate(col)))
              for j, col in enumerate(matrix.columns())]  # y_j - l_j
-    gb = buchberger(gens, budget, eliminate=r, weights=(1,) * m + y_deg + t_deg)
-    leads = [t[1:m + n + 1] for t in gb.lead_terms if not any(t[m + n + 1:])]
-    # z is s^Z, with Z above the degree of the lcm of the lead terms
-    Z = 1 + sum(max((t[i] for t in leads), default=0) * w for i, w in enumerate((1,) * m + y_deg))
-    n_e = {divmod(key, Z): a for key, a in hilbert_numerator(leads, (1,) * m + tuple(w + Z for w in y_deg)).items()}
 
     def over(num, degrees):  # num, keyed (z-degree, degree), times prod_w (1 - s^w z)
         for w in degrees:
@@ -147,8 +143,18 @@ def _rees_series(matrix, budget):
             num = out
         return num
 
+    s_f = over({(0, a): b for a, b in matrix.ring.numerator.items()}, y_deg)
+    q = {}  # s_f at z = 1: A[T] = F_p[x, y, T]/(I, y_j - l_j) over every variable's 1 - s^w
+    for (_, a), b in s_f.items():
+        q[a] = q.get(a, 0) + b
+    gb = buchberger(gens, budget, eliminate=r, weights=(1,) * m + y_deg + t_deg, hilbert=q)
+    leads = [t[1:m + n + 1] for t in gb.lead_terms if not any(t[m + n + 1:])]
+    # z is s^Z, with Z above the degree of the lcm of the lead terms
+    Z = 1 + sum(max((t[i] for t in leads), default=0) * w for i, w in enumerate((1,) * m + y_deg))
+    n_e = {divmod(key, Z): a for key, a in hilbert_numerator(leads, (1,) * m + tuple(w + Z for w in y_deg)).items()}
+
     series = [{} for _ in range(1 + max(j for j, _ in n_e) + r + n)]
-    for sign, num in ((1, over({k: a for k, a in n_e.items() if not k[0]}, y_deg)), (-1, over(n_e, t_deg))):
+    for sign, num in ((1, s_f), (-1, over(n_e, t_deg))):
         for (j, a), b in num.items():
             series[j][a] = series[j].get(a, 0) + sign * b
     return series
@@ -340,6 +346,8 @@ def theorem_check(matrix, trange=None, budget=None, mutate=None):
     len_i = len_f if r == 1 else ideal_colength(ring, minors, budget)
     finite = len_f is not INFINITE
     table = br_function_table(matrix, d, budget) if finite else None
+    if finite and table.values[0] != len_f:  # S_1(F)/R_1(N) = F/N: two runs must agree
+        raise RuntimeError("lambda(1) = %d differs from l(F/N) = %d" % (table.values[0], len_f))
     e0 = table.e0 if finite else None
     verdicts = dict.fromkeys(VERDICTS)
     verdicts.update(square_zero=True, annihilation=True, finite_colength=finite,

@@ -25,14 +25,16 @@ from .groebner import buchberger, dimension_and_length, ideal_module_basis
 
 
 class GradedRing:
-    """F_p[x1..xm]/I with I homogeneous; carries the reduced basis of I."""
+    """F_p[x1..xm]/I with I homogeneous; carries the reduced basis of I and
+    the numerator N_A of its Hilbert series N_A(s) / (1 - s)^m."""
 
-    __slots__ = ("ctx", "ideal_gens", "ideal_basis", "dimension")
+    __slots__ = ("ctx", "ideal_gens", "ideal_basis", "numerator", "dimension")
 
-    def __init__(self, ctx, ideal_gens, ideal_basis, dimension):
+    def __init__(self, ctx, ideal_gens, ideal_basis, numerator, dimension):
         self.ctx = ctx
         self.ideal_gens = ideal_gens
         self.ideal_basis = ideal_basis  # GroebnerBasis of rank 1, or None for I = 0
+        self.numerator = numerator      # {degree: coefficient}
         self.dimension = dimension
 
     @property
@@ -168,10 +170,11 @@ def make_ring(p, variables, ideal_gens=(), budget=None):
         gens.append(g)
     gens = tuple(gens)
     basis = buchberger([VectorPolynomial((g,)) for g in gens], budget) if gens else None
-    d = dimension_and_length(basis.numerator() if gens else {0: 1}, ctx.nvars)[0]
+    num = basis.numerator() if gens else {0: 1}
+    d = dimension_and_length(num, ctx.nvars)[0]
     if d <= 0:
         raise ContractError("quotient ring has dimension %d; positive dimension required" % d)
-    return GradedRing(ctx, gens, basis, d)
+    return GradedRing(ctx, gens, basis, num, d)
 
 
 class SubmoduleOfFree:

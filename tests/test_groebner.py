@@ -153,6 +153,17 @@ def test_degree_budget_raises():
     assert err.value.kind == "degree"
 
 
+def test_hilbert_count_needs_homogeneous_rank_one_input():
+    # the count of missing lead terms holds degree by degree for
+    # homogeneous ideals only; (1 - s)^2 is the numerator of (x^2, y^2)
+    q = {0: 1, 2: -2, 4: 1}
+    assert buchberger([vec(X * X), vec(Y * Y)], hilbert=q).lead_terms == ((0, 0, 2), (0, 2, 0))
+    with pytest.raises(ContractError):
+        buchberger([vec(X * X - Y), vec(Y * Y)], hilbert=q)
+    with pytest.raises(ContractError):
+        buchberger([vec(X * X, Y * Y)], hilbert=q)
+
+
 def test_budget_tally_reports_usage():
     budget = Budget()
     buchberger([vec(X * X - Y), vec(X * Y)], budget)

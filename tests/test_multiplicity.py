@@ -8,7 +8,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from brimlab.corpus import ENTRIES, by_name
 from brimlab.dsl import build, parse
@@ -24,8 +24,8 @@ from brimlab.multiplicity import (
     rees_power_generators,
     theorem_check,
 )
-from brimlab.groebner import Budget
-from brimlab.koszul import ModuleMatrix
+from brimlab.groebner import Budget, buchberger
+from brimlab.koszul import ModuleMatrix, sym_basis
 from brimlab.poly import (
     INFINITE,
     AlgebraError,
@@ -35,7 +35,7 @@ from brimlab.poly import (
     Polynomial,
     VectorPolynomial,
 )
-from brimlab.rings import make_ring, quotient_basis
+from brimlab.rings import make_ring, quotient_basis, submodule_colength
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 import oracles
@@ -521,3 +521,178 @@ def test_random_parameter_matrix_does_not_retry_real_errors(monkeypatch):
     monkeypatch.setattr(koszul_mod, "ModuleMatrix", broken)
     with pytest.raises(RuntimeError):
         random_parameter_matrix(ring, 1, random.Random(3))
+
+
+def test_lambda_one_must_equal_the_colength(monkeypatch):
+    # S_1(F)/R_1(N) = F/N, so a Rees run whose lambda(1) differs from the
+    # parameter test's l(F/N) is a program fault, not a verdict
+    multiplicity_mod = importlib.import_module("brimlab.multiplicity")
+    real = multiplicity_mod.br_function_table
+
+    def off_by_one(*args, **kwargs):
+        table = real(*args, **kwargs)
+        return BRFunctionTable(table.degree, (table.values[0] + 1,) + table.values[1:],
+                               table.stable_from, table.e0, table.coefficients)
+
+    _, mat = corpus_pair("E4")
+    rep = theorem_check(mat)
+    assert rep.table.values[0] == rep.len_f_mod_n == 4
+    monkeypatch.setattr(multiplicity_mod, "br_function_table", off_by_one)
+    with pytest.raises(RuntimeError, match="lambda"):
+        theorem_check(mat)
+
+
+# Rees runs with and without the Hilbert count.
+
+def rows_apart(seed):
+    """A rank-2 matrix over F_101[x, y, z], five columns, rows one degree
+    apart: column j of degree d_j in 1..3, row 2 of degree d_j - 1 (zero
+    for d_j = 1), redrawn until l(F/N) is finite."""
+    ring = make_ring(101, ["x", "y", "z"])
+    rng = random.Random(seed)
+
+    def form(d):
+        return ring.element(Polynomial.from_terms(
+            ring.ctx, [(s.multidegree, rng.randrange(101)) for s in sym_basis(3, d)]))
+
+    while True:
+        degs = [rng.randint(1, 3) for _ in range(5)]
+        rows = [[form(d) for d in degs], [form(d - 1) if d > 1 else ring.zero() for d in degs]]
+        try:
+            mat = ModuleMatrix(ring, rows)
+        except ContractError:
+            continue
+        if submodule_colength(ring, mat.submodule()) is not INFINITE:
+            return mat
+
+
+def rees_call(mat):
+    """(gens, keyword arguments, table) of the one buchberger call of mat's
+    table."""
+    multiplicity_mod = importlib.import_module("brimlab.multiplicity")
+    calls = []
+
+    def record(gens, budget=None, **kwargs):
+        calls.append((list(gens), kwargs))
+        return buchberger(gens, budget, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(multiplicity_mod, "buchberger", record)
+        table = br_function_table(mat, mat.ring.dimension)
+    (call,) = calls
+    return call + (table,)
+
+
+def table_without_hilbert(mat):
+    """mat's table from a Rees run that reduces every pair."""
+    multiplicity_mod = importlib.import_module("brimlab.multiplicity")
+
+    def plain(gens, budget=None, hilbert=None, **kwargs):
+        return buchberger(gens, budget, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(multiplicity_mod, "buchberger", plain)
+        return br_function_table(mat, mat.ring.dimension)
+
+
+def same_rees_run(mat):
+    """Assert that the Hilbert count changes nothing but the reduced
+    pairs; return (pairs with it, pairs without)."""
+    gens, kwargs, table = rees_call(mat)
+    plain_kwargs = {k: v for k, v in kwargs.items() if k != "hilbert"}
+    counted, plain = buchberger(gens, **kwargs), buchberger(gens, **plain_kwargs)
+    assert counted.lead_terms == plain.lead_terms
+    assert counted.generators == plain.generators
+    assert counted.fresh == plain.fresh
+    assert table == table_without_hilbert(mat)
+    assert counted.pairs_used <= plain.pairs_used
+    return counted.pairs_used, plain.pairs_used
+
+
+# name -> (variables, ideal generators as [(exponents, coefficient)])
+RING_KINDS = {"P2": ("xy", []), "P3": ("xyz", []), "P4": ("xyzw", []),
+              "cone": ("xyz", [[((1, 1, 0), 1), ((0, 0, 2), -1)]]),
+              "ncm": ("xyz", [[((2, 0, 0), 1)], [((1, 1, 0), 1)]])}
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_hilbert_count_skips_only_zero_reductions(data):
+    # random weighted Rees runs: every column of one degree, the rows of a
+    # rank-2 matrix up to one degree apart, so the y and T weights differ
+    draw = data.draw
+    kind = draw(st.sampled_from(sorted(RING_KINDS)), label="ring")
+    names, ideal = RING_KINDS[kind]
+    ctx = PolyContext(101, list(names))
+    ring = make_ring(101, list(names), [Polynomial.from_terms(ctx, g) for g in ideal])
+    r = draw(st.integers(1, 2), label="rank")
+    apart = draw(st.sampled_from([0, 1, -1]), label="second row shift") if r == 2 else 0
+    n = ring.dimension + r - 1 + (r == 1 and draw(st.integers(0, 1), label="extra column"))
+    # degree-2 columns of a rank-2 matrix over cone take seconds a run
+    top = 1 if kind == "P4" or (r == 2 and kind in ("cone", "ncm")) else 2
+    degrees = draw(st.lists(st.integers(max(apart, 0) + 1, top + max(apart, 0)), min_size=n, max_size=n),
+                   label="column degrees")
+    shifts = (0, apart)[:r]
+    entries = [[ring.element(_random_form(draw, ctx, degrees[j] - shifts[i]))
+                if degrees[j] > shifts[i] else ring.zero() for j in range(n)] for i in range(r)]
+    try:
+        mat = ModuleMatrix(ring, entries)
+    except ContractError:
+        assume(False)
+    assume(submodule_colength(ring, mat.submodule()) is not INFINITE)
+    same_rees_run(mat)
+
+
+@pytest.mark.parametrize("seed", [8, 19])
+def test_hilbert_count_on_rows_apart(seed):
+    mat = rows_apart(seed)
+    assert mat.row_shifts == (0, 1)
+    counted, plain = same_rees_run(mat)
+    assert counted < plain
+
+
+def skipping_rees_run():
+    """(gens, keyword arguments with and without hilbert=) of a P2 rank-2
+    Rees run that skips 10 of its 32 pairs."""
+    mat = random_parameter_matrix(make_ring(101, ["x", "y"]), 2, random.Random(1), 2)
+    gens, kwargs, _ = rees_call(mat)
+    return gens, kwargs, {k: v for k, v in kwargs.items() if k != "hilbert"}
+
+
+def test_skipped_pairs_keep_the_degree_budget():
+    # a skipped pair past the degree cap raises as a reduced one does, and
+    # counts in max_degree_seen
+    gens, kwargs, plain_kwargs = skipping_rees_run()
+    for cap in range(1, 13):
+        outcomes = []
+        for kw in (kwargs, plain_kwargs):
+            budget = Budget(max_degree=cap)
+            try:
+                buchberger(gens, budget, **kw)
+                outcomes.append(("done", budget.max_degree_seen))
+            except BudgetExceededError as err:
+                outcomes.append((str(err), budget.max_degree_seen))
+        assert outcomes[0] == outcomes[1]
+    assert outcomes[0] == ("done", 11)
+
+
+def test_skipped_pairs_are_not_charged():
+    gens, kwargs, plain_kwargs = skipping_rees_run()
+    budget = Budget()
+    counted = buchberger(gens, budget, **kwargs)
+    plain = buchberger(gens, **plain_kwargs)
+    assert budget.pairs_used == counted.pairs_used == 22 and plain.pairs_used == 32
+    assert buchberger(gens, Budget(max_pairs=22), **kwargs).lead_terms == plain.lead_terms
+    with pytest.raises(BudgetExceededError) as err:
+        buchberger(gens, Budget(max_pairs=22), **plain_kwargs)
+    assert err.value.kind == "pairs"
+
+
+def test_a_wrong_hilbert_numerator_is_a_program_fault():
+    # s^11 more in the numerator claims one standard monomial more in
+    # degree 11, where the run has found every lead term before it starts
+    gens, kwargs, _ = skipping_rees_run()
+    q = dict(kwargs["hilbert"])
+    q[11] = q.get(11, 0) + 1
+    with pytest.raises(RuntimeError, match="Hilbert"):
+        buchberger(gens, **dict(kwargs, hilbert=q))
