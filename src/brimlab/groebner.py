@@ -33,12 +33,16 @@ weighted one.
 Normal forms pop leading terms from a heap.  S-polynomials and the
 reduction steps leave coefficients unreduced; a normal form reduces each
 one mod p once, when its term is popped, and drops it if that gives 0.
-S-pairs leave a heap by least sugar, then largest lcm (Giovini et al.,
-ISSAC 1991); sugar is the (shifted) degree on homogeneous input.  Pair
-handling follows the Gebauer-Moeller update.  The coprime-lead-term
-shortcut is only sound for vectors concentrated in a single component
-(the classical one-variable-at-a-time proof multiplies the two inputs,
-which has no meaning for genuine vectors), so it is applied exactly then.
+S-pairs leave a heap by least sugar (Giovini, Mora, Niesi, Robbiano and
+Traverso, ISSAC 1991); sugar is the (shifted) degree on homogeneous input.
+Of equal sugar, a homogeneous run takes the largest lcm first (smallest
+first about doubles the work of the lambda table's Rees runs), any other
+run, such as a tagged syzygy run, the smallest first, as the standard
+sugar strategy does.  Pair handling follows the Gebauer-Moeller update.
+The coprime-lead-term shortcut is only sound for vectors concentrated in
+a single component (the classical one-variable-at-a-time proof multiplies
+the two inputs, which has no meaning for genuine vectors), so it is
+applied exactly then.
 
 A run may shift the degree of each component c by s_c.  When every
 input vector is homogeneous under the shifted degrees, so are
@@ -55,8 +59,10 @@ of degree d the lead terms of each component c generate every monomial
 of degree d - s_c, all remaining pairs and inputs reduce to zero term by
 term, so the run stops there; a run told its quotient's Hilbert series
 drops the rest of each degree once it has all its lead terms (Traverso,
-J. Symb. Comp. 22, 1996; Bigatti, JPAA 1997).  Other runs take their
-inputs first, in order, and run to the end.
+J. Symb. Comp. 22, 1996; Bigatti, JPAA 1997).  Other runs take every
+input before any pair, smallest lead term first (equal ones in order),
+and run to the end: only a row with a smaller lead term can divide a tail
+term, so these orders leave fewer tail terms unreduced.
 
 buchberger returns the minimal basis.  Normal forms, membership and
 colengths need nothing more, since the full normal form against any
@@ -343,9 +349,9 @@ def _spoly(f, g, lcm_t, lay):
     return out
 
 
-def _update_pairs(G, P, new_idx, lay):
+def _update_pairs(G, P, new_idx, lay, sign):
     """Gebauer-Moeller pair update after appending G[new_idx]; returns a heap
-    of (sugar, lcm, i, j)."""
+    of (sugar, sign * lcm, i, j) that keeps the waiting inputs (i = -1)."""
     f = G[new_idx]
     ltf = f.lt
     cs = lay.comp_shift
@@ -354,10 +360,11 @@ def _update_pairs(G, P, new_idx, lay):
     comp = ltf >> cs
     kept = []
     for rec in P:
-        L = rec[1]
+        L = abs(rec[1])  # a pair's lcm: its key is sign * lcm, and terms are positive
         if (
             L >> cs == comp
             and not (L - ltf) & guard
+            and rec[2] >= 0  # a waiting input is no pair
             and L != lcm(G[rec[2]].lt, ltf)
             and L != lcm(G[rec[3]].lt, ltf)
         ):
@@ -384,7 +391,7 @@ def _update_pairs(G, P, new_idx, lay):
         if skip:
             continue
         i = min(idxs)
-        kept.append((max(G[i].sugar - G[i].deg, f_excess) + lay.degree(L), L, i, new_idx))
+        kept.append((max(G[i].sugar - G[i].deg, f_excess) + lay.degree(L), sign * L, i, new_idx))
     heapify(kept)
     return kept
 
@@ -627,7 +634,8 @@ def buchberger(gens, budget=None, eliminate=0, tags=0, shifts=None, weights=None
     the elimination module.  Rows led in the last `tags` components form
     no S-pairs and are all kept.  A term x^e of component c has degree
     shifts[c] (all 0 by default) plus sum_i weights[i] e_i (all weights 1
-    by default); see the module text for homogeneous input.  Weighted
+    by default); see the module text for homogeneous input and for the
+    order of inputs and pairs, which follows from it.  Weighted
     runs do not stop early.  hilbert, the numerator of the quotient's
     Hilbert series over prod_i (1 - s^weights[i]) for homogeneous rank-1
     input (else ContractError), drops the rest of a degree once all its
@@ -662,6 +670,7 @@ def buchberger(gens, budget=None, eliminate=0, tags=0, shifts=None, weights=None
     if hilbert is not None and (rank > 1 or not homogeneous):
         raise ContractError("a Hilbert numerator drives homogeneous runs of rank 1 only")
     count = None if hilbert is None else _Deficit(hilbert, lay)
+    sign = 1 if homogeneous else -1  # key sign * lcm: equal sugar pops largest lcm first, smallest at -1
     fresh = []
     G = []
     by_comp = {}
@@ -672,18 +681,18 @@ def buchberger(gens, budget=None, eliminate=0, tags=0, shifts=None, weights=None
         row = _make_row(d, p, sugar, lay)
         G.append(row)
         by_comp.setdefault(row.lt >> cs, []).append(row)
-        return P if row.lt >> cs >= tag_from else _update_pairs(G, P, len(G) - 1, lay)
+        return P if row.lt >> cs >= tag_from else _update_pairs(G, P, len(G) - 1, lay, sign)
 
-    # input k waits under its degree (before every pair when the input is
-    # not homogeneous), behind the pairs of that degree: its lcm slot
-    # passes every term
-    P = [(lay.degree(min(d)) + shifts[min(d) >> cs] if homogeneous else -1, (rank << cs) + k, -1, k)
-         for k, d in enumerate(vecs) if d]
+    # input k waits under its degree, behind the pairs of that degree (its
+    # lcm slot passes every term), in input order; inputs that are not
+    # homogeneous go before every pair, smallest lead term first
+    P = [(lay.degree(min(d)) + shifts[min(d) >> cs], (rank << cs) + k, -1, k) if homogeneous
+         else (-1, -min(d), -1, k) for k, d in enumerate(vecs) if d]
     heapify(P)
     open_comps = range(rank)
     deg_done, deficit = 0, None  # deficit: lead terms still missing in degree deg_done, when counted
     while P:
-        sugar, lcm_t, i, j = P[0]
+        sugar, key, i, j = P[0]
         if homogeneous and sugar > deg_done:
             # every pair and input below this degree is done: stop if
             # nothing is left to find from here up, component c being
@@ -702,6 +711,7 @@ def buchberger(gens, budget=None, eliminate=0, tags=0, shifts=None, weights=None
                 P = add(h, max(lay.degree(t) + shifts[t >> cs] for t in h))
                 deficit = deficit and deficit - 1
             continue
+        lcm_t = abs(key)
         deg = lay.degree(lcm_t)
         if deg > budget.max_degree:
             raise BudgetExceededError("degree", "degree budget exceeded: S-pair lcm degree %d > %d"

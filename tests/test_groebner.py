@@ -9,7 +9,7 @@ from math import comb
 from operator import mul
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from brimlab.groebner import (
     MAX_DEGREE,
@@ -376,6 +376,62 @@ def test_inhomogeneous_basis_is_order_free(data):
     assert again.generators == gb.generators
     for g in gens:
         assert gb.normal_form(g).is_zero()
+
+
+def _rows(gb):
+    """The unreduced rows of a basis: lead term and tail of each."""
+    return [(r.lt, r.tail) for r in gb._rows]
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_inhomogeneous_runs_take_inputs_smallest_lead_term_first(data):
+    # With distinct lead terms the input order of a run that is not
+    # homogeneous changes nothing: not the rows, their unreduced tails nor
+    # the S-pairs.  syzygy_basis numbers its tags by input position, and the
+    # tag that leads a syzygy row decides how the row is scaled and what
+    # later rows reduce against it: the syzygies, their tags put back,
+    # generate the same module, and the image basis is the same.
+    draw = data.draw
+    p = draw(st.sampled_from([2, 3, 101]), label="p")
+    ctx = PolyContext(p, ["x", "y", "z"][:draw(st.integers(2, 3), label="nvars")])
+    rank = draw(st.integers(1, 3), label="rank")
+    term = st.tuples(st.tuples(*[st.integers(0, 2)] * ctx.nvars), st.integers(1, p - 1))
+    entry = st.lists(term, max_size=3).map(lambda items: Polynomial.from_terms(ctx, items))
+    gens = draw(st.lists(st.tuples(*[entry] * rank).map(VectorPolynomial), min_size=2, max_size=4),
+                label="generators")
+    leads = [min(_vec_to_dict(g, _Layout(ctx.nvars)), default=None) for g in gens]
+    assume(None not in leads and len(set(leads)) == len(gens))
+    assume(any(len({sum(e) for f in g.components for e in f.terms}) > 1 for g in gens))
+    order = draw(st.permutations(range(len(gens))), label="order")
+    k, zero, one = len(gens), ctx.zero(), ctx.one()
+    tagged = [VectorPolynomial(g.components + tuple(one if j == i else zero for j in range(k)))
+              for i, g in enumerate(gens)]
+    for vectors, tags in ((gens, 0), (tagged, k)):
+        gb = buchberger(vectors, tags=tags)
+        again = buchberger([vectors[i] for i in order], tags=tags)
+        assert _rows(again) == _rows(gb) and again.pairs_used == gb.pairs_used
+    syz, image = syzygy_basis(gens)
+    syz_again, image_again = syzygy_basis([gens[i] for i in order])
+    back = [0] * k
+    for j, i in enumerate(order):
+        back[i] = j  # tag j of the permuted run is gens[order[j]]
+    assert _module(VectorPolynomial(tuple(v.components[back[i]] for i in range(k)))
+                   for v in (unpack_vector(ctx, k, d) for d in syz_again)) == _module(
+        unpack_vector(ctx, k, d) for d in syz)
+    assert _rows(image_again) == _rows(image) and image_again.pairs_used == image.pairs_used
+
+
+def test_waiting_input_outlives_the_chain_criterion():
+    # x + 1 goes in before x^2 + y, its lead term a multiple of x: the pair
+    # update after x + 1 must keep the waiting input, or the basis would
+    # miss y + 1.
+    one = CTX.one()
+    for gens in ([vec(X * X + Y), vec(X + one)], [vec(X * X + Y, X), vec(X + one, Y)]):
+        gb = buchberger(gens)
+        assert sorted(gb.fresh) == [0, 1]
+        assert all(gb.contains(g) for g in gens)
+    assert buchberger([vec(X * X + Y), vec(X + one)]).colength() == 1
 
 
 def syzygies(gens, **kwargs):
