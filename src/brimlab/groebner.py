@@ -19,7 +19,10 @@ degree <= MAX_DEGREE, half of TOP, so the lcm of any two of them still
 fits; a term that would pass MAX_DEGREE raises BudgetExceededError
 ("degree") instead of wrapping.  Vectors are packed where they enter the
 engine and unpacked where they leave it; each layout converts a monomial
-once and keeps it, in a memo that grows with the distinct monomials.
+once and keeps it, in a memo that grows with the distinct monomials.  A
+monomial ideal is a list of packed exponent fields (t & exp_mask): its
+lcms and colons are field-wise int operations, and the Hilbert numerators
+and the stop test below recurse on those ints.
 
 A run that eliminates the last variables of the context puts one more
 field, TOP - (degree in those variables), between the component and the
@@ -192,11 +195,7 @@ class _Layout:
 
     def lcm(self, a, b):
         """lcm of two terms of one component."""
-        ea = a & self.exp_mask
-        eb = b & self.exp_mask
-        sel = ((ea | self.guard) - eb) & self.guard  # guard set where a_i >= b_i
-        sel -= sel >> (_W - 1)                        # ... widened to the value bits
-        e = (ea & sel) | (eb & ~sel)
+        e = (b & self.exp_mask) + _monus(a & self.exp_mask, b & self.exp_mask, self.guard)
         cs = self.comp_shift
         x = ((a >> cs) << cs) | ((TOP - self.degree_of(e)) << self.deg_shift) | e
         if self.block:
@@ -210,6 +209,23 @@ class _Layout:
         for w, fields in self.groups:  # one sum per weight: its partial sums stay below it
             d += w * (((e & fields) * self.ones >> low) & _FIELD)
         return d
+
+
+def _monus(a, b, guard):
+    """The packed exponents max(a_i - b_i, 0) of packed exponents a, b."""
+    t = (a | guard) - b  # each field 2^15 + a_i - b_i: guard set where a_i >= b_i
+    sel = t & guard
+    return t & (sel - (sel >> (_W - 1)))  # a_i - b_i there, 0 elsewhere
+
+
+def _minimal(exps, guard):
+    """Minimal generators of the monomial ideal of the packed exponents exps,
+    smallest first: a divisor is a smaller int than its multiples."""
+    out = []
+    for e in sorted(set(exps)):
+        if all((e - f) & guard for f in out):
+            out.append(e)
+    return out
 
 
 def _vec_to_dict(v, lay):
@@ -287,7 +303,7 @@ def _make_row(d, p, sugar, lay):
     tail = [(u, c * inv % p) for u, c in d.items() if u != lt]
     cs = lay.comp_shift
     comp = lt >> cs
-    single = all(u >> cs == comp for u, _ in tail)
+    single = max(d) >> cs == comp  # the component sits above every other field
     deg = lay.degree(lt)
     top = TOP - min((u >> lay.deg_shift) & _FIELD for u in d)  # the largest term degree
     # t * row keeps every term within MAX_DEGREE iff TOP - deg(t) >= this
@@ -449,21 +465,12 @@ class _Deficit:
         if sum(len(vecs[j]) if i < 0 else len(G[i].tail) + len(G[j].tail)
                for s, _, i, j in P if s == d) < 8 * (len(G) - self.folded + 1):
             return None
-        lay, guard = self.lay, self.lay.guard
+        lay, mask, guard = self.lay, self.lay.exp_mask, self.lay.guard
         for k in range(self.folded, len(G)):
-            u = G[k].lt & lay.exp_mask
-            colon = set()  # J : u, generated by lcm(g, u) / u over the lead terms g before u
-            for r in G[:k]:
-                t = (r.lt | guard) - u  # each field 2^15 + g_i - u_i: guard set where g_i >= u_i
-                sel = t & guard
-                colon.add(t & (sel - (sel >> (_W - 1))))  # g_i - u_i there, 0 elsewhere
-            gens = []
-            for e in sorted(colon):  # a divisor is a smaller int than its multiples
-                if all((e - f) & guard for f in gens):
-                    gens.append(e)
+            u = G[k].lt & mask  # J : u is generated by lcm(g, u) / u over the lead terms g before u
+            colon = _numerator(_minimal([_monus(r.lt & mask, u, guard) for r in G[:k]], guard), lay)
             deg = lay.degree(G[k].lt)
-            self.num = _poly_add(self.num, {a + deg: -c for a, c in _numerator(
-                [lay.exps.f(e) for e in gens], lay.weights).items()})  # exps.f: no term of the run, no memo
+            self.num = _poly_add(self.num, {a + deg: -c for a, c in colon.items()})
         self.folded = len(G)
         hf = [self.num.get(a, 0) for a in range(d + 1)]  # num / prod_i (1 - s^w_i) up to degree d
         for w in lay.weights:
@@ -474,18 +481,21 @@ class _Deficit:
         return hf[d]
 
 
-def _fills_degree(exps, nvars, d):
-    """Does the monomial ideal generated by exps hold every monomial of
-    degree d?  Recursion on the last variable: the monomials of degree d
-    with exponent e in it are covered when the generators with at most e
-    of it cover degree d - e in the others; exponents at or past its
-    pure power are covered outright."""
-    if nvars == 1:
-        return any(g[0] <= d for g in exps)
-    pure = min((g[-1] for g in exps if not any(g[:-1])), default=d + 1)
+def _fills_degree(gens, m, d):
+    """Does the monomial ideal of gens, packed exponents of m variables as in
+    a term of degree <= MAX_DEGREE, hold every monomial of degree d?
+    Recursion on the last field: the monomials of degree d with exponent e
+    in it are covered when the generators with at most e of it cover degree
+    d - e in the lower fields; exponents at or past its pure power are
+    covered outright."""
+    if m == 1:
+        return any(g <= d for g in gens)
+    shift = (m - 1) * _W
+    low = (1 << shift) - 1
+    pure = min((g >> shift for g in gens if not g & low), default=d + 1)
     for e in range(min(pure, d + 1)):
-        level = [g[:-1] for g in exps if g[-1] <= e]
-        if not level or not _fills_degree(level, nvars - 1, d - e):
+        level = [g & low for g in gens if g >> shift <= e]
+        if not level or not _fills_degree(level, m - 1, d - e):
             return False
     return True
 
@@ -601,13 +611,14 @@ class GroebnerBasis:
         0 by default) and an unweighted run, as a new dict with no zero
         coefficient: one hilbert_numerator per distinct component lead set,
         found once per basis, shifted and summed."""
-        degrees = tuple(degrees or (0,) * self.rank)
+        degrees = (0,) * self.rank if degrees is None else tuple(degrees)
         if len(degrees) != self.rank:
             raise ContractError("%d degrees for rank %d" % (len(degrees), self.rank))
         if self._numerators is None:
-            unpack = self._lay.unpack
-            leads = [tuple(unpack(r.lt)[1:] for r in self._by_comp.get(c, ())) for c in range(self.rank)]
-            nums = {exps: hilbert_numerator(exps) for exps in set(leads)}
+            lay = self._lay
+            leads = [tuple(_minimal([r.lt & lay.exp_mask for r in self._by_comp.get(c, ())], lay.guard))
+                     for c in range(self.rank)]
+            nums = {exps: _numerator(exps, _layout(lay.m, 0)) for exps in set(leads)}
             self._numerators = tuple(nums[exps] for exps in leads)
         out = {}
         for d, num in zip(degrees, self._numerators):
@@ -651,7 +662,7 @@ def buchberger(gens, budget=None, eliminate=0, tags=0, shifts=None, weights=None
         if g.ctx != ctx or g.rank != rank:
             raise ContractError("generators of rank %d over %r and rank %d over %r mixed"
                                 % (rank, ctx, g.rank, g.ctx))
-    shifts = tuple(shifts or (0,) * rank)
+    shifts = (0,) * rank if shifts is None else tuple(shifts)
     if len(shifts) != rank:
         raise ContractError("%d degree shifts for rank %d" % (len(shifts), rank))
     if budget is None:
@@ -699,7 +710,7 @@ def buchberger(gens, budget=None, eliminate=0, tags=0, shifts=None, weights=None
             # filled at degree sugar - shifts[c] (unweighted runs only)
             deg_done = sugar
             open_comps = [c for c in open_comps if weighted or sugar < shifts[c] or not _fills_degree(
-                [lay.unpack(r.lt)[1:] for r in by_comp.get(c, ())], m, sugar - shifts[c])]
+                [r.lt & lay.exp_mask for r in by_comp.get(c, ())], m, sugar - shifts[c])]
             if not open_comps:
                 break
             deficit = count and count.at(sugar, G, P, vecs)
@@ -794,14 +805,18 @@ def hilbert_numerator(exp_vectors, weights=None):
     while Z exceeds every a: the degree of the lcm of the first set's
     parts of the generators.
 
-    Bigatti's pivot recursion (JPAA 1997): for a monomial P outside J,
-    N(J) = N(J + (P)) + s^deg(P) N(J : P).  A generator that shares no
-    variable with any other one splits off as a factor 1 - s^deg.
+    Each generator is packed once into the engine's exponent fields, and
+    one of total degree past MAX_DEGREE raises BudgetExceededError
+    ("degree").  On them runs Bigatti's pivot recursion (JPAA 1997): for a
+    monomial P outside J, N(J) = N(J + (P)) + s^deg(P) N(J : P).  A
+    generator that shares no variable with any other one splits off as a
+    factor 1 - s^deg.
     """
-    gens = _minimal_exps(exp_vectors)
-    if weights is None:
-        weights = (1,) * (len(gens[0]) if gens else 0)
-    return _numerator(gens, tuple(weights))
+    gens = [tuple(g) for g in exp_vectors]
+    m = len(weights) if weights is not None else len(gens[0]) if gens else 0
+    lay = _Layout(m, 0, weights)
+    pack = _layout(m, 0)._pack  # checks the total degree; no memo, as these are no terms of a run
+    return _numerator(_minimal([pack(g) & lay.exp_mask for g in gens], lay.guard), lay)
 
 
 def dimension_and_length(num, m):
@@ -831,34 +846,37 @@ def dimension_and_length(num, m):
     return 0, sum(coeffs)
 
 
-def _numerator(gens, weights):
-    """hilbert_numerator of a minimal generating set."""
-    if any(not any(g) for g in gens):
+def _numerator(gens, lay):
+    """hilbert_numerator of the minimal generators gens, packed exponent
+    fields of lay, under its weights."""
+    if 0 in gens:
         return {}
-    uses = {}
-    for g in gens:
-        for i, e in enumerate(g):
-            if e:
-                uses[i] = uses.get(i, 0) + 1
+    guard = lay.guard
+    supports = [((g | guard) - lay.ones) & guard for g in gens]  # the guard bits of g's nonzero fields
+    seen = shared = uses = 0
+    for s in supports:
+        shared |= seen & s
+        seen |= s
+        uses += s >> (_W - 1)  # per field, the number of generators using it
     out = {0: 1}
-    rest = []
-    for g in gens:
-        if all(uses[i] == 1 for i, e in enumerate(g) if e):
-            d = sum(map(mul, weights, g))
+    for g, s in zip(gens, supports):
+        if not s & shared:  # no variable in common with another generator: a factor 1 - s^deg
+            d = lay.degree_of(g)
             out = _poly_add(out, {k + d: -c for k, c in out.items()})
-        else:
-            rest.append(g)
+    rest = [g for g, s in zip(gens, supports) if s & shared]
     if not rest:
         return out
     # pivot x_v^e: v in the most generators, e the median exponent of the
     # generators other than a pure power of v, so that x_v^e lies outside J
-    v = max(uses, key=lambda i: (uses[i], -i))
-    exps = sorted(g[v] for g in rest if g[v] and any(f for i, f in enumerate(g) if i != v))
-    e = exps[len(exps) // 2]
-    pivot = tuple(e if i == v else 0 for i in range(len(rest[0])))
-    added = _numerator(_minimal_exps(rest + [pivot]), weights)
-    colon = _numerator(_minimal_exps([g[:v] + (max(g[v] - e, 0),) + g[v + 1:] for g in rest]), weights)
-    inner = _poly_add(added, {k + e * weights[v]: c for k, c in colon.items()})
+    # and divides exactly the generators with at least e of x_v
+    v = max(range(lay.m), key=lambda i: (uses >> i * _W & _FIELD, -i))
+    f = _FIELD << (v * _W)
+    exps = sorted(g & f for g in rest if g & f and g & ~f)
+    pivot = exps[len(exps) // 2]
+    e = pivot >> v * _W
+    added = _numerator([g for g in rest if g & f < pivot] + [pivot], lay)
+    colon = _numerator(_minimal([_monus(g, pivot, guard) for g in rest], guard), lay)
+    inner = _poly_add(added, {k + e * lay.weights[v]: c for k, c in colon.items()})
     prod = {}
     for a, x in out.items():
         prod = _poly_add(prod, {a + b: x * y for b, y in inner.items()})
@@ -873,13 +891,4 @@ def _poly_add(a, b):
             out[k] = c
         else:
             out.pop(k, None)
-    return out
-
-
-def _minimal_exps(exp_vectors):
-    uniq = sorted(set(tuple(g) for g in exp_vectors), key=lambda g: (sum(g), g))
-    out = []
-    for g in uniq:
-        if not any(all(x <= y for x, y in zip(h, g)) for h in out):
-            out.append(g)
     return out

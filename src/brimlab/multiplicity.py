@@ -101,12 +101,13 @@ def rees_power_generators(matrix, k):
     return labels, gens
 
 
-def _rees_series(matrix, budget):
-    """[Q_0(s), Q_1(s), ...], each {degree: coefficient}, with
+def _rees_lengths(matrix, budget):
+    """[R_0, R_1, ...], R_j the length (int or INFINITE) of Q_j(s) / (1 - s)^m:
 
         sum_k H_k(s) z^k = sum_j Q_j(s) z^j / ((1 - s)^m prod_w (1 - s^w z)),
 
     H_k the Hilbert series of S_k(F)/R_k(N), w over the degrees of T and y.
+    lambda_value and br_function_table read the Rees run only through these.
 
     R(N) = F_p[x, y]/E, E the part of (I, y_j - l_j) free of T: one
     buchberger run eliminates T, with x of degree 1, T_i of degree e_i + c
@@ -157,38 +158,29 @@ def _rees_series(matrix, budget):
     for sign, num in ((1, s_f), (-1, over(n_e, t_deg))):
         for (j, a), b in num.items():
             series[j][a] = series[j].get(a, 0) + sign * b
-    return series
-
-
-def _lambda(series, k, matrix):
-    """lambda(k) from the _rees_series of matrix."""
-    q = matrix.r + matrix.n
-    total = {}
-    for j, num in enumerate(series[:k + 1]):
-        for a, c in num.items():
-            total[a] = total.get(a, 0) + comb(k - j + q - 1, q - 1) * c
-    return dimension_and_length(total, matrix.ring.ctx.nvars)[1]
+    return [dimension_and_length(num, m)[1] for num in series]
 
 
 def lambda_value(matrix, k, budget=None):
     """length of S_k(F)/R_k(N); k = 0 gives 0.  INFINITE when not finite.
 
-    lambda(k) is the length of
-    sum_(j<=k) binom(k - j + r + n - 1, r + n - 1) Q_j(s) / (1 - s)^m
-    over the Q_j of _rees_series: its z^k coefficient H_k(s) with each
-    1 - s^w z made 1 - z.  That adds to H_k only terms (1 - s) h(s) H_t(s),
-    t < k, which change no finite length; and when F/N has infinite
-    length, every S_t(F)/R_t(N), t >= 1, has its dimension, so H_k keeps
-    the highest pole at s = 1: INFINITE exactly when (1 - s)^m does not
-    divide the sum.  Every call
-    makes the Groebner run and charges it to budget; br_function_table
-    makes it once for the whole table.
+    lambda(k) = sum_(j<=k) binom(k - j + r + n - 1, r + n - 1) R_j over the
+    R_j of _rees_lengths: the length of H_k(s) with each 1 - s^w z made
+    1 - z, which adds only terms (1 - s) h(s) H_t(s), t < k, and so changes
+    no finite length.  INFINITE exactly when one of R_0..R_k is: R_0 = 0,
+    R_1 = l(F/N), and each Q_j / (1 - s)^m is a signed sum of s^a H_t(s),
+    t <= j, all finite when l(F/N) is.  Every call makes the Groebner run
+    and charges it to budget; br_function_table makes it once for the table.
     """
     if k < 0:
         raise ContractError("symmetric power k must be at least 0, got %d" % k)
     if k == 0:
         return 0
-    return _lambda(_rees_series(matrix, budget), k, matrix)
+    R = _rees_lengths(matrix, budget)[:k + 1]
+    if INFINITE in R:
+        return INFINITE
+    q = matrix.r + matrix.n
+    return sum(comb(k - j + q - 1, q - 1) * c for j, c in enumerate(R))
 
 
 @dataclass(frozen=True)
@@ -218,7 +210,7 @@ def br_function_table(matrix, ring_dim, budget=None):
     """lambda, its polynomial and where the two start to agree, from one
     bigraded Hilbert series of R(N).
 
-    With R_j the length of Q_j (see _rees_series), sum_k lambda(k) z^k is
+    With R_j of _rees_lengths, sum_k lambda(k) z^k is
     R(z) / (1 - z)^(r + n).  Dividing R by (1 - z) while R(1) = 0 leaves
     R'(z) / (1 - z)^(D + 1), so
     lambda(k) = sum_(j<=k) R'_j binom(k - j + D, D).  P(k), the same sum
@@ -227,18 +219,16 @@ def br_function_table(matrix, ring_dim, budget=None):
     polynomial, and differs by (-1)^D R'_(deg R') at k = deg R' - D - 1:
     stable_from is max(1, deg R' - D).  e_i = sum_j binom(j, i) R'_(j+1)
     (R'_0 = lambda(0) = 0).  values runs to stable_from + D + 2.  A pole
-    order other than D + 1 is a program fault (RuntimeError).  ring_dim
-    must be the ring's dimension.
+    order other than D + 1, or an infinite R_j past R_1, is a program
+    fault (RuntimeError).  ring_dim must be the ring's dimension.
     """
     if ring_dim != matrix.ring.dimension:
         raise ContractError("ring_dim %d differs from the ring's dimension %d"
                             % (ring_dim, matrix.ring.dimension))
     D = ring_dim + matrix.r - 1
-    m = matrix.ring.ctx.nvars
-    series = _rees_series(matrix, budget)
-    if _lambda(series, 1, matrix) is INFINITE:
+    R = _rees_lengths(matrix, budget)
+    if INFINITE in R[:2]:
         raise AlgebraError("lambda(1) is infinite; the module has no finite colength")
-    R = [dimension_and_length(num, m)[1] for num in series]
     if INFINITE in R:
         raise RuntimeError("a z-degree of the lambda series has infinite length")
     pole = matrix.r + matrix.n

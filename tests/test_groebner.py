@@ -26,6 +26,7 @@ from brimlab.groebner import (
     unpack_vector,
     _Layout,
     _dict_to_vec,
+    _fills_degree,
     _layout,
     _vec_to_dict,
 )
@@ -800,6 +801,17 @@ def test_weights_must_be_positive_one_per_variable(weights):
         buchberger([vec(X)], weights=weights)
 
 
+@pytest.mark.parametrize("shifts", [(), (0,), (0, 0, 0)])
+def test_shifts_and_degrees_need_one_entry_per_component(shifts):
+    # only None stands for all zeros: an empty tuple is as wrong as a short one
+    gens = [vec(X, Y), vec(Y, CTX.zero())]
+    with pytest.raises(ContractError):
+        buchberger(gens, shifts=shifts)
+    gb = buchberger(gens)
+    with pytest.raises(ContractError):
+        gb.numerator(shifts)
+
+
 def test_degree_limit_inside_elimination_runs():
     ctx = PolyContext(101, ["y", "u"])
     y, u = ctx.variable(0), ctx.variable(1)
@@ -870,6 +882,34 @@ def test_hilbert_numerator_edge_ideals():
     # negative label shifts: (1 - s)^2 s^-2 is S/(x, y) in degree -2
     assert dimension_and_length({-2: 1, -1: -2, 0: 1}, 2) == (0, 1)
     assert dimension_and_length({-3: 1, -2: -1}, 2) == (1, INFINITE)
+
+
+def test_hilbert_numerator_refuses_a_generator_past_the_degree_limit():
+    # the limit is on the total degree, which keeps every packed field
+    # below its guard bit; weights may raise the degree past it
+    assert hilbert_numerator([(MAX_DEGREE, 0)]) == {0: 1, MAX_DEGREE: -1}
+    assert hilbert_numerator([(0, MAX_DEGREE)], (1, 3)) == {0: 1, 3 * MAX_DEGREE: -1}
+    for gens, weights in (([(MAX_DEGREE + 1, 0)], None), ([(1, MAX_DEGREE)], (1, 1)),
+                          ([(1, 1), (0, 2 * MAX_DEGREE)], (2, 1))):
+        with pytest.raises(BudgetExceededError) as err:
+            hilbert_numerator(gens, weights)
+        assert err.value.kind == "degree"
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_fills_degree_against_enumeration(data):
+    # the recursion covers every exponent at or past the last variable's
+    # pure power at once, so draw the pure powers apart: some, all or none
+    nvars = data.draw(st.integers(1, 4), label="nvars")
+    gens = data.draw(st.lists(st.tuples(*[st.integers(0, 4)] * nvars), max_size=6), label="gens")
+    powers = data.draw(st.lists(st.integers(0, 6), min_size=nvars, max_size=nvars), label="pure powers, 0 none")
+    gens += [tuple(a * (i == v) for i in range(nvars)) for v, a in enumerate(powers) if a]
+    d = data.draw(st.integers(0, 8), label="d")
+    lay = _layout(nvars, 0)
+    want = all(any(all(a <= b for a, b in zip(g, mono)) for g in gens)
+               for mono in oracles.monomials_of_degree(nvars, d))
+    assert _fills_degree([lay.packed[g] & lay.exp_mask for g in gens], nvars, d) == want
 
 
 def test_contains_products_matches_contains_of_the_product():

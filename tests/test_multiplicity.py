@@ -67,10 +67,12 @@ def test_lambda_zero_is_zero():
     assert lambda_value(mat, 0) == 0
 
 
-def test_lambda_infinite():
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_lambda_infinite(k):
+    # lambda(k) reads R_0..R_k of the Rees run: R_1 is infinite here
     ring, mat = build(parse(
         "ring { p = 101 vars = [x, y] }\nmodule { rank = 1 matrix = [[x]] }\n"))
-    assert lambda_value(mat, 1) is INFINITE
+    assert lambda_value(mat, k) is INFINITE
 
 
 def _random_form(draw, ctx, degree):
