@@ -16,15 +16,20 @@ block:
       tmax = 1
     }
 
-Comments run from # to end of line.  Polynomials use +, -, *, ^ and
-parentheses with explicit multiplication only, nested at most
+A token is an integer of ASCII digits, a name (a Unicode letter or _, then
+letters, digits or _) or one of { } [ ] = , + - * ^ ( ); spaces, tabs,
+carriage returns, newlines and comments (# to end of line) separate them,
+and each character but a comment's is one column.  Polynomials use +, -,
+*, ^ and parentheses with explicit multiplication only, nested at most
 MAX_NESTING deep.  Parse errors carry the line and column of the
 offending token.
 """
 
+import re
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import mul
+from typing import NamedTuple
 
 from .groebner import check_term_degree
 from .poly import PolyContext, Polynomial
@@ -33,7 +38,6 @@ from .poly import PolyContext, Polynomial
 OPTION_KEYS = ("tmin", "tmax", "seed", "samples", "pairs", "degree", "format")
 FORMATS = ("text", "json", "csv")
 
-_SYMBOLS = "{}[]=,+-*^()"
 MAX_NESTING = 64  # parentheses inside one another; each level costs a few stack frames
 
 
@@ -45,49 +49,35 @@ class ParseError(Exception):
         self.reason = message
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "ident", "int", one of _SYMBOLS, "eof"
+class Token(NamedTuple):
+    kind: str  # "ident", "int", a symbol, "eof"
     value: object
     line: int
     col: int
 
 
+# a name's first character must also pass str.isalpha() or be "_": [^\W\d] admits
+# digits that are not decimal, such as a superscript two
+_TOKEN = re.compile(r"(?P<newline>\n)|[ \t\r]+|(?P<comment>#)[^\n]*|(?P<int>[0-9]+)|(?P<ident>[^\W\d]\w*)"
+                    r"|(?P<symbol>[{}\[\]=,+\-*^()])|(?P<other>.)", re.S)
+
+
 def _lex(text):
     tokens = []
-    line, col, i = 1, 1, 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            i += 1
-            col += 1
-        elif ch == "#":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-        elif "0" <= ch <= "9":
-            start = i
-            c0 = col
-            while i < len(text) and "0" <= text[i] <= "9":
-                i += 1
-                col += 1
-            tokens.append(Token("int", int(text[start:i]), line, c0))
-        elif ch.isalpha() or ch == "_":
-            start = i
-            c0 = col
-            while i < len(text) and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-                col += 1
-            tokens.append(Token("ident", text[start:i], line, c0))
-        elif ch in _SYMBOLS:
-            tokens.append(Token(ch, ch, line, col))
-            i += 1
-            col += 1
-        else:
-            raise ParseError("unexpected character %r" % ch, line, col)
+    line, start, col = 1, 0, 1  # start: offset of the line's first character
+    for m in _TOKEN.finditer(text):
+        kind, at = m.lastgroup, m.start() - start + 1
+        if kind == "newline":
+            line, start = line + 1, m.end()
+        elif kind == "int":
+            tokens.append(Token(kind, int(m[kind]), line, at))
+        elif kind == "ident" and (m[kind][0].isalpha() or m[kind][0] == "_"):
+            tokens.append(Token(kind, m[kind], line, at))
+        elif kind == "symbol":
+            tokens.append(Token(m[kind], m[kind], line, at))
+        elif kind in ("ident", "other"):
+            raise ParseError("unexpected character %r" % m[kind][0], line, at)
+        col = at if kind == "comment" else m.end() - start + 1  # a comment does not advance the column
     tokens.append(Token("eof", None, line, col))
     return tokens
 

@@ -669,6 +669,9 @@ def buchberger(gens, budget=None, eliminate=0, tags=0, shifts=None, weights=None
         budget = Budget()
     p = ctx.p
     m = ctx.nvars
+    if not (0 <= eliminate <= m and 0 <= tags <= rank):
+        raise ContractError("eliminate=%r and tags=%r for %d variables and rank %d: need 0 <= eliminate <= %d"
+                            " and 0 <= tags <= %d" % (eliminate, tags, m, rank, m, rank))
     if weights is not None and (len(weights) != m or min(weights, default=1) < 1):
         raise ContractError("weights %r for %d variables: need one positive weight each" % (weights, m))
     weighted = weights is not None and any(w != 1 for w in weights)
@@ -814,6 +817,9 @@ def hilbert_numerator(exp_vectors, weights=None):
     """
     gens = [tuple(g) for g in exp_vectors]
     m = len(weights) if weights is not None else len(gens[0]) if gens else 0
+    for g in gens:
+        if len(g) != m or min(g, default=0) < 0:
+            raise ContractError("exponent vector %r: need %d nonnegative entries" % (g, m))
     lay = _Layout(m, 0, weights)
     pack = _layout(m, 0)._pack  # checks the total degree; no memo, as these are no terms of a run
     return _numerator(_minimal([pack(g) & lay.exp_mask for g in gens], lay.guard), lay)

@@ -59,6 +59,9 @@ def kernel_generators(ring, matrix_over_a, budget=None):
     cols = len(matrix_over_a[0]) if rows else 0
     if not (rows and cols):
         raise ContractError("kernel of a %d x %d matrix: need at least one row and column" % (rows, cols))
+    for i, row in enumerate(matrix_over_a):
+        if len(row) != cols:
+            raise ContractError("matrix row %d has %d entries, row 1 has %d" % (i + 1, len(row), cols))
     lifted = [VectorPolynomial(tuple(matrix_over_a[i][j].rep for i in range(rows))) for j in range(cols)]
     return [tuple(RingElement(ring, c) for c in unpack_vector(ring.ctx, cols, w).components)
             for w in _kernel(ring, lifted, rows, budget)[0]]

@@ -812,6 +812,15 @@ def test_shifts_and_degrees_need_one_entry_per_component(shifts):
         gb.numerator(shifts)
 
 
+@pytest.mark.parametrize("option", [{"eliminate": 3}, {"eliminate": 5}, {"eliminate": -1},
+                                    {"tags": 3}, {"tags": -1}])
+def test_eliminated_variables_and_tags_must_fit_the_run(option):
+    gens = [vec(X, Y), vec(Y, CTX.zero())]
+    with pytest.raises(ContractError):
+        buchberger(gens, **option)
+    assert buchberger(gens, eliminate=2, tags=2).rank == 2  # both ends of each range
+
+
 def test_degree_limit_inside_elimination_runs():
     ctx = PolyContext(101, ["y", "u"])
     y, u = ctx.variable(0), ctx.variable(1)
@@ -882,6 +891,14 @@ def test_hilbert_numerator_edge_ideals():
     # negative label shifts: (1 - s)^2 s^-2 is S/(x, y) in degree -2
     assert dimension_and_length({-2: 1, -1: -2, 0: 1}, 2) == (0, 1)
     assert dimension_and_length({-3: 1, -2: -1}, 2) == (1, INFINITE)
+
+
+@pytest.mark.parametrize("gens, weights", [([(-1, 2)], None), ([(1, 2), (1,)], None),
+                                           ([(1,), (1, 2)], None), ([(1, 2)], (1,))])
+def test_hilbert_numerator_refuses_malformed_exponent_vectors(gens, weights):
+    # a negative exponent or a length that differs from the others or from weights
+    with pytest.raises(ContractError):
+        hilbert_numerator(gens, weights)
 
 
 def test_hilbert_numerator_refuses_a_generator_past_the_degree_limit():

@@ -45,6 +45,14 @@ def test_kernel_of_empty_matrix_is_contract_error():
             kernel_generators(ring, matrix)
 
 
+@pytest.mark.parametrize("widths", [(1, 2), (2, 1), (2, 2, 1)])
+def test_kernel_of_ragged_matrix_is_contract_error(widths):
+    ring = make_ring(101, ["x"])
+    x = ring.element(ring.ctx.variable(0))
+    with pytest.raises(ContractError, match="matrix row %d has" % len(widths)):
+        kernel_generators(ring, [[x] * w for w in widths])
+
+
 def test_kernel_over_quotient_ring():
     # over A = F[x,y]/(x^2, xy) the kernel of y is the principal module (x)
     ring, _ = corpus_complex("E2", 1)

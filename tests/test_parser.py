@@ -140,6 +140,16 @@ _MODULE = "module { rank = 1 matrix = [[x, y]] }\n"
     # digits are ASCII only: a superscript two or an Arabic-Indic zero is no digit
     (_RING + "module { rank = 1 matrix = [[x^\u00b2, y]] }", "unexpected character '\u00b2'", 2, 32),
     ("ring { p = 1\u06601 vars = [x, y] }\n" + _MODULE, "unexpected character '\u0660'", 1, 13),
+    # a no-break space is no separator; a tab and a carriage return are one column each
+    (_RING + "module {\xa0rank = 1 matrix = [[x, y]] }", "unexpected character '\\xa0'", 2, 9),
+    ("ring {\tp = 101 vars = [x, y] q = 1 }\n" + _MODULE, "unknown ring setting 'q'", 1, 30),
+    ("ring { p = 101 vars = [x, y] }\r\nmodule { rank = 1 cols = 2 }\r\n", "unknown module setting 'cols'", 2, 19),
+    # end of input after a trailing comment sits at the comment's '#'
+    (_RING + "module { rank = 1 # no matrix", "found 'end of input'", 2, 19),
+    # a name goes on with any letter or digit, a number with ASCII digits only
+    (_RING + "module { rank = 1 matrix = [[x\u00e9\u00b2, y]] }", "unknown variable 'x\u00e9\u00b2'", 2, 30),
+    ("ring { p = 0000101 vars = [x, y] }\nmodule { rank = 0000101 matrix = [[x, y]] }",
+     "matrix has 1 rows but rank is 101", 2, 34),
 ])
 def test_error_messages_and_positions(text, fragment, line, col):
     e = err(text)

@@ -69,6 +69,14 @@ def test_dimension():
     assert make_ring(101, ["x", "y", "z"], [x * x, x * y]).dimension == 2  # ncm
 
 
+@pytest.mark.parametrize("n", [31, 40])
+def test_coprime_pair_is_skipped_before_the_degree_budget(n):
+    # the S-pair of x^n and y^n has lcm degree 2n, past the default cap of 60:
+    # Buchberger's coprime criterion drops it before the degree check
+    x, y = (PolyContext(101, ["x", "y", "z"]).variable(i) for i in range(2))
+    assert make_ring(101, ["x", "y", "z"], [x ** n, y ** n]).dimension == 1
+
+
 def test_ring_elements_are_normal_forms():
     ring = make_ring(101, ["x", "y"], [X * X, X * Y])
     x = ring.variable(0)
