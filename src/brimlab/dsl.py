@@ -21,8 +21,8 @@ letters, digits or _) or one of { } [ ] = , + - * ^ ( ); spaces, tabs,
 carriage returns, newlines and comments (# to end of line) separate them,
 and each character but a comment's is one column.  Polynomials use +, -,
 *, ^ and parentheses with explicit multiplication only, nested at most
-MAX_NESTING deep.  Parse errors carry the line and column of the
-offending token.
+MAX_NESTING deep, and an integer has at most MAX_DIGITS digits.  Parse
+errors carry the line and column of the offending token.
 """
 
 import re
@@ -39,6 +39,7 @@ OPTION_KEYS = ("tmin", "tmax", "seed", "samples", "pairs", "degree", "format")
 FORMATS = ("text", "json", "csv")
 
 MAX_NESTING = 64  # parentheses inside one another; each level costs a few stack frames
+MAX_DIGITS = 640  # digits of an integer: the lowest cap int() may be given on a digit string
 
 
 class ParseError(Exception):
@@ -70,6 +71,8 @@ def _lex(text):
         if kind == "newline":
             line, start = line + 1, m.end()
         elif kind == "int":
+            if len(m[kind]) > MAX_DIGITS:
+                raise ParseError("integer of %d digits, more than %d" % (len(m[kind]), MAX_DIGITS), line, at)
             tokens.append(Token(kind, int(m[kind]), line, at))
         elif kind == "ident" and (m[kind][0].isalpha() or m[kind][0] == "_"):
             tokens.append(Token(kind, m[kind], line, at))

@@ -77,6 +77,7 @@ from __future__ import annotations
 
 from functools import cache
 from heapq import heapify, heappop, heappush
+from itertools import accumulate
 from operator import mul
 
 from .poly import (
@@ -264,6 +265,12 @@ def term_component(ctx, u):
     return u >> _layout(ctx.nvars, 0).comp_shift
 
 
+def term_degrees(ctx, d, shifts):
+    """The degrees of the terms of the packed vector d, component c shifted by shifts[c]."""
+    lay = _layout(ctx.nvars, 0)
+    return {shifts[u >> lay.comp_shift] + TOP - (u >> lay.deg_shift & _FIELD) for u in d}
+
+
 def unpack_vector(ctx, rank, d):
     """The packed vector d as a VectorPolynomial of the given rank."""
     return _dict_to_vec(ctx, rank, d.items(), _layout(ctx.nvars, 0))
@@ -367,46 +374,33 @@ def _spoly(f, g, lcm_t, lay):
 
 def _update_pairs(G, P, new_idx, lay, sign):
     """Gebauer-Moeller pair update after appending G[new_idx]; returns a heap
-    of (sugar, sign * lcm, i, j) that keeps the waiting inputs (i = -1)."""
+    of (sugar, sign * lcm, i, j) that keeps the waiting inputs (i = -1).  The
+    criteria compare packed exponents; only a new pair gets its full lcm."""
     f = G[new_idx]
     ltf = f.lt
-    cs = lay.comp_shift
-    guard = lay.guard
-    lcm = lay.lcm
-    comp = ltf >> cs
+    cs, guard, mask = lay.comp_shift, lay.guard, lay.exp_mask
+    comp, a = ltf >> cs, ltf & mask
+    groups = {}  # the exponents of lcm(lt_i, lt_f) -> the rows i of f's component
+    for i in range(new_idx):
+        e = G[i].lt
+        if e >> cs == comp:
+            e &= mask
+            groups.setdefault(e + _monus(a, e, guard), []).append(i)
     kept = []
     for rec in P:
         L = abs(rec[1])  # a pair's lcm: its key is sign * lcm, and terms are positive
-        if (
-            L >> cs == comp
-            and not (L - ltf) & guard
-            and rec[2] >= 0  # a waiting input is no pair
-            and L != lcm(G[rec[2]].lt, ltf)
-            and L != lcm(G[rec[3]].lt, ltf)
-        ):
-            continue  # chain criterion: the new lead term covers this pair
+        if L >> cs == comp and not (L - ltf) & guard and rec[2] >= 0:  # a waiting input is no pair
+            e, b, c = L & mask, G[rec[2]].lt & mask, G[rec[3]].lt & mask
+            if e != b + _monus(a, b, guard) and e != c + _monus(a, c, guard):
+                continue  # chain criterion: the new lead term covers this pair
         kept.append(rec)
-    groups = {}
-    for i in range(new_idx):
-        lti = G[i].lt
-        if lti >> cs == comp:
-            groups.setdefault(lcm(lti, ltf), []).append(i)
-    minimal = []
-    for L in sorted(groups, reverse=True):  # smallest term first
-        if not any(not (L - M) & guard for M in minimal):
-            minimal.append(L)
-    mask = lay.exp_mask
     f_excess = f.sugar - f.deg
-    for L in minimal:
-        idxs = groups[L]
-        skip = False
-        for i in idxs:
-            if G[i].single and f.single and (G[i].lt & mask) + (ltf & mask) == L & mask:
-                skip = True  # coprime shortcut, sound for one-component rows
-                break
-        if skip:
-            continue
-        i = min(idxs)
+    for e in _minimal(groups, guard):
+        idxs = groups[e]  # in index order
+        if f.single and any(G[i].single and (G[i].lt & mask) + a == e for i in idxs):
+            continue  # coprime shortcut, sound for one-component rows
+        i = idxs[0]
+        L = lay.lcm(G[i].lt, ltf)
         kept.append((max(G[i].sugar - G[i].deg, f_excess) + lay.degree(L), sign * L, i, new_idx))
     heapify(kept)
     return kept
@@ -575,8 +569,8 @@ class GroebnerBasis:
         once its parent is zero.
         """
         lay, p = self._lay, self.ctx.p
-        vec = self.reduce_terms(d)
-        if not vec:
+        vec = any(g.terms for g in gs) and self.reduce_terms(d)
+        if not vec:  # every product is zero or in the submodule
             return [True] * len(gs)
         top = max(map(lay.degree, vec))
         nfs = {(0,) * lay.m: vec}  # e -> NF(x^e * w)
@@ -826,30 +820,34 @@ def hilbert_numerator(exp_vectors, weights=None):
 
 
 def dimension_and_length(num, m):
-    """(Krull dimension, length) of a graded module with Hilbert series
-    Q(s) / (1 - s)^m, for the Laurent polynomial Q = num given as
+    """(Krull dimension, length) of the module of hilbert_function: the
+    sum of its Hilbert function, INFINITE past dimension 0."""
+    dim, hf = hilbert_function(num, m)
+    return dim, INFINITE if hf is None else sum(hf.values())
+
+
+def hilbert_function(num, m):
+    """(Krull dimension, Hilbert function) of a graded module with Hilbert
+    series Q(s) / (1 - s)^m, for the Laurent polynomial Q = num given as
     {degree: coefficient}: a hilbert_numerator, or a signed sum of them
-    shifted by degrees.
+    shifted by degrees.  The function is {degree: value} over the degrees
+    where it is nonzero, and None past dimension 0.
 
     Q = (1 - s) R exactly when the coefficients of Q sum to 0, and then
     R's coefficients are the partial sums of Q's.  The dimension is m
-    less the number of divisions made before the sum is nonzero; the
-    length is (Q / (1 - s)^m)(1) in dimension 0 and INFINITE otherwise.
-    Q = 0, the zero module, gives dimension -1 and length 0.
+    less the number of divisions made before the sum is nonzero.  Q = 0,
+    the zero module, gives dimension -1 and the function {}.
     """
-    coeffs = [num.get(d, 0) for d in range(min(num), max(num) + 1)] if num else []
+    low = min(num, default=0)
+    coeffs = [num.get(d, 0) for d in range(low, max(num) + 1)] if num else []
     if not any(coeffs):
-        return -1, 0
+        return -1, {}
     for d in range(m, 0, -1):
-        partial = []
-        acc = 0
-        for c in coeffs:
-            acc += c
-            partial.append(acc)
-        if acc:
-            return d, INFINITE
+        partial = list(accumulate(coeffs))
+        if partial[-1]:
+            return d, None
         coeffs = partial[:-1]
-    return 0, sum(coeffs)
+    return 0, {low + k: c for k, c in enumerate(coeffs) if c}
 
 
 def _numerator(gens, lay):

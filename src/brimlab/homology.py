@@ -17,16 +17,16 @@ I K_(p-1), whose GroebnerBasis.numerator, each basis vector in its
 label's degree, is the numerator of HS(coker d_p); HS(K_(p-1)) has the
 ring's numerator N_A shifted to each label's degree.  The numerators
 sum to Q(s) with HS(H_p) = Q(s) / (1 - s)^m, and
-groebner.dimension_and_length, which reads every length and dimension
-in brimlab, reads the length off Q: INFINITE exactly when (1 - s)^m
-does not divide Q, and otherwise that quotient at s = 1.
+groebner.hilbert_function, which reads every length and dimension in
+brimlab, reads off Q the Hilbert function of H_p, Q / (1 - s)^m, and
+its length: INFINITE exactly when (1 - s)^m does not divide Q.
 
 Each presentation keeps the basis of im d_(p+1) + I K_p and its cycles
 as the engine's packed vectors (kernel_gens converts them when read), so
-the annihilation check is a set of packed membership tests against it
-and makes no Groebner run of its own.  Lengths may be INFINITE; the Euler
-characteristic refuses to sum those and raises a structured error naming
-the offending degree instead.
+the annihilation check makes no Groebner run: it tests packed products
+against that basis, in degrees where H_p is nonzero.  Lengths may be
+INFINITE; the Euler characteristic refuses to sum those and raises a
+structured error naming the offending degree instead.
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .poly import INFINITE, AlgebraError, ContractError, VectorPolynomial
-from .groebner import (dimension_and_length, ideal_module_basis, in_components, pack_polynomial,
-                       syzygy_basis, unpack_vector)
+from .poly import INFINITE, AlgebraError, ContractError, Polynomial, VectorPolynomial
+from .groebner import (hilbert_function, ideal_module_basis, in_components, pack_polynomial,
+                       syzygy_basis, term_degrees, unpack_vector)
 from .rings import RingElement, quotient_basis
 
 
@@ -86,14 +86,16 @@ class HomologyPresentation:
     ker d_p (for p = 0 the basis vectors of K_0); kernel_gens: the same as
     tuples of RingElement, built on each read; length: int or INFINITE;
     basis: GroebnerBasis of im d_(p+1) + I K_p in F_p[x]^rank_p, so the class
-    of a cycle u vanishes exactly when u lies in it.  Equality and hash go
-    by p, kernel_gens and length."""
+    of a cycle u vanishes exactly when u lies in it; hilbert_function: {d:
+    dim (H_p)_d} where that is nonzero, or None when the length is
+    INFINITE.  Equality and hash go by p, kernel_gens and length."""
 
     p: int
     cycles: tuple
     length: object
     cx: object = field(repr=False)
     basis: object = field(default=None, repr=False)
+    hilbert_function: object = field(default=None, repr=False)
 
     @property
     def kernel_gens(self):
@@ -151,8 +153,9 @@ def _presentations(cx, degrees, budget):
             num.update(cycles_out.numerator(cx.degrees[p - 1]))
             for d in cx.degrees[p - 1]:  # HS(K_(p-1)): N_A(s) s^d per label
                 num.subtract({k + d: c for k, c in ring.numerator.items()})
-        length = dimension_and_length(num, ring.ctx.nvars)[1]
-        out[p] = HomologyPresentation(p, tuple(kernel), length, cx, boundaries)
+        hf = hilbert_function(num, ring.ctx.nvars)[1]
+        length = INFINITE if hf is None else sum(hf.values())
+        out[p] = HomologyPresentation(p, tuple(kernel), length, cx, boundaries, hf)
     return out
 
 
@@ -196,7 +199,10 @@ def annihilation_check(cx, minors=None, presentations=None, budget=None):
     For each degree p, each cycle u_i and each minor g, g*u_i must lie in
     im d_(p+1) + I K_p, the module the presentation's basis spans.
     GroebnerBasis.contains_products_of_terms tests the packed cycles as
-    they are, building the products one variable at a time.
+    they are, building the products one variable at a time.  Where H_p
+    has finite length and u_i one degree delta, x^e*u_i is a cycle of
+    degree delta + |e|, a boundary where H_p is 0: for any g, only the
+    terms c*x^e of g with (H_p)_(delta + |e|) nonzero are tested.
     Returns the list of violations as (p, minor_index, kernel_index)
     triples; empty means the containment holds everywhere.
     """
@@ -206,13 +212,19 @@ def annihilation_check(cx, minors=None, presentations=None, budget=None):
         minors = fitting_ideal(cx.matrix)
     if presentations is None:
         presentations = all_homology(cx, budget)
-    reps = [g.rep for g in minors]
+    ctx, reps = cx.ring.ctx, [g.rep for g in minors]
     bad = []
     for p in range(cx.length + 1):
-        pres = presentations[p]
-        # passes[ki][mi]: minor mi kills the class of u_ki
-        passes = [pres.basis.contains_products_of_terms(reps, w) for w in pres.cycles]
+        pres, cut = presentations[p], {None: reps}  # cut[delta]: the minors cut for cycles of degree delta
+        live = pres.hilbert_function
+        passes = []  # passes[ki][mi]: minor mi kills the class of u_ki
+        for w in pres.cycles:
+            degrees = term_degrees(ctx, w, cx.degrees[p])
+            delta = degrees.pop() if live is not None and len(degrees) == 1 else None
+            if delta not in cut:
+                cut[delta] = [Polynomial(ctx, {e: c for e, c in g.terms.items() if delta + sum(e) in live})
+                              for g in reps]
+            passes.append(pres.basis.contains_products_of_terms(cut[delta], w))
         bad += [(p, mi, ki) for mi in range(len(minors)) for ki in range(len(passes))
                 if not passes[ki][mi]]
     return bad
-

@@ -2,11 +2,13 @@
 
 import dataclasses
 import importlib
+import itertools
 import pathlib
 import random
 import sys
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from brimlab.corpus import by_name
 from brimlab.dsl import build, parse
@@ -18,9 +20,9 @@ from brimlab.homology import (
     homology,
     kernel_generators,
 )
-from brimlab.groebner import buchberger, syzygy_basis, unpack_vector
+from brimlab.groebner import buchberger, in_components, pack_polynomial, syzygy_basis, unpack_vector
 from brimlab.koszul import ModuleMatrix, build_koszul, fitting_ideal, sym_basis
-from brimlab.poly import ContractError, PolyContext, VectorPolynomial
+from brimlab.poly import INFINITE, ContractError, PolyContext, VectorPolynomial
 from brimlab.rings import RingElement, make_ring, quotient_basis
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
@@ -417,3 +419,50 @@ def test_homology_lengths_match_syzygy_route_on_random_graded_matrices():
             assert oracle_lengths(cx) == want
             checked_by_oracle += 1
     assert infinite >= 10 and checked_by_oracle >= 4
+
+
+ANNIHILATION_RINGS = differential_rings()  # P2, P3, F_7[x,y]/(x^2), the cone and ncm
+
+
+@settings(max_examples=100, deadline=None)
+@example(ring_index=1, r=1, shifts=[0, 0], degrees=[1, 1], seed=0)  # over P3: H_0 has infinite length
+@given(ring_index=st.integers(0, len(ANNIHILATION_RINGS) - 1), r=st.integers(1, 2),
+       shifts=st.lists(st.integers(0, 1), min_size=2, max_size=2),
+       degrees=st.lists(st.integers(1, 2), min_size=1, max_size=3), seed=st.integers(0, 2 ** 32))
+def test_annihilation_check_skips_only_boundaries(ring_index, r, shifts, degrees, seed):
+    # annihilation_check tests only the products x^e * u in degrees where H_p
+    # is nonzero; direct membership of the whole g * u must agree, also for
+    # minors that are no minors: 1, and the inhomogeneous 1 + x
+    assume(len(degrees) >= r)
+    ring = ANNIHILATION_RINGS[ring_index]
+    rng = random.Random(seed)
+    # entry (i, j) of degree d_j - e_i: mixed column degrees, a graded map
+    mat = ModuleMatrix(ring, [[random_form(ring, rng, d - e) if d > e else ring.zero() for d in degrees]
+                              for e in shifts[:r]])
+    variables = [ring.variable(i) for i in range(ring.ctx.nvars)]
+    infinite = False
+    for t in range(-1, mat.n - mat.r + 2):
+        cx = build_koszul(mat, t)
+        pres = all_homology(cx)
+        fitting = fitting_ideal(mat)
+        minors = list(fitting) + variables
+        minors += [random_form(ring, rng, 1), ring.one(), ring.one() + variables[0]]
+        want = direct_annihilation(cx, minors)
+        assert annihilation_check(cx, minors, pres) == want
+        assert annihilation_check(cx, None, pres) == [b for b in want if b[1] < len(fitting)]
+        # each degree p on its own below: the other degrees without cycles
+        bare = {q: dataclasses.replace(pr, cycles=()) for q, pr in pres.items()}
+        for p, pr in pres.items():
+            hf = pr.hilbert_function
+            assert pr.length == (INFINITE if hf is None else sum(hf.values()))
+            assert hf is None or min(hf.values(), default=1) > 0
+            infinite |= hf is None
+            # a cycle of two degrees, u + v*u, is tested whole, as every cycle was before
+            for u, v in itertools.product(pr.kernel_gens, variables):
+                parts = [(pack_polynomial((a + v * a).rep), j) for j, a in enumerate(u)]
+                w = in_components(ring.ctx, [(d, j) for d, j in parts if d])
+                kept = pr.basis.contains_products_of_terms([g.rep for g in minors], w)
+                got = annihilation_check(cx, minors, {**bare, p: dataclasses.replace(pr, cycles=(w,))})
+                assert got == [(p, mi, 0) for mi, ok in enumerate(kept) if not ok]
+    if (ring_index, r, degrees, seed) == (1, 1, [1, 1], 0):
+        assert infinite

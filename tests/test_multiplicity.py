@@ -568,15 +568,17 @@ def rows_apart(seed):
             return mat
 
 
-def rees_call(mat):
-    """(gens, keyword arguments, table) of the one buchberger call of mat's
-    table."""
+def rees_call(mat, counted=True):
+    """(gens, keyword arguments, basis, table) of the one buchberger call of
+    mat's table; with counted=False the call runs without its hilbert=
+    count, so it reduces every pair."""
     multiplicity_mod = importlib.import_module("brimlab.multiplicity")
     calls = []
 
     def record(gens, budget=None, **kwargs):
-        calls.append((list(gens), kwargs))
-        return buchberger(gens, budget, **kwargs)
+        run = {k: v for k, v in kwargs.items() if counted or k != "hilbert"}
+        calls.append((list(gens), kwargs, buchberger(gens, budget, **run)))
+        return calls[-1][2]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(multiplicity_mod, "buchberger", record)
@@ -585,28 +587,15 @@ def rees_call(mat):
     return call + (table,)
 
 
-def table_without_hilbert(mat):
-    """mat's table from a Rees run that reduces every pair."""
-    multiplicity_mod = importlib.import_module("brimlab.multiplicity")
-
-    def plain(gens, budget=None, hilbert=None, **kwargs):
-        return buchberger(gens, budget, **kwargs)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(multiplicity_mod, "buchberger", plain)
-        return br_function_table(mat, mat.ring.dimension)
-
-
 def same_rees_run(mat):
     """Assert that the Hilbert count changes nothing but the reduced
     pairs; return (pairs with it, pairs without)."""
-    gens, kwargs, table = rees_call(mat)
-    plain_kwargs = {k: v for k, v in kwargs.items() if k != "hilbert"}
-    counted, plain = buchberger(gens, **kwargs), buchberger(gens, **plain_kwargs)
+    _, _, counted, table = rees_call(mat)
+    _, _, plain, plain_table = rees_call(mat, counted=False)
     assert counted.lead_terms == plain.lead_terms
     assert counted.generators == plain.generators
     assert counted.fresh == plain.fresh
-    assert table == table_without_hilbert(mat)
+    assert table == plain_table
     assert counted.pairs_used <= plain.pairs_used
     return counted.pairs_used, plain.pairs_used
 
@@ -657,7 +646,7 @@ def skipping_rees_run():
     """(gens, keyword arguments with and without hilbert=) of a P2 rank-2
     Rees run that skips 10 of its 32 pairs."""
     mat = random_parameter_matrix(make_ring(101, ["x", "y"]), 2, random.Random(1), 2)
-    gens, kwargs, _ = rees_call(mat)
+    gens, kwargs, _, _ = rees_call(mat)
     return gens, kwargs, {k: v for k, v in kwargs.items() if k != "hilbert"}
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from brimlab.corpus import ENTRIES
-from brimlab.dsl import FORMATS, MAX_NESTING, OPTION_KEYS, ParseError, ProblemSpec, build, parse
+from brimlab.dsl import FORMATS, MAX_DIGITS, MAX_NESTING, OPTION_KEYS, ParseError, ProblemSpec, build, parse
 
 
 def err(text):
@@ -150,10 +150,20 @@ _MODULE = "module { rank = 1 matrix = [[x, y]] }\n"
     (_RING + "module { rank = 1 matrix = [[x\u00e9\u00b2, y]] }", "unknown variable 'x\u00e9\u00b2'", 2, 30),
     ("ring { p = 0000101 vars = [x, y] }\nmodule { rank = 0000101 matrix = [[x, y]] }",
      "matrix has 1 rows but rank is 101", 2, 34),
+    # past MAX_DIGITS digits, whether or not int() caps digit strings here
+    pytest.param(_RING + "module { rank = 1 matrix = [[x^" + "1" * 5000 + ", y]] }",
+                 "integer of 5000 digits", 2, 32, id="exponent-of-5000-digits"),
+    pytest.param(_RING + "module { rank = 1 matrix = [[x, y]] }\noptions { seed = 1" + "0" * MAX_DIGITS + " }",
+                 "integer of %d digits" % (MAX_DIGITS + 1), 3, 18, id="seed-past-max-digits"),
 ])
 def test_error_messages_and_positions(text, fragment, line, col):
     e = err(text)
     assert fragment in e.reason and (e.line, e.col) == (line, col)
+
+
+def test_integer_of_max_digits_parses():
+    spec = parse(_RING + "module { rank = 1 matrix = [[x, y]] }\noptions { seed = " + "9" * MAX_DIGITS + " }")
+    assert spec.options["seed"] == 10 ** MAX_DIGITS - 1
 
 
 def test_parse_error_str_carries_position():
