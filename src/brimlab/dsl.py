@@ -22,17 +22,19 @@ carriage returns, newlines and comments (# to end of line) separate them,
 and each character but a comment's is one column.  Polynomials use +, -,
 *, ^ and parentheses with explicit multiplication only, nested at most
 MAX_NESTING deep, and an integer has at most MAX_DIGITS digits.  Parse
-errors carry the line and column of the offending token.
+errors carry the line and column of the offending token, as does the
+BudgetExceededError of a product or power that may expand past MAX_TERMS terms.
 """
 
 import re
 from dataclasses import dataclass, field
 from functools import reduce
+from math import comb, prod
 from operator import mul
 from typing import NamedTuple
 
 from .groebner import check_term_degree
-from .poly import PolyContext, Polynomial
+from .poly import BudgetExceededError, PolyContext, Polynomial
 
 
 OPTION_KEYS = ("tmin", "tmax", "seed", "samples", "pairs", "degree", "format")
@@ -40,6 +42,7 @@ FORMATS = ("text", "json", "csv")
 
 MAX_NESTING = 64  # parentheses inside one another; each level costs a few stack frames
 MAX_DIGITS = 640  # digits of an integer: the lowest cap int() may be given on a digit string
+MAX_TERMS = 1000  # terms a product or power may expand to; (x+y+z)^43 has 990
 
 
 class ParseError(Exception):
@@ -153,18 +156,19 @@ class _Parser:
         return ("+", terms)
 
     def term(self):
+        first = self.peek()
         factors = [self.factor()]
         while self.at("*"):
             self.take()
             factors.append(self.factor())
-        return ("*", factors)
+        return ("*", factors, first.line, first.col)
 
     def factor(self):
         node = self.base()
         if self.at("^"):
-            self.take()
+            caret = self.take()
             tok = self.take("int", "an integer exponent")
-            node = ("^", node, tok.value)
+            node = ("^", node, tok.value, caret.line, caret.col)
         return node
 
     def base(self):
@@ -200,10 +204,25 @@ def _eval_poly(node, ctx):
     if kind == "^":
         base, n = _eval_poly(node[1], ctx), node[2]
         check_term_degree((base.degree() or 0) * n)  # the degree of base^n, known before expanding it
-        return base ** n
-    if kind == "*":
-        return reduce(mul, (_eval_poly(f, ctx) for f in node[1]))
+        return _expand(node, [base], n, ctx.nvars)
+    if kind == "*":  # bounded as a whole, which bounds each partial product
+        return _expand(node, [_eval_poly(f, ctx) for f in node[1]], 1, ctx.nvars)
     return sum((-_eval_poly(t, ctx) if neg else _eval_poly(t, ctx) for neg, t in node[1]), ctx.zero())
+
+
+def _expand(node, factors, n, m):
+    """prod(factors)^n, refused before it is expanded when it may have more than MAX_TERMS
+    terms: at most the product of the term counts to the n (an n past MAX_TERMS' bit length
+    takes a count of 2 past it), and at most the monomials in m variables of its degrees."""
+    count = prod(len(f.terms) for f in factors) ** min(n, MAX_TERMS.bit_length())
+    if count > MAX_TERMS and len(factors) * n > 1:  # one factor to the first power is as written
+        low, high = (n * sum(k(map(sum, f.terms)) for f in factors) for k in (min, max))
+        monomials = comb(high + m, m) - (comb(low + m - 1, m) if low else 0)
+        if monomials > MAX_TERMS:
+            raise BudgetExceededError("expansion", "line %d, column %d: this %s may expand to more than %d terms"
+                                      % (*node[-2:], "power" if node[0] == "^" else "product", MAX_TERMS))
+    f = reduce(mul, factors)
+    return f if n == 1 else f ** n
 
 
 def _open(ps, name, what):

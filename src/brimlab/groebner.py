@@ -276,13 +276,14 @@ def unpack_vector(ctx, rank, d):
     return _dict_to_vec(ctx, rank, d.items(), _layout(ctx.nvars, 0))
 
 
-def combine(ctx, columns, w):
+def combine(ctx, columns, w, lay=None):
     """sum_v c_v x^mono(v) columns[comp(v)] over the terms c_v v of the
-    packed vector w, each columns[j] a packed vector: a matrix with those
-    columns applied to w.  One addition per monomial product."""
-    lay = _layout(ctx.nvars, 0)
+    packed vector w, each columns[j] a packed vector of the layout lay (by
+    default the plain one of ctx): a matrix with those columns applied to
+    w.  One addition per monomial product."""
+    lay = lay or _layout(ctx.nvars, 0)
     cs = lay.comp_shift
-    one = TOP << lay.deg_shift  # the term 1 of component 0
+    one = lay.packed[(0,) * lay.m]  # the term 1 of component 0
     acc = {}
     for v, b in w.items():
         j = v >> cs
@@ -561,43 +562,17 @@ class GroebnerBasis:
         return self.contains_products_of_terms(gs, self._packed(w))
 
     def contains_products_of_terms(self, gs, d):
-        """contains_products of w given as a packed vector.
-
-        NF is linear and unique, so NF(g*w) = sum_e g_e NF(x^e * w) and
-        NF(x^e * w) = NF(x_i * NF(x^(e - e_i) * w)): each x^e costs one reduced
-        vector times one variable, reduced once for all gs and not at all
-        once its parent is zero.
-        """
-        lay, p = self._lay, self.ctx.p
+        """contains_products of w given as a packed vector: NF(g*w) =
+        NF(g * NF(w)), so w is reduced once, then each g * NF(w) is built
+        and reduced once, as every membership test is."""
+        lay = self._lay
         vec = any(g.terms for g in gs) and self.reduce_terms(d)
         if not vec:  # every product is zero or in the submodule
             return [True] * len(gs)
-        top = max(map(lay.degree, vec))
-        nfs = {(0,) * lay.m: vec}  # e -> NF(x^e * w)
-
-        def nf(e):
-            if e not in nfs and top + sum(e) > MAX_DEGREE:
-                raise _too_high("a product with a normal form")
-            chain = []  # e and its parents down to a known one, x_i the first variable
-            while e not in nfs:
-                i = next(i for i, a in enumerate(e) if a)
-                f = e[:i] + (e[i] - 1,) + e[i + 1:]  # x^f = x^e / x_i
-                chain.append((e, lay.packed[e] - lay.packed[f]))  # u + s is x_i * u
-                e = f
-            parent = nfs[e]
-            for e, s in reversed(chain):
-                parent = nfs[e] = parent and _normal_form_dict(
-                    {u + s: a for u, a in parent.items()}, self._by_comp, p, lay)
-            return parent
-
-        out = []
-        for g in gs:
-            acc = {}
-            for e, c in g.terms.items():
-                for t, a in nf(e).items():
-                    acc[t] = acc.get(t, 0) + a * c
-            out.append(not any(b % p for b in acc.values()))
-        return out
+        ws = [{lay.packed[e]: c for e, c in g.terms.items()} for g in gs]  # each g in component 0
+        if max(map(lay.degree, vec)) + max(lay.degree(u) for w in ws for u in w) > MAX_DEGREE:
+            raise _too_high("a product with a normal form")
+        return [not self.reduce_terms(combine(self.ctx, [vec], w, lay)) for w in ws]
 
     def numerator(self, degrees=None):
         """Q with HS(F_p[x]^rank / submodule) = Q(s) / (1 - s)^m for a

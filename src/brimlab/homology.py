@@ -199,7 +199,7 @@ def annihilation_check(cx, minors=None, presentations=None, budget=None):
     For each degree p, each cycle u_i and each minor g, g*u_i must lie in
     im d_(p+1) + I K_p, the module the presentation's basis spans.
     GroebnerBasis.contains_products_of_terms tests the packed cycles as
-    they are, building the products one variable at a time.  Where H_p
+    they are, one normal form per product.  Where H_p
     has finite length and u_i one degree delta, x^e*u_i is a cycle of
     degree delta + |e|, a boundary where H_p is 0: for any g, only the
     terms c*x^e of g with (H_p)_(delta + |e|) nonzero are tested.

@@ -45,8 +45,10 @@ from typing import NamedTuple
 
 from .groebner import (combine, ideal_module_basis, in_components, pack_polynomial, term_component,
                        unpack_vector)
-from .poly import ContractError
+from .poly import BudgetExceededError, ContractError
 from .rings import RingElement, SubmoduleOfFree, grading
+
+MAX_LABELS = 10_000  # basis labels of one complex: 2^13 for a 1 x 13 matrix, refused from 1 x 14 up
 
 
 class ExteriorIndex(NamedTuple):
@@ -246,13 +248,16 @@ def build_koszul(matrix, t, check=True):
     does not have degree deg(column) - deg(row); either is a fault in
     this module, not in the input.  check=False skips the square-zero
     verification (used by tests that deliberately corrupt a differential
-    first).  An entry past the engine's degree limit raises
-    BudgetExceededError.
+    first).  An entry past the engine's degree limit, or a complex of
+    more than MAX_LABELS basis labels in all, raises BudgetExceededError.
     """
     r, n = matrix.r, matrix.n
     length = n - r + 1
     if not -1 <= t <= length:
         raise ContractError("shift t=%d outside supported range [-1, %d]" % (t, length))
+    if (size := sum(expected_rank(r, n, t, p) for p in range(length + 1))) > MAX_LABELS:
+        raise BudgetExceededError("expansion", "K(a; %d) of a %d x %d matrix has %d basis labels, more than %d"
+                                  % (t, r, n, size, MAX_LABELS))
     ring = matrix.ring
     labels = {p: term_labels(r, n, t, p) for p in range(length + 1)}
     degrees = {p: tuple(label_degree(matrix, t, p, ext, sym) for ext, sym in labels[p])

@@ -5,6 +5,10 @@ import dataclasses
 import importlib
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import jsonschema
@@ -274,6 +278,31 @@ def test_huge_constant_power_is_squared_not_expanded(problem, capsys):
     want_code, want, _ = run(capsys, ["analyze", problem(text % pow(2, 1000000, 101), "reduced.brim")])
     mask = lambda s: s.split("telemetry")[0]
     assert code == want_code == EXIT_OK and mask(out) == mask(want)
+
+
+def run_process(flags, argv):
+    """(exit code, stderr, seconds) of python <flags> -m brimlab <argv> in a
+    new process, asserts on (flags ["-O"]) or off."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(corpus_mod.__file__).resolve().parents[1]))
+    started = time.monotonic()
+    done = subprocess.run([sys.executable, *flags, "-m", "brimlab", *argv], env=env, capture_output=True,
+                          text=True, timeout=60)
+    return done.returncode, done.stderr, time.monotonic() - started
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_large_expansions_exhaust_the_budget_at_once(problem, flags):
+    # (x+y+z)^200 took 47 s inside the parser; 1 x 16 and 1 x 18 matrices
+    # built a complex of 2^n labels and died of MemoryError (exit 4)
+    text = "ring {\n  p = 101\n  vars = [x, y, z]\n}\nmodule {\n  rank = 1\n  matrix = [[(x+y+z)^200]]\n}\n"
+    code, err, seconds = run_process(flags, ["analyze", problem(text)])
+    assert code == EXIT_BUDGET and seconds < 2.0
+    assert "line 7, column 21: this power may expand to more than 1000 terms" in err
+    for n in (16, 18):
+        text = "ring { p = 101 vars = [x, y] }\nmodule { rank = 1 matrix = [[%s]] }\n" % ", ".join(["x, y"] * (n // 2))
+        code, err, seconds = run_process(flags, ["analyze", problem(text, "wide%d.brim" % n)])
+        assert code == EXIT_BUDGET and seconds < 5.0
+        assert "1 x %d matrix has %d basis labels" % (n, 2 ** n) in err
 
 
 @pytest.mark.parametrize("command", ["analyze", "verify"])

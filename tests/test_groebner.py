@@ -939,7 +939,7 @@ def test_contains_products_matches_contains_of_the_product():
         assert gb.contains_products(gens, w) == want
         assert gb.contains_products(gens, v) == want
     assert not all(gb.contains_products(gens, gb.normal_form(vec(X, Y * Y))))
-    # x^2 * 1 lies in (x^2, y^2), so x^3 * 1 must too, with no reduction of its own
+    # x^2 * 1 and so x^3 * 1 lie in (x^2, y^2); x^2 y + x and x y do not
     square = buchberger([vec(X * X), vec(Y * Y)])
     assert square.contains_products([X ** 3, X * X * Y + X, X * Y, zero], vec(CTX.one())) == [
         True, False, False, True]
@@ -955,7 +955,7 @@ def test_contains_products_matches_contains_of_the_product():
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_chained_products_match_contains_of_each_product(data):
-    # contains_products builds NF(x^e * w) from NF(x^(e - e_i) * w); the
+    # contains_products reduces w first and then each g * NF(w); the
     # reference reduces each g*w from scratch.  The multipliers share
     # monomials (g_0 + g_1 and the repeats), and one is zero.
     draw = data.draw
@@ -974,8 +974,38 @@ def test_chained_products_match_contains_of_each_product(data):
     entry = st.lists(st.tuples(st.sampled_from(low), st.integers(0, p - 1)), max_size=3)
     vs = [VectorPolynomial(tuple(Polynomial.from_terms(ctx, draw(entry, label="w")) for _ in range(rank)))
           for _ in range(2)]
-    # a monomial w: some x^e * w lies in the module sooner, so chains meet zero parents
+    # a monomial w: some x^e * w lies in the module while other multiples do not
     c, e = draw(st.integers(0, rank - 1), label="component"), draw(st.sampled_from(low), label="monomial")
     vs.append(VectorPolynomial(tuple(Polynomial.from_terms(ctx, [(e, 1)] if k == c else []) for k in range(rank))))
     for v in vs:
+        assert gb.contains_products(gs, v) == [gb.contains(v.scale(g)) for g in gs]
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_products_in_elimination_and_weighted_layouts_match_contains(data):
+    # contains_products builds g * NF(w) in the basis's own layout: here one
+    # with an elimination field, with weights, or with both
+    draw = data.draw
+    p = draw(st.sampled_from([2, 3, 101]), label="p")
+    ctx = PolyContext(p, ["x", "y", "z"])
+    eliminate = draw(st.sampled_from([0, 1, 2]), label="eliminate")
+    weights = draw(st.sampled_from([None, (1, 2, 1), (3, 1, 2)]), label="weights")
+    assume(eliminate or weights)
+    rank = draw(st.integers(1, 2), label="rank")
+    monomials = [e for d in range(3) for e in oracles.monomials_of_degree(3, d)]
+    term = st.tuples(st.sampled_from(monomials), st.integers(0, p - 1))
+    entry = st.lists(term, max_size=3)
+
+    def vector(label):
+        return VectorPolynomial(tuple(Polynomial.from_terms(ctx, draw(entry, label=label)) for _ in range(rank)))
+
+    gens = [vector("generator") for _ in range(draw(st.integers(1, 3)))]
+    assume(any(not g.is_zero() for g in gens))
+    gb = buchberger(gens, eliminate=eliminate, weights=weights)
+    assert (gb._lay.block, gb._lay.weights) == (eliminate, weights or (1, 1, 1))
+    gs = [Polynomial.from_terms(ctx, draw(st.lists(term, min_size=1, max_size=3), label="g"))
+          for _ in range(draw(st.integers(1, 3)))]
+    gs += [gs[0] + gs[-1], ctx.zero()]
+    for v in [vector("w") for _ in range(2)] + list(gens[:1]):
         assert gb.contains_products(gs, v) == [gb.contains(v.scale(g)) for g in gs]

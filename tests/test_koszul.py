@@ -11,6 +11,7 @@ from brimlab.corpus import ENTRIES, by_name
 from brimlab.dsl import build, parse
 from brimlab.groebner import term_component
 from brimlab.koszul import (
+    MAX_LABELS,
     ExteriorIndex,
     ModuleMatrix,
     SymIndex,
@@ -24,7 +25,7 @@ from brimlab.koszul import (
     sym_basis,
     verify_complex,
 )
-from brimlab.poly import ContractError, Polynomial, PolyContext
+from brimlab.poly import BudgetExceededError, ContractError, Polynomial, PolyContext
 from brimlab.rings import make_ring
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
@@ -358,3 +359,21 @@ def test_dense_differential_matches_the_packed_columns():
                 dense = {(i, j) for i, row in enumerate(cx.differential(p))
                          for j, e in enumerate(row) if not e.is_zero()}
                 assert dense == {(term_component(ctx, u), k) for k, col in enumerate(cx.columns[p]) for u in col}
+
+
+def test_a_complex_past_max_labels_is_refused_before_any_label():
+    # 1 x n over F_101[x,y] with entries x, y, x, y, ...: a parameter module
+    # whose complex has 2^n labels at every t
+    ring = ring_xy()
+    x, y = ring.variable(0), ring.variable(1)
+
+    def wide(n):
+        return mat_of(ring, [[x, y] * (n // 2) + [x] * (n % 2)])
+
+    assert sum(build_koszul(wide(13), 0).rank(p) for p in range(14)) == 2 ** 13 <= MAX_LABELS
+    for n in (14, 16, 18):
+        for t in (-1, 0, n):
+            assert sum(expected_rank(1, n, t, p) for p in range(n + 1)) == 2 ** n > MAX_LABELS
+            with pytest.raises(BudgetExceededError) as exc:
+                build_koszul(wide(n), t)
+            assert exc.value.kind == "expansion" and "%d basis labels" % 2 ** n in str(exc.value)

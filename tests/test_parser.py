@@ -1,9 +1,16 @@
 """Problem file syntax: round trips, expressions, error positions."""
 
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from brimlab import dsl
 from brimlab.corpus import ENTRIES
-from brimlab.dsl import FORMATS, MAX_DIGITS, MAX_NESTING, OPTION_KEYS, ParseError, ProblemSpec, build, parse
+from brimlab.dsl import (FORMATS, MAX_DIGITS, MAX_NESTING, MAX_TERMS, OPTION_KEYS, ParseError, ProblemSpec, build,
+                         parse, spec_of)
+from brimlab.multiplicity import random_parameter_matrix
+from brimlab.poly import BudgetExceededError
 
 
 def err(text):
@@ -195,3 +202,59 @@ def test_spec_is_frozen():
         spec.p = 7
     assert spec.ncols == 1
     assert isinstance(spec, ProblemSpec)
+
+
+def _entry(src, names="x, y, z"):
+    return parse("ring { p = 101 vars = [%s] }\nmodule { rank = 1 matrix = [[%s]] }\n" % (names, src)).matrix[0][0]
+
+
+def test_products_and_powers_are_bounded_before_expanding():
+    assert len(_entry("(x+y+z)^43").terms) == 990 <= MAX_TERMS  # degree 43 has 990 monomials
+    for src, what, col in (("(x+y+z)^44", "power", 37), ("x + (x+y+z)^22*(x+y+z)^22", "product", 34),
+                           ("(1+x)^1000", "power", 35), ("(x+y+z)^22*(x+y+z)^21*x", "product", 30)):
+        with pytest.raises(BudgetExceededError) as exc:
+            _entry(src, "x" if "1+x" in src else "x, y, z")
+        # the line and column of a refused power's ^, or where a refused product starts
+        assert exc.value.kind == "expansion" and str(exc.value).startswith("line 2, column %d: " % col)
+        assert "this %s may expand to more than %d terms" % (what, MAX_TERMS) in str(exc.value)
+    # the bound is the smaller of the term counts' product and the monomials of the degree range
+    assert len(_entry("(x+y+z)^21*(x+y+z)^21*x").terms) == 946  # 231 * 231 * 1 terms, 990 monomials of degree 43
+    assert len(_entry("(x^20 + 1)^9 * (y^20 + 1)").terms) == 20
+    assert _entry("(1+x)^999", "x").degree() == 999  # at most 1000 terms (910: some binomials are 0 mod 101)
+    assert _entry("2^1000000*x^16383") == _entry("%d*x^16383" % pow(2, 1000000, 101))
+    written = "(%s)" % " + ".join("x^%d" % i for i in range(1001))  # as written, not an expansion
+    assert len(_entry(written, "x").terms) == len(_entry(written + "^1", "x").terms) == 1001
+    assert _entry("(x+y)^0*z") == _entry("z") and _entry("0^0") == _entry("1") and _entry("(x-x)^5") == _entry("0")
+
+
+def test_corpus_and_battery_files_parse_within_the_bound():
+    # what the benchmark's battery writes: spec_of(...).serialize() of random parameter modules
+    texts = [entry.text for entry in ENTRIES]
+    rng = random.Random(1)
+    for variables, ideal, r, degree in ((["x", "y", "z"], [], 1, 1), (["x", "y", "z"], ["x*y - z^2"], 1, 2),
+                                        (["x", "y"], [], 2, 1), (["x", "y"], [], 1, 3), (["x"], [], 3, 1)):
+        ring, _ = build(parse("ring { p = 101 vars = [%s] ideal = [%s] }\nmodule { rank = 1 matrix = [[x]] }"
+                              % (", ".join(variables), ", ".join(ideal))))
+        texts.append(spec_of(ring, random_parameter_matrix(ring, r, rng, degree)).serialize())
+    for text in texts:
+        spec = parse(text)
+        assert parse(spec.serialize()) == spec
+
+
+_FACTOR = st.sampled_from(["x", "y", "1", "(x+y)", "(x+1)", "(x^3+y^2+1)", "(x*y+2*y+3)", "(x-x)"])
+
+
+@given(st.lists(st.tuples(_FACTOR, st.integers(1, 12)), min_size=1, max_size=4), st.integers(1, 60))
+@settings(max_examples=80, deadline=None)
+def test_a_parsed_product_never_has_more_terms_than_the_cap(factors, cap):
+    src = "*".join("%s^%d" % f for f in factors)
+    old = dsl.MAX_TERMS
+    try:
+        dsl.MAX_TERMS = cap
+        f = _entry(src, "x, y")
+    except BudgetExceededError:
+        return
+    finally:
+        dsl.MAX_TERMS = old
+    if sum(n for _, n in factors) > 1:  # one factor to the first power is as written
+        assert len(f.terms) <= cap
