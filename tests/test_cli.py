@@ -1,9 +1,11 @@
 """End-to-end command behavior: formats, exit codes, determinism."""
 
+import contextlib
 import csv
 import dataclasses
 import importlib
 import io
+import itertools
 import json
 import os
 import pathlib
@@ -13,6 +15,7 @@ import time
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import brimlab.corpus as corpus_mod
 from brimlab.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_VIOLATION, main
@@ -398,3 +401,50 @@ def test_consecutive_calls_share_no_state(problem, capsys):
     assert code == EXIT_OK and mask(out) == mask(text)
     code, out, _ = run(capsys, ["verify", path])
     assert code == EXIT_OK and out == "checked 15 verdicts, 0 violation(s)\n"
+
+
+# small random problem files: rings over P1-P3 with or without an ideal,
+# rank 1-2 matrices of random forms (one degree per column, one shift per row)
+_IDEALS = {1: ["", "x^3"], 2: ["", "x^2, x*y", "x*y", "y^2"], 3: ["", "x*y - z^2", "x^2, x*y", "x*y, y*z"]}
+_TIGHT = ["--budget-pairs", "2000", "--budget-degree", "20"]
+
+
+@st.composite
+def _form(draw, names, degree, p):
+    monos = list(itertools.combinations_with_replacement(names, degree))
+    picked = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=4, unique=True))
+    return " + ".join("%d*%s" % (draw(st.integers(1, p - 1)), "*".join(m)) for m in picked)
+
+
+@st.composite
+def _small_problem(draw):
+    p = draw(st.sampled_from([2, 3, 7, 101]), label="p")
+    names = "xyz"[:draw(st.integers(1, 3), label="variables")]
+    ideal = draw(st.sampled_from(_IDEALS[len(names)]), label="ideal")
+    r = draw(st.integers(1, 2), label="rank")
+    shifts = (0, draw(st.integers(-1, 1), label="second row shift"))[:r]
+    degrees = draw(st.lists(st.integers(1, 2), min_size=1, max_size=4), label="column degrees")
+    rows = [[draw(_form(names, d - e, p)) if d > e else "0" for d in degrees] for e in shifts]
+    return "ring { p = %d vars = [%s] ideal = [%s] }\nmodule { rank = %d matrix = [%s] }\n" % (
+        p, ", ".join(names), ideal, r, ", ".join("[%s]" % ", ".join(row) for row in rows))
+
+
+_WIDE = st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 14, 16]).map(  # from n = 14 on, 2^n labels pass the cap
+    lambda n: "ring { p = 101 vars = [x, y] }\nmodule { rank = 1 matrix = [[%s]] }\n"
+              % ", ".join("xy"[j % 2] for j in range(n)))
+_POWER = st.tuples(st.integers(1, 200), st.sampled_from(["", ", y^2", ", y, z"])).map(
+    lambda kc: "ring { p = 101 vars = [x, y, z] }\nmodule { rank = 1 matrix = [[(x+y+z)^%d%s]] }\n" % kc)
+
+
+@given(st.one_of(_small_problem(), _WIDE, _POWER))
+@settings(max_examples=100, deadline=None)
+def test_small_problem_files_never_exit_4(tmp_path_factory, text):
+    # exit 4 is a program fault on any input; verify's exit 1 on a file
+    # would be a violated theorem, since nothing here mutates the complex
+    path = tmp_path_factory.mktemp("problem") / "problem.brim"
+    path.write_text(text)
+    for command, refused in (("analyze", (EXIT_INTERNAL,)), ("verify", (EXIT_INTERNAL, EXIT_VIOLATION))):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, str(path), *_TIGHT])
+        assert code not in refused, "%s exited %d on\n%s\n%s%s" % (command, code, text, out.getvalue(), err.getvalue())
