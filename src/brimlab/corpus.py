@@ -7,24 +7,14 @@ multiplicity coefficients by an exact Cramer solve of the binomial fit.
 The engine is required to reproduce them all; see verify.check_corpus.
 """
 
-from dataclasses import dataclass, field
-
 from .dsl import parse
+from .poly import Record
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
-    name: str
-    description: str
-    text: str
-    dim: int
-    lam: tuple
-    coefficients: tuple
-    len_f: int
-    len_i: int
-    mu: int
-    parameter: bool
-    h_by_t: dict = field(hash=False)
+class CorpusEntry(Record):
+    __slots__ = ("name", "description", "text", "dim", "lam", "coefficients", "len_f", "len_i", "mu",
+                 "parameter", "h_by_t")
+    _unhashed = ("h_by_t",)
 
     @property
     def e0(self):

@@ -27,14 +27,13 @@ BudgetExceededError of a product or power that may expand past MAX_TERMS terms.
 """
 
 import re
-from dataclasses import dataclass, field
 from functools import reduce
 from math import comb, prod
 from operator import mul
 from typing import NamedTuple
 
 from .groebner import check_term_degree
-from .poly import BudgetExceededError, PolyContext, Polynomial
+from .poly import BudgetExceededError, PolyContext, Polynomial, Record
 
 
 OPTION_KEYS = ("tmin", "tmax", "seed", "samples", "pairs", "degree", "format")
@@ -88,16 +87,12 @@ def _lex(text):
     return tokens
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
+class ProblemSpec(Record):
     """Parsed problem: a coefficient ring and a matrix over it."""
 
-    p: int
-    variables: tuple
-    ideal: tuple  # of Polynomial
-    rank: int
-    matrix: tuple  # of tuples of Polynomial
-    options: dict = field(default_factory=dict)
+    __slots__ = {"p": None, "variables": None, "ideal": "tuple of Polynomial", "rank": None,
+                 "matrix": "tuple of tuples of Polynomial", "options": None}
+    _defaults = {"options": dict}
 
     @property
     def ncols(self):

@@ -32,9 +32,8 @@ structured error naming the offending degree instead.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 
-from .poly import INFINITE, AlgebraError, ContractError, Polynomial, VectorPolynomial
+from .poly import INFINITE, AlgebraError, ContractError, Polynomial, Record, VectorPolynomial
 from .groebner import (hilbert_function, ideal_module_basis, in_components, pack_polynomial,
                        syzygy_basis, term_degrees, unpack_vector)
 from .rings import RingElement, quotient_basis
@@ -78,8 +77,7 @@ def _kernel(ring, lifted, rows, budget):
     return list({frozenset(w.items()): w for w in syz if w}.values()), basis  # in syzygy order
 
 
-@dataclass(frozen=True, eq=False)
-class HomologyPresentation:
+class HomologyPresentation(Record):
     """H_p = ker d_p / im d_(p+1) of the complex cx, with its length.
 
     cycles: packed vectors {term: coefficient}, reduced mod I, spanning
@@ -90,12 +88,9 @@ class HomologyPresentation:
     dim (H_p)_d} where that is nonzero, or None when the length is
     INFINITE.  Equality and hash go by p, kernel_gens and length."""
 
-    p: int
-    cycles: tuple
-    length: object
-    cx: object = field(repr=False)
-    basis: object = field(default=None, repr=False)
-    hilbert_function: object = field(default=None, repr=False)
+    __slots__ = ("p", "cycles", "length", "cx", "basis", "hilbert_function")
+    _defaults = {"basis": None, "hilbert_function": None}
+    _unshown = ("cx", "basis", "hilbert_function")
 
     @property
     def kernel_gens(self):
@@ -159,15 +154,13 @@ def _presentations(cx, degrees, budget):
     return out
 
 
-@dataclass(frozen=True)
-class EulerTable:
+class EulerTable(Record):
     """Lengths of all homology modules and the partial alternating sums
 
         chi_q = sum_(p >= q) (-1)^(p-q) length H_p.
     """
 
-    lengths: tuple  # lengths[p] for p = 0..top
-    chis: tuple     # chis[q] for q = 0..top
+    __slots__ = {"lengths": "lengths[p] for p = 0..top", "chis": "chis[q] for q = 0..top"}
 
     @property
     def chi(self):

@@ -27,7 +27,6 @@ coefficients and a proven index from which lambda equals P.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from math import comb
 
@@ -39,6 +38,7 @@ from .poly import (
     ContractError,
     PolyContext,
     Polynomial,
+    Record,
     VectorPolynomial,
 )
 from .rings import ideal_colength, is_parameter_module
@@ -183,20 +183,15 @@ def lambda_value(matrix, k, budget=None):
     return sum(comb(k - j + q - 1, q - 1) * c for j, c in enumerate(R))
 
 
-@dataclass(frozen=True)
-class BRFunctionTable:
+class BRFunctionTable(Record):
     """Computed lambda values and the polynomial lambda agrees with.
 
-    values[i] = lambda(i+1) for i < stable_from + D + 2; stable_from is
-    proven: lambda(k) = polynomial_value(k) for every k >= stable_from,
-    and not at stable_from - 1.
+    values[i] = lambda(i+1) for i < stable_from + D + 2 (D = degree =
+    dim A + r - 1); stable_from is proven: lambda(k) = polynomial_value(k)
+    for every k >= stable_from, and not at stable_from - 1.
     """
 
-    degree: int      # D = dim A + r - 1
-    values: tuple
-    stable_from: int
-    e0: int
-    coefficients: tuple
+    __slots__ = ("degree", "values", "stable_from", "e0", "coefficients")
 
     def polynomial_value(self, k):
         D = self.degree
@@ -247,13 +242,10 @@ def br_function_table(matrix, ring_dim, budget=None):
     return BRFunctionTable(D, values, s, coefficients[0], coefficients)
 
 
-@dataclass(frozen=True)
-class ChiRow:
+class ChiRow(Record):
     """Homology lengths and partial Euler characteristics of K(a; t)."""
 
-    t: int
-    h_lengths: tuple
-    chis: tuple
+    __slots__ = ("t", "h_lengths", "chis")
 
 
 # Every verdict key, in report order, with the text of its violation, or
@@ -280,22 +272,13 @@ VERDICTS = {
 THEOREM_VERDICTS = frozenset(k for k, text in VERDICTS.items() if text is not None)
 
 
-@dataclass(frozen=True)
-class BRReport:
+class BRReport(Record):
     """Everything the theorem suite knows about one ring/matrix instance."""
 
-    ring: object
-    matrix: object
-    parameter: object            # ParameterVerdict
-    len_f_mod_n: object          # int or INFINITE
-    len_a_mod_in: object         # int or INFINITE
-    table: object                # BRFunctionTable or None
-    e0: object                   # int or None
-    coefficients: object         # tuple or None
-    chi_rows: tuple              # ChiRow per t, empty when lengths are infinite
-    square_zero_ok: bool
-    annihilation_ok: bool
-    verdicts: dict
+    __slots__ = {"ring": None, "matrix": None, "parameter": "ParameterVerdict", "len_f_mod_n": "int or INFINITE",
+                 "len_a_mod_in": "int or INFINITE", "table": "BRFunctionTable or None", "e0": "int or None",
+                 "coefficients": "tuple or None", "chi_rows": "ChiRow per t, empty when lengths are infinite",
+                 "square_zero_ok": None, "annihilation_ok": None, "verdicts": None}
 
     @property
     def ok(self):
@@ -393,29 +376,22 @@ def theorem_check(matrix, trange=None, budget=None, mutate=None):
     )
 
 
-@dataclass(frozen=True)
-class SpreadSample:
-    matrix_text: str
-    colength: int
-    e0: int
+class SpreadSample(Record):
+    __slots__ = ("matrix_text", "colength", "e0")
 
     @property
     def difference(self):
         return self.colength - self.e0
 
 
-@dataclass(frozen=True)
-class SpreadResult:
+class SpreadResult(Record):
     """Observed values of length(F/N) - e(F/N) over random parameter modules.
 
     For rings where that difference is independent of N the multiset is
     constant; the report only states what was seen.
     """
 
-    seed: int
-    entry_degree: int
-    samples: tuple
-    differences: tuple
+    __slots__ = ("seed", "entry_degree", "samples", "differences")
 
 
 def random_parameter_matrix(ring, r, rng, entry_degree=1, attempts=200, budget=None):
@@ -461,9 +437,4 @@ def buchsbaum_spread(ring, r, samples, seed, entry_degree=1, budget=None):
         mat = random_parameter_matrix(ring, r, rng, entry_degree, budget=budget)
         table = br_function_table(mat, ring.dimension, budget)
         out.append(SpreadSample(str(mat), table.values[0], table.e0))  # lambda(1) = l(F/N)
-    return SpreadResult(
-        seed=seed,
-        entry_degree=entry_degree,
-        samples=tuple(out),
-        differences=tuple(s.difference for s in out),
-    )
+    return SpreadResult(seed, entry_degree, tuple(out), tuple(s.difference for s in out))

@@ -9,6 +9,64 @@ are plain ints in [1, p); exponent vectors are tuples of naturals.
 from __future__ import annotations
 
 
+class Record:
+    """Immutable value with the fields its class names in __slots__ (a dict
+    there documents each), given by position or name; _defaults maps a field
+    to its default, called per instance when callable.  Records of one type
+    with equal fields are equal; hash and repr skip _unhashed and _unshown."""
+
+    __slots__ = ()
+    _defaults = {}
+    _unhashed = _unshown = ()
+
+    def __init_subclass__(cls):  # a slot's own setter is the cheapest way to fill it
+        cls._setters = tuple(getattr(cls, key).__set__ for key in cls.__slots__)
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._setters):
+            args = self._arguments(args, kwargs)
+        for setter, value in zip(self._setters, args):
+            setter(self, value)
+
+    def _arguments(self, args, kwargs):
+        fields = self.__slots__
+        given = dict(zip(fields, args))
+        if len(args) > len(fields) or any(key in given or key not in fields for key in kwargs):
+            raise TypeError("%s takes the fields %s; got %d by position and %s by name"
+                            % (type(self).__name__, ", ".join(fields), len(args), ", ".join(kwargs) or "none"))
+        given.update(kwargs)
+        given.update((key, d() if callable(d) else d) for key, d in self._defaults.items() if key not in given)
+        missing = [key for key in fields if key not in given]
+        if missing:
+            raise TypeError("%s is missing the fields %s" % (type(self).__name__, ", ".join(missing)))
+        return [given[key] for key in fields]
+
+    def __setattr__(self, key, value=None):
+        raise AttributeError("%s is immutable; use replace() for a changed copy" % type(self).__name__)
+
+    __delattr__ = __setattr__
+
+    def _values(self):
+        return tuple(getattr(self, key) for key in self.__slots__)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(getattr(self, key) for key in self.__slots__ if key not in self._unhashed))
+
+    def __repr__(self):
+        shown = ("%s=%r" % (key, getattr(self, key)) for key in self.__slots__ if key not in self._unshown)
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(shown))
+
+    def replace(self, **changes):
+        """A copy of this record with the named fields changed."""
+        return type(self)(**dict(zip(self.__slots__, self._values()), **changes))
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
 class AlgebraError(Exception):
     """Base class for algebra-layer failures."""
 

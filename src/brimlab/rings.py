@@ -12,13 +12,12 @@ equality a dict comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .poly import (
     INFINITE,
     ContractError,
     PolyContext,
     Polynomial,
+    Record,
     VectorPolynomial,
 )
 from .groebner import buchberger, dimension_and_length, ideal_module_basis
@@ -276,15 +275,12 @@ def min_generators(ring, sub, budget=None):
     return _colength_run(ring, sub, budget)[1]
 
 
-@dataclass(frozen=True)
-class ParameterVerdict:
+class ParameterVerdict(Record):
     """Outcome of the parameter-module test for N inside A^rank."""
 
-    finite_colength: bool
-    inside_max_ideal: bool
-    generators_match: bool  # minimal generators == dim A + rank - 1
-    colength: object        # int or INFINITE
-    mu: object              # int, or None when the colength is infinite
+    __slots__ = {"finite_colength": None, "inside_max_ideal": None,
+                 "generators_match": "minimal generators == dim A + rank - 1",
+                 "colength": "int or INFINITE", "mu": "int, or None when the colength is infinite"}
 
     @property
     def ok(self):

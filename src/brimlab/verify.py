@@ -6,18 +6,14 @@ property of the input.  Violations carry a reproduction: the serialized
 problem text for the instance that failed.
 """
 
-from dataclasses import dataclass
-
 from .corpus import ENTRIES
 from .dsl import build, spec_of
 from .multiplicity import VERDICTS, theorem_check
+from .poly import Record
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str
-    detail: str
-    repro: str  # problem text reproducing the failure
+class Violation(Record):
+    __slots__ = {"kind": None, "detail": None, "repro": "problem text reproducing the failure"}
 
     def __str__(self):
         return "violation [%s]: %s\nreproduce with:\n%s" % (self.kind, self.detail, self.repro)

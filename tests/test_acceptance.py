@@ -5,7 +5,6 @@ Each criterion records its verdict with conftest.record, which the
 terminal-summary hook prints after the run, then asserts.
 """
 
-import dataclasses
 import random
 import sys
 import time
@@ -241,7 +240,7 @@ def test_criterion_09_mutation_sensitivity(tmp_path, monkeypatch, capsys):
     ok = code_flip == 1 and "square_zero" in out
 
     entry = by_name("E3")
-    tampered = dataclasses.replace(entry, len_f=entry.len_f + 1)
+    tampered = entry.replace(len_f=entry.len_f + 1)
     fixed = tuple(tampered if e.name == "E3" else e for e in ENTRIES)
     monkeypatch.setattr(corpus_mod, "ENTRIES", fixed)
     code_corpus = main(["corpus"])

@@ -2,7 +2,6 @@
 
 import contextlib
 import csv
-import dataclasses
 import importlib
 import io
 import itertools
@@ -194,7 +193,7 @@ def test_corpus_unknown_name(capsys):
 
 def test_corpus_catches_tampered_expectation(capsys, monkeypatch):
     entry = corpus_mod.by_name("E3")
-    tampered = dataclasses.replace(entry, lam=(2, 6, 12, 20, 31))
+    tampered = entry.replace(lam=(2, 6, 12, 20, 31))
     fixed = tuple(tampered if e.name == "E3" else e for e in corpus_mod.ENTRIES)
     monkeypatch.setattr(corpus_mod, "ENTRIES", fixed)
     code, out, _ = run(capsys, ["corpus"])
