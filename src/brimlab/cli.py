@@ -15,7 +15,6 @@ import argparse
 import functools
 import sys
 import time
-import traceback
 
 from . import corpus as corpus_mod
 from . import report as report_mod
@@ -238,6 +237,7 @@ def main(argv=None):
         sys.stderr.write("input error: %s\n" % exc)
         return EXIT_INPUT
     except Exception as exc:
+        import traceback  # only here: it loads linecache, tokenize and textwrap
         sys.stderr.write("internal error: %s: %s\n" % (type(exc).__name__, exc))
         traceback.print_exc(file=sys.stderr)
         return EXIT_INTERNAL

@@ -29,8 +29,7 @@ BudgetExceededError of a product or power that may expand past MAX_TERMS terms.
 import re
 from functools import reduce
 from math import comb, prod
-from operator import mul
-from typing import NamedTuple
+from operator import itemgetter, mul
 
 from .groebner import check_term_degree
 from .poly import BudgetExceededError, PolyContext, Polynomial, Record
@@ -52,11 +51,11 @@ class ParseError(Exception):
         self.reason = message
 
 
-class Token(NamedTuple):
-    kind: str  # "ident", "int", a symbol, "eof"
-    value: object
-    line: int
-    col: int
+class Token(tuple):
+    """(kind, value, line, col); kind is "ident", "int", a symbol or "eof"."""
+
+    __slots__ = ()
+    kind, value, line, col = (property(itemgetter(i)) for i in range(4))
 
 
 # a name's first character must also pass str.isalpha() or be "_": [^\W\d] admits
@@ -75,15 +74,15 @@ def _lex(text):
         elif kind == "int":
             if len(m[kind]) > MAX_DIGITS:
                 raise ParseError("integer of %d digits, more than %d" % (len(m[kind]), MAX_DIGITS), line, at)
-            tokens.append(Token(kind, int(m[kind]), line, at))
+            tokens.append(Token((kind, int(m[kind]), line, at)))
         elif kind == "ident" and (m[kind][0].isalpha() or m[kind][0] == "_"):
-            tokens.append(Token(kind, m[kind], line, at))
+            tokens.append(Token((kind, m[kind], line, at)))
         elif kind == "symbol":
-            tokens.append(Token(m[kind], m[kind], line, at))
+            tokens.append(Token((m[kind], m[kind], line, at)))
         elif kind in ("ident", "other"):
             raise ParseError("unexpected character %r" % m[kind][0], line, at)
         col = at if kind == "comment" else m.end() - start + 1  # a comment does not advance the column
-    tokens.append(Token("eof", None, line, col))
+    tokens.append(Token(("eof", None, line, col)))
     return tokens
 
 

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement
 from math import comb
-from typing import NamedTuple
 
 from .groebner import (combine, ideal_module_basis, in_components, pack_polynomial, term_component,
                        unpack_vector)
@@ -51,30 +50,20 @@ from .rings import RingElement, SubmoduleOfFree, grading
 MAX_LABELS = 10_000  # basis labels of one complex: 2^13 for a 1 x 13 matrix, refused from 1 x 14 up
 
 
-class ExteriorIndex(NamedTuple):
-    """Basis label of Wedge^q G: a strictly increasing tuple of columns."""
-
-    subset: tuple
-
-
-class SymIndex(NamedTuple):
-    """Basis label of S_l F: a multidegree over the r ambient rows."""
-
-    multidegree: tuple
-
-
 def exterior_basis(n, q):
-    """All size-q subsets of range(n), lexicographically sorted."""
-    return tuple(ExteriorIndex(s) for s in combinations(range(n), q))
+    """Basis labels of Wedge^q G: all size-q subsets of range(n), each a
+    strictly increasing tuple of columns, lexicographically sorted."""
+    return tuple(combinations(range(n), q))
 
 
 def sym_basis(r, total):
-    """All multidegrees of the given total over r rows, first row heaviest
-    first (sorted by the reversed tuple)."""
+    """Basis labels of S_total F: all multidegrees (tuples of r exponents)
+    of the given total, first row heaviest first (sorted by the reversed
+    tuple)."""
     if total < 0:
         return ()
     monos = (tuple(c.count(i) for i in range(r)) for c in combinations_with_replacement(range(r), total))
-    return tuple(SymIndex(m) for m in sorted(monos, key=lambda m: m[::-1]))
+    return tuple(sorted(monos, key=lambda m: m[::-1]))
 
 
 class ModuleMatrix:
@@ -129,7 +118,7 @@ class ModuleMatrix:
 def contraction(matrix, i, idx):
     """delta_i applied to one exterior basis label.
 
-    Returns the signed combination as a list of (coefficient, ExteriorIndex)
+    Returns the signed combination as a list of (coefficient, subset)
     pairs; the empty list is the zero result (in particular on the empty
     wedge).  0 <= i < r.
     """
@@ -140,36 +129,17 @@ def contraction(matrix, i, idx):
             for col, odd, face in _faces([not e.is_zero() for e in row], idx)]
 
 
-def _faces(nonzero, idx):
-    """The terms of delta_i on idx, for row i given by nonzero[j] (true
-    when a_ij is nonzero): (column j, k odd, idx without its k-th column
-    j), the coefficient being (-1)^k a_ij."""
-    s = idx.subset
-    return [(col, k % 2, ExteriorIndex(s[:k] + s[k + 1:])) for k, col in enumerate(s) if nonzero[col]]
-
-
-def multiplication_map(i, mu):
-    """f_i: raise the i-th exponent of a SymIndex by one."""
-    m = mu.multidegree
-    if not 0 <= i < len(m):
-        raise ContractError("exponent index %d outside 0..%d" % (i, len(m) - 1))
-    return SymIndex(m[:i] + (m[i] + 1,) + m[i + 1:])
-
-
-def division_map(i, mu):
-    """f_i-inverse: lower the i-th exponent, or None when it is zero."""
-    m = mu.multidegree
-    if not 0 <= i < len(m):
-        raise ContractError("exponent index %d outside 0..%d" % (i, len(m) - 1))
-    if m[i] == 0:
-        return None
-    return SymIndex(m[:i] + (m[i] - 1,) + m[i + 1:])
+def _faces(nonzero, s):
+    """The terms of delta_i on the subset s, for row i given by nonzero[j]
+    (true when a_ij is nonzero): (column j, k odd, s without its k-th
+    column j), the coefficient being (-1)^k a_ij."""
+    return [(col, k % 2, s[:k] + s[k + 1:]) for k, col in enumerate(s) if nonzero[col]]
 
 
 class FreeComplex:
     """A bounded complex of free A-modules with labelled bases.
 
-    labels[p] is the basis of K_p as (ExteriorIndex, SymIndex) pairs and
+    labels[p] is the basis of K_p as (subset, multidegree) pairs and
     degrees[p] their degrees.  d_p : K_p -> K_(p-1) (1 <= p <= length)
     is stored column by column: columns[p][k], the image of labels[p][k],
     is one of the Groebner engine's packed vectors whose component is the
@@ -227,8 +197,8 @@ def term_labels(r, n, t, p):
 
 def label_degree(matrix, t, p, ext, sym):
     """Degree of the basis label (ext, sym) of K_p (see the module text)."""
-    d = sum(matrix.col_degrees[j] for j in ext.subset)
-    e = sum(a * s for a, s in zip(sym.multidegree, matrix.row_shifts))
+    d = sum(matrix.col_degrees[j] for j in ext)
+    e = sum(a * s for a, s in zip(sym, matrix.row_shifts))
     if p <= t:
         return d + e
     return d - e - sum(matrix.row_shifts)
@@ -309,20 +279,21 @@ def _image(ent, minors, t, p, ext, sym):
         # delta_r o ... o delta_1 (x) identity on S_0 takes ext to the sum,
         # over the r of its columns S at positions ks, of the minor on S,
         # signed by the shuffle that moves S to the front, times ext - S
-        s = ext.subset
         r = len(ent)
         out = []
-        for ks in combinations(range(len(s)), r):
-            cols = tuple(s[k] for k in ks)
+        for ks in combinations(range(len(ext)), r):
+            cols = tuple(ext[k] for k in ks)
             if minors[cols]:
-                face = ExteriorIndex(tuple(j for j in s if j not in cols))
+                face = tuple(j for j in ext if j not in cols)
                 out.append((minors[cols], (sum(ks) - r * (r - 1) // 2) % 2, (face, sym)))
         return out
-    # sum_i delta_i (x) f_i-inverse above the splice, delta_i (x) f_i below
+    # sum_i delta_i (x) f_i-inverse above the splice (lower the i-th exponent,
+    # or kill the term when it is zero), delta_i (x) f_i below (raise it)
+    step = -1 if p - 1 > t else 1
     out = []
     for i, row in enumerate(ent):
-        moved = division_map(i, sym) if p - 1 > t else multiplication_map(i, sym)
-        if moved is not None:
+        if sym[i] + step >= 0:
+            moved = sym[:i] + (sym[i] + step,) + sym[i + 1:]
             out += [(row[col], odd, (face, moved)) for col, odd, face in _faces(row, ext)]
     return out
 

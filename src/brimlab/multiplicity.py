@@ -89,7 +89,7 @@ def rees_power_generators(matrix, k):
                         prod[m2] = ent * c if cur is None else cur + ent * c
                 nxt.append((j, prod))
         level = nxt
-    labels = tuple(s.multidegree for s in sym_basis(r, k))
+    labels = sym_basis(r, k)
     index = {m: i for i, m in enumerate(labels)}
     zero = ring.zero()
     gens = []
@@ -401,19 +401,10 @@ def random_parameter_matrix(ring, r, rng, entry_degree=1, attempts=200, budget=N
 
     ctx = ring.ctx
     n = ring.dimension + r - 1
-    monos = sorted(s.multidegree for s in sym_basis(ctx.nvars, entry_degree))
+    monos = sorted(sym_basis(ctx.nvars, entry_degree))
     for _ in range(attempts):
-        entries = []
-        for _i in range(r):
-            row = []
-            for _j in range(n):
-                poly = ctx.zero()
-                for m in monos:
-                    c = rng.randrange(ctx.p)
-                    if c:
-                        poly = poly + ctx.monomial(m, c)
-                row.append(ring.element(poly))
-            entries.append(row)
+        entries = [[ring.element(Polynomial(ctx, {m: c for m in monos if (c := rng.randrange(ctx.p))}))
+                    for _j in range(n)] for _i in range(r)]
         try:
             mat = ModuleMatrix(ring, entries)
         except ContractError:

@@ -170,10 +170,10 @@ def direct_annihilation(cx, minors):
 
 def random_form(ring, rng, degree):
     poly = ring.ctx.zero()
-    for s in sym_basis(ring.ctx.nvars, degree):
+    for m in sym_basis(ring.ctx.nvars, degree):
         c = rng.randrange(ring.p)
         if c:
-            poly = poly + ring.ctx.monomial(s.multidegree, c)
+            poly = poly + ring.ctx.monomial(m, c)
     return ring.element(poly)
 
 

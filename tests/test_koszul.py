@@ -12,16 +12,12 @@ from brimlab.dsl import build, parse
 from brimlab.groebner import term_component
 from brimlab.koszul import (
     MAX_LABELS,
-    ExteriorIndex,
     ModuleMatrix,
-    SymIndex,
     build_koszul,
     contraction,
-    division_map,
     expected_rank,
     exterior_basis,
     fitting_ideal,
-    multiplication_map,
     sym_basis,
     verify_complex,
 )
@@ -85,11 +81,11 @@ def test_label_degrees_grade_every_differential():
 
 
 def test_exterior_and_sym_bases():
-    assert [b.subset for b in exterior_basis(3, 2)] == [(0, 1), (0, 2), (1, 2)]
-    assert exterior_basis(3, 0) == (ExteriorIndex(()),)
+    assert exterior_basis(3, 2) == ((0, 1), (0, 2), (1, 2))
+    assert exterior_basis(3, 0) == ((),)
     assert exterior_basis(3, 4) == ()
-    assert [s.multidegree for s in sym_basis(2, 2)] == [(2, 0), (1, 1), (0, 2)]
-    assert sym_basis(2, 0) == (SymIndex((0, 0)),)
+    assert sym_basis(2, 2) == ((2, 0), (1, 1), (0, 2))
+    assert sym_basis(2, 0) == ((0, 0),)
 
 
 def test_contraction_hand_value():
@@ -97,27 +93,38 @@ def test_contraction_hand_value():
     ring = ring_xy()
     x, y = poly_vars(ring)
     m = mat_of(ring, [[x, y], [ring.zero(), x]])
-    out = contraction(m, 0, ExteriorIndex((0, 1)))
-    assert [(str(c), idx.subset) for c, idx in out] == [("x", (1,)), ("100*y", (0,))]
+    out = contraction(m, 0, (0, 1))
+    assert [(str(c), subset) for c, subset in out] == [("x", (1,)), ("100*y", (0,))]
     # row 1 kills the first slot, and position 1 carries a sign
-    out = contraction(m, 1, ExteriorIndex((0, 1)))
-    assert [(str(c), idx.subset) for c, idx in out] == [("100*x", (0,))]
+    out = contraction(m, 1, (0, 1))
+    assert [(str(c), subset) for c, subset in out] == [("100*x", (0,))]
 
 
-@pytest.mark.parametrize("name", ["contraction", "multiplication_map", "division_map"])
 @pytest.mark.parametrize("i", [-1, 2])
-def test_index_out_of_range_is_contract_error(name, i):
-    # i = -1 would quietly pick the last row or exponent
+def test_contraction_row_out_of_range_is_contract_error(i):
+    # i = -1 would quietly pick the last row
     ring = ring_xy()
     x, y = poly_vars(ring)
     m = mat_of(ring, [[x, y], [y, x]])
-    calls = {
-        "contraction": lambda: contraction(m, i, ExteriorIndex((0, 1))),
-        "multiplication_map": lambda: multiplication_map(i, SymIndex((1, 0))),
-        "division_map": lambda: division_map(i, SymIndex((1, 0))),
-    }
     with pytest.raises(ContractError):
-        calls[name]()
+        contraction(m, i, (0, 1))
+
+
+@pytest.mark.parametrize("t, label, image", [
+    # below the splice, delta_i (x) f_i raises the i-th exponent
+    (1, ((0,), (0, 0)), {((), (1, 0)): "x"}),
+    (1, ((1,), (0, 0)), {((), (1, 0)): "y", ((), (0, 1)): "x"}),
+    # above it, delta_i (x) f_i-inverse lowers it, and kills a zero exponent
+    (-1, ((0, 1), (1, 0)), {((1,), (0, 0)): "x", ((0,), (0, 0)): "100*y"}),
+    (-1, ((0, 1), (0, 1)), {((0,), (0, 0)): "100*x"}),
+], ids=["raise-first", "raise-both", "lower", "lower-kills-zero-exponent"])
+def test_d1_moves_one_exponent_per_row(t, label, image):
+    ring = ring_xy()
+    x, y = poly_vars(ring)
+    cx = build_koszul(mat_of(ring, [[x, y], [ring.zero(), x]]), t)
+    col = cx.labels[1].index(label)
+    got = {cx.labels[0][i]: str(row[col]) for i, row in enumerate(cx.differential(1)) if not row[col].is_zero()}
+    assert got == image
 
 
 def test_ranks_match_binomials():

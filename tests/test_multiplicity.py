@@ -555,7 +555,7 @@ def rows_apart(seed):
 
     def form(d):
         return ring.element(Polynomial.from_terms(
-            ring.ctx, [(s.multidegree, rng.randrange(101)) for s in sym_basis(3, d)]))
+            ring.ctx, [(m, rng.randrange(101)) for m in sym_basis(3, d)]))
 
     while True:
         degs = [rng.randint(1, 3) for _ in range(5)]

@@ -7,6 +7,7 @@ import pathlib
 import pickle
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -101,11 +102,26 @@ def test_pickle_and_copy_round_trip(value):
 
 
 def test_importing_brimlab_loads_no_code_generator():
-    """A frozen dataclass compiles its methods with exec when its module is
-    imported, and dataclasses brings in inspect; brimlab needs neither."""
-    code = ("import sys; before = set(sys.modules); import brimlab, brimlab.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    """A frozen dataclass or NamedTuple compiles methods from strings when its
+    module is imported, dataclasses brings in inspect, NamedTuple typing, and
+    traceback three more modules; brimlab needs none of them at import.  The
+    child runs with -S, since site may load typing itself."""
+    code = textwrap.dedent("""\
+        import sys
+        before = set(sys.modules)
+        import brimlab, brimlab.cli
+        print(sorted({"dataclasses", "inspect", "typing", "traceback"} & (set(sys.modules) - before)))
+
+        def generated(value):
+            code = getattr(getattr(value, "__func__", value), "__code__", None)
+            return code is not None and code.co_filename.startswith("<")
+
+        print(sorted("%s.%s" % (cls.__qualname__, key)
+                     for name, mod in list(sys.modules.items()) if name.split(".")[0] == "brimlab"
+                     for cls in vars(mod).values() if isinstance(cls, type) and cls.__module__ == name
+                     for key, value in vars(cls).items() if generated(value)))
+    """)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines() == ["[]", "[]"], out.stdout
