@@ -84,7 +84,7 @@ def cmd_analyze(args):
     spec = parse(_read_text(args.file))
     opts = _merged_options(args, spec.options)
     budget = _budget(opts)
-    ring, matrix = build(spec, budget)
+    _, matrix = build(spec, budget)
     started = time.monotonic()
     rep = theorem_check(matrix, trange=_trange(opts), budget=budget)
     elapsed = int((time.monotonic() - started) * 1000)
@@ -131,9 +131,9 @@ def cmd_verify(args):
     spec = parse(_read_text(args.file))
     opts = _merged_options(args, spec.options)
     budget = _budget(opts)
-    ring, matrix = build(spec, budget)
+    _, matrix = build(spec, budget)
     mutate = _mutator(args.flip_sign) if args.flip_sign else None
-    rep, violations = verify_instance(ring, matrix, budget, trange=_trange(opts), mutate=mutate)
+    rep, violations = verify_instance(matrix, budget, trange=_trange(opts), mutate=mutate)
     checked = sum(1 for v in rep.verdicts.values() if v is not None)
     return _finish("checked %d verdicts, %d violation(s)\n" % (checked, len(violations)), violations)
 

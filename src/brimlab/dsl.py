@@ -32,7 +32,9 @@ from math import comb, prod
 from operator import itemgetter, mul
 
 from .groebner import check_term_degree
+from .koszul import ModuleMatrix
 from .poly import BudgetExceededError, PolyContext, Polynomial, Record
+from .rings import make_ring
 
 
 OPTION_KEYS = ("tmin", "tmax", "seed", "samples", "pairs", "degree", "format")
@@ -92,10 +94,6 @@ class ProblemSpec(Record):
     __slots__ = {"p": None, "variables": None, "ideal": "tuple of Polynomial", "rank": None,
                  "matrix": "tuple of tuples of Polynomial", "options": None}
     _defaults = {"options": dict}
-
-    @property
-    def ncols(self):
-        return len(self.matrix[0])
 
     def serialize(self):
         lines = ["ring {", "  p = %d" % self.p,
@@ -332,9 +330,6 @@ def build(spec, budget=None):
     Raises ContractError for semantic problems the grammar cannot see
     (composite p, inhomogeneous entries, dimension zero and so on).
     """
-    from .koszul import ModuleMatrix
-    from .rings import make_ring
-
     ring = make_ring(spec.p, spec.variables, spec.ideal, budget)
     entries = [[ring.element(e) for e in row] for row in spec.matrix]
     return ring, ModuleMatrix(ring, entries)
@@ -343,5 +338,5 @@ def build(spec, budget=None):
 def spec_of(ring, matrix, options=None):
     """ProblemSpec describing an existing ring and matrix."""
     rows = tuple(tuple(e.rep for e in row) for row in matrix.entries)
-    return ProblemSpec(ring.p, ring.names, tuple(ring.ideal_gens),
+    return ProblemSpec(ring.ctx.p, ring.ctx.names, tuple(ring.ideal_gens),
                        matrix.r, rows, dict(options or {}))

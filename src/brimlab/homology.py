@@ -36,6 +36,7 @@ from collections import Counter
 from .poly import INFINITE, AlgebraError, ContractError, Polynomial, Record, VectorPolynomial
 from .groebner import (hilbert_function, ideal_module_basis, in_components, pack_polynomial,
                        syzygy_basis, term_degrees, unpack_vector)
+from .koszul import fitting_ideal
 from .rings import RingElement, quotient_basis
 
 
@@ -155,16 +156,12 @@ def _presentations(cx, degrees, budget):
 
 
 class EulerTable(Record):
-    """Lengths of all homology modules and the partial alternating sums
+    """Lengths of all homology modules of K(a; t) and the partial alternating sums
 
         chi_q = sum_(p >= q) (-1)^(p-q) length H_p.
     """
 
-    __slots__ = {"lengths": "lengths[p] for p = 0..top", "chis": "chis[q] for q = 0..top"}
-
-    @property
-    def chi(self):
-        return self.chis[0]
+    __slots__ = {"t": None, "lengths": "lengths[p] for p = 0..top", "chis": "chis[q] for q = 0..top"}
 
 
 def euler_characteristics(cx, budget=None, presentations=None):
@@ -183,7 +180,7 @@ def euler_characteristics(cx, budget=None, presentations=None):
     for p in range(top, -1, -1):
         acc = lengths[p] - acc
         chis[p] = acc
-    return EulerTable(tuple(lengths), tuple(chis))
+    return EulerTable(cx.t, tuple(lengths), tuple(chis))
 
 
 def annihilation_check(cx, minors=None, presentations=None, budget=None):
@@ -199,8 +196,6 @@ def annihilation_check(cx, minors=None, presentations=None, budget=None):
     Returns the list of violations as (p, minor_index, kernel_index)
     triples; empty means the containment holds everywhere.
     """
-    from .koszul import fitting_ideal
-
     if minors is None:
         minors = fitting_ideal(cx.matrix)
     if presentations is None:

@@ -267,7 +267,7 @@ def _signed(f):
     if not d:
         return None
     degs = {sum(e) for e in f.rep.terms}
-    return f, degs.pop() if len(degs) == 1 else None, (d, {u: f.ring.p - c for u, c in d.items()})
+    return f, degs.pop() if len(degs) == 1 else None, (d, {u: f.ring.ctx.p - c for u, c in d.items()})
 
 
 def _image(ent, minors, t, p, ext, sym):

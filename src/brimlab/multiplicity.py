@@ -42,7 +42,7 @@ from .poly import (
     VectorPolynomial,
 )
 from .rings import ideal_colength, is_parameter_module
-from .koszul import build_koszul, fitting_ideal, sym_basis, verify_complex
+from .koszul import ModuleMatrix, build_koszul, fitting_ideal, sym_basis, verify_complex
 from .homology import all_homology, annihilation_check, euler_characteristics
 
 MAX_POWER_GENERATORS = 50_000
@@ -242,12 +242,6 @@ def br_function_table(matrix, ring_dim, budget=None):
     return BRFunctionTable(D, values, s, coefficients[0], coefficients)
 
 
-class ChiRow(Record):
-    """Homology lengths and partial Euler characteristics of K(a; t)."""
-
-    __slots__ = ("t", "h_lengths", "chis")
-
-
 # Every verdict key, in report order, with the text of its violation, or
 # None for a key that describes the instance and may well be False.
 VERDICTS = {
@@ -275,10 +269,9 @@ THEOREM_VERDICTS = frozenset(k for k, text in VERDICTS.items() if text is not No
 class BRReport(Record):
     """Everything the theorem suite knows about one ring/matrix instance."""
 
-    __slots__ = {"ring": None, "matrix": None, "parameter": "ParameterVerdict", "len_f_mod_n": "int or INFINITE",
-                 "len_a_mod_in": "int or INFINITE", "table": "BRFunctionTable or None", "e0": "int or None",
-                 "coefficients": "tuple or None", "chi_rows": "ChiRow per t, empty when lengths are infinite",
-                 "square_zero_ok": None, "annihilation_ok": None, "verdicts": None}
+    __slots__ = {"matrix": "its ring is matrix.ring", "parameter": "ParameterVerdict; l(F/N) is its colength",
+                 "len_a_mod_in": "int or INFINITE", "table": "BRFunctionTable, or None when l(F/N) is infinite",
+                 "chi_rows": "EulerTable per t, empty when lengths are infinite", "verdicts": None}
 
     @property
     def ok(self):
@@ -342,7 +335,7 @@ def theorem_check(matrix, trange=None, budget=None, mutate=None):
                 if finite:
                     tab = euler_characteristics(cx, budget, pres)
         if tab is not None:
-            chi_rows.append(ChiRow(t, tab.lengths, tab.chis))
+            chi_rows.append(tab.replace(t=t))  # for r = 1 one table serves every t
 
     if finite:
         chi0s = [row.chis[0] for row in chi_rows]
@@ -353,27 +346,14 @@ def theorem_check(matrix, trange=None, budget=None, mutate=None):
     if verdict.ok:
         verdicts["colength_ge_e0"] = len_f >= e0
         verdicts["fitting_colength_ge_e0"] = len_i >= e0
-        h0 = {row.t: row.h_lengths[0] for row in chi_rows}
+        h0 = {row.t: row.lengths[0] for row in chi_rows}
         verdicts["h0_ge_e0_all_t"] = all(v >= e0 for v in h0.values())
         if 1 in h0:
             verdicts["h0_t1_equals_colength"] = h0[1] == len_f
         if 0 in h0:
             verdicts["h0_t0_equals_fitting_colength"] = h0[0] == len_i
         verdicts["cm_witness"] = len_f == e0 or len_i == e0
-    return BRReport(
-        ring=ring,
-        matrix=matrix,
-        parameter=verdict,
-        len_f_mod_n=len_f,
-        len_a_mod_in=len_i,
-        table=table,
-        e0=e0,
-        coefficients=table.coefficients if finite else None,
-        chi_rows=tuple(chi_rows),
-        square_zero_ok=verdicts["square_zero"],
-        annihilation_ok=verdicts["annihilation"],
-        verdicts=verdicts,
-    )
+    return BRReport(matrix, verdict, len_i, table, tuple(chi_rows), verdicts)
 
 
 class SpreadSample(Record):
@@ -397,8 +377,6 @@ class SpreadResult(Record):
 def random_parameter_matrix(ring, r, rng, entry_degree=1, attempts=200, budget=None):
     """Draw r x (dim A + r - 1) matrices with random homogeneous entries
     until one presents a parameter module."""
-    from .koszul import ModuleMatrix
-
     ctx = ring.ctx
     n = ring.dimension + r - 1
     monos = sorted(sym_basis(ctx.nvars, entry_degree))

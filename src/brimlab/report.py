@@ -116,8 +116,8 @@ def _len_json(v):
 def ring_json(ring):
     """The "ring" part of a report: p, vars, ideal generators and dimension."""
     return {
-        "p": ring.p,
-        "vars": list(ring.names),
+        "p": ring.ctx.p,
+        "vars": list(ring.ctx.names),
         "ideal": [str(g) for g in ring.ideal_gens],
         "dim": ring.dimension,
     }
@@ -134,14 +134,14 @@ def build_report(rep, elapsed_ms, gb_pairs):
     mat = rep.matrix
     body = {
         "schema": SCHEMA_VERSION,
-        "ring": ring_json(rep.ring),
+        "ring": ring_json(mat.ring),
         "module": {
             "r": mat.r,
             "n": mat.n,
             "matrix": [[str(e) for e in row] for row in mat.entries],
         },
         "lengths": {
-            "F_mod_N": _len_json(rep.len_f_mod_n),
+            "F_mod_N": _len_json(rep.parameter.colength),
             "A_mod_IN": _len_json(rep.len_a_mod_in),
         },
         "multiplicity": None,
@@ -158,7 +158,7 @@ def build_report(rep, elapsed_ms, gb_pairs):
     if rep.chi_rows:
         body["chi"] = {
             "per_t": [
-                {"t": row.t, "H_lengths": list(row.h_lengths), "chi_q": list(row.chis)}
+                {"t": row.t, "H_lengths": list(row.lengths), "chi_q": list(row.chis)}
                 for row in rep.chi_rows
             ]
         }

@@ -36,14 +36,6 @@ class GradedRing:
         self.numerator = numerator      # {degree: coefficient}
         self.dimension = dimension
 
-    @property
-    def p(self):
-        return self.ctx.p
-
-    @property
-    def names(self):
-        return self.ctx.names
-
     def reduce(self, poly):
         """Normal form of a raw polynomial against the ideal basis."""
         if self.ideal_basis is None:
@@ -84,7 +76,7 @@ class GradedRing:
 
     def __repr__(self):
         gens = ", ".join(str(g) for g in self.ideal_gens)
-        return "GradedRing(p=%d, vars=%s, ideal=[%s])" % (self.p, list(self.names), gens)
+        return "GradedRing(p=%d, vars=%s, ideal=[%s])" % (self.ctx.p, list(self.ctx.names), gens)
 
 
 class RingElement:

@@ -19,10 +19,10 @@ class Violation(Record):
         return "violation [%s]: %s\nreproduce with:\n%s" % (self.kind, self.detail, self.repro)
 
 
-def verify_instance(ring, matrix, budget=None, trange=None, mutate=None):
+def verify_instance(matrix, budget=None, trange=None, mutate=None):
     """Run the full theorem suite on one instance; list what failed."""
     rep = theorem_check(matrix, trange=trange, budget=budget, mutate=mutate)
-    repro = spec_of(ring, matrix).serialize()
+    repro = spec_of(matrix.ring, matrix).serialize()
     return rep, [Violation(key, VERDICTS[key], repro) for key in rep.failures]
 
 
@@ -48,28 +48,28 @@ def check_corpus(entries=None, budget=None):
         spec = entry.spec()
         ring, matrix = build(spec, budget)
         before = len(violations)
-        rep, bad = verify_instance(ring, matrix, budget)
+        rep, bad = verify_instance(matrix, budget)
         violations.extend(bad)
         text = entry.text
         _expect(entry.name, "dim", entry.dim, ring.dimension, text, violations)
         _expect(entry.name, "lambda", tuple(entry.lam), tuple(rep.table.values), text, violations)
         _expect(entry.name, "coefficients", tuple(entry.coefficients),
                 tuple(rep.table.coefficients), text, violations)
-        _expect(entry.name, "e0", entry.e0, rep.e0, text, violations)
-        _expect(entry.name, "len_F", entry.len_f, rep.len_f_mod_n, text, violations)
+        _expect(entry.name, "e0", entry.e0, rep.table.e0, text, violations)
+        _expect(entry.name, "len_F", entry.len_f, rep.parameter.colength, text, violations)
         _expect(entry.name, "len_I", entry.len_i, rep.len_a_mod_in, text, violations)
         _expect(entry.name, "mu", entry.mu, rep.parameter.mu, text, violations)
         _expect(entry.name, "parameter", entry.parameter, rep.parameter.ok, text, violations)
         cm_expected = (entry.len_f == entry.e0 or entry.len_i == entry.e0) if entry.parameter else None
         _expect(entry.name, "cm_witness", cm_expected,
                 rep.verdicts["cm_witness"], text, violations)
-        got_h = {row.t: tuple(row.h_lengths) for row in rep.chi_rows}
+        got_h = {row.t: row.lengths for row in rep.chi_rows}
         _expect(entry.name, "homology lengths", entry.h_by_t, got_h, text, violations)
-        got_chi = {row.t: tuple(row.chis) for row in rep.chi_rows}
+        got_chi = {row.t: row.chis for row in rep.chi_rows}
         _expect(entry.name, "chi table", entry.chi_by_t(), got_chi, text, violations)
         status = "ok" if len(violations) == before else "MISMATCH"
         rows.append((entry.name, ring.dimension, matrix.r, matrix.n,
-                     rep.len_f_mod_n, rep.len_a_mod_in, rep.e0,
+                     rep.parameter.colength, rep.len_a_mod_in, rep.table.e0,
                      {True: "yes", False: "no", None: "-"}[rep.verdicts["cm_witness"]], status))
     return rows, violations
 

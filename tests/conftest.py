@@ -1,4 +1,5 @@
-"""Shared pytest wiring for the acceptance suite's verdict lines.
+"""Shared pytest wiring for the acceptance suite's verdict lines, and the
+form drawer the hypothesis tests share.
 
 Captured stdout never reaches the terminal for passing tests, so the
 acceptance criteria report through the terminal-summary hook instead:
@@ -7,7 +8,20 @@ one pass/fail line per criterion, printed after the test counts.
 
 import re
 
+from hypothesis import strategies as st
+
+from brimlab.poly import Polynomial
+
+import oracles
+
 acceptance_lines = {}
+
+
+def random_form(draw, ctx, degree):
+    """A homogeneous form of the given degree with drawn coefficients."""
+    items = [(e, draw(st.integers(0, ctx.p - 1)))
+             for e in oracles.monomials_of_degree(ctx.nvars, degree)]
+    return Polynomial.from_terms(ctx, items)
 
 
 def record(num, label, ok):

@@ -138,7 +138,7 @@ def test_criterion_03_chi0(corpus_reports):
             ok = False
         entry = by_name(name)
         d, r, n = entry.dim, rep.matrix.r, rep.matrix.n
-        want = rep.e0 if n == d + r - 1 else 0
+        want = rep.table.e0 if n == d + r - 1 else 0
         if chi0s != {want}:
             ok = False
     if {row.chis[0] for row in corpus_reports["E6"].chi_rows} != {0}:
@@ -150,7 +150,7 @@ def test_criterion_04_length_bounds(corpus_reports, random_modules):
     ok = True
     for name in ("E1", "E2", "E3", "E4", "E5"):
         rep = corpus_reports[name]
-        if not (rep.len_f_mod_n >= rep.e0 and rep.len_a_mod_in >= rep.e0):
+        if not (rep.parameter.colength >= rep.table.e0 and rep.len_a_mod_in >= rep.table.e0):
             ok = False
     if len(random_modules) < 50 or len({lbl for lbl, _, _ in random_modules}) < 3:
         ok = False
@@ -176,14 +176,14 @@ def test_criterion_05_corpus_fixtures(corpus_reports):
     ok = True
     for name, (lf, li, e0) in want.items():
         rep = corpus_reports[name]
-        if (rep.len_f_mod_n, rep.len_a_mod_in, rep.e0) != (lf, li, e0):
+        if (rep.parameter.colength, rep.len_a_mod_in, rep.table.e0) != (lf, li, e0):
             ok = False
     # strictness where the fixtures say strict
     r2 = corpus_reports["E2"]
     r4 = corpus_reports["E4"]
-    if not (r2.len_f_mod_n > r2.e0 and r2.len_a_mod_in > r2.e0):
+    if not (r2.parameter.colength > r2.table.e0 and r2.len_a_mod_in > r2.table.e0):
         ok = False
-    if not (r4.len_f_mod_n > r4.e0 and r4.len_a_mod_in > r4.e0):
+    if not (r4.parameter.colength > r4.table.e0 and r4.len_a_mod_in > r4.table.e0):
         ok = False
     stamp(5, "corpus length fixtures", ok)
 
@@ -192,27 +192,27 @@ def test_criterion_06_h0_bounds(corpus_reports):
     ok = True
     for name in ("E1", "E2", "E3", "E4", "E5"):
         rep = corpus_reports[name]
-        d = rep.ring.dimension
-        h0 = {row.t: row.h_lengths[0] for row in rep.chi_rows}
+        d = rep.matrix.ring.dimension
+        h0 = {row.t: row.lengths[0] for row in rep.chi_rows}
         if set(h0) != set(range(-1, d + 1)):
             ok = False
-        if any(v < rep.e0 for v in h0.values()):
+        if any(v < rep.table.e0 for v in h0.values()):
             ok = False
-        if h0[1] != rep.len_f_mod_n or h0[0] != rep.len_a_mod_in:
+        if h0[1] != rep.parameter.colength or h0[0] != rep.len_a_mod_in:
             ok = False
     stamp(6, "H_0 bounds and identities", ok)
 
 
 def test_criterion_07_annihilation_acyclicity(corpus_reports):
-    ok = all(rep.annihilation_ok for rep in corpus_reports.values())
+    ok = all(rep.verdicts["annihilation"] for rep in corpus_reports.values())
     for name in ("E1", "E3", "E5"):
         for row in corpus_reports[name].chi_rows:
-            if any(v != 0 for v in row.h_lengths[1:]):
+            if any(v != 0 for v in row.lengths[1:]):
                 ok = False
-    h1 = {row.t: row.h_lengths[1] for row in corpus_reports["E2"].chi_rows}
+    h1 = {row.t: row.lengths[1] for row in corpus_reports["E2"].chi_rows}
     if h1[1] != 1:
         ok = False
-    h1 = {row.t: row.h_lengths[1] for row in corpus_reports["E4"].chi_rows}
+    h1 = {row.t: row.lengths[1] for row in corpus_reports["E4"].chi_rows}
     if h1[1] != 2:
         ok = False
     stamp(7, "annihilation + acyclicity", ok)
@@ -222,7 +222,7 @@ def test_criterion_08_coefficients(corpus_reports):
     want = {"E1": (6, 0, 0), "E2": (1, -1), "E4": (2, -1, 1)}
     ok = True
     for name, coeffs in want.items():
-        if corpus_reports[name].coefficients != coeffs:
+        if corpus_reports[name].table.coefficients != coeffs:
             ok = False
     for rep in corpus_reports.values():
         table = rep.table

@@ -44,6 +44,7 @@ from brimlab.rings import make_ring
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 import oracles
+from conftest import random_form
 
 CTX = PolyContext(101, ["x", "y"])
 X = CTX.variable(0)
@@ -188,13 +189,6 @@ def test_budget_rejects_nonpositive_caps(caps):
         Budget(**caps)
 
 
-def _random_form(draw, ctx, degree):
-    """A homogeneous form of the given degree with drawn coefficients."""
-    items = [(e, draw(st.integers(0, ctx.p - 1)))
-             for e in oracles.monomials_of_degree(ctx.nvars, degree)]
-    return Polynomial.from_terms(ctx, items)
-
-
 def _drawn_module(draw, ctx, shifts, columns):
     """Columns homogeneous under the basis shifts, then the ideal generators.
 
@@ -206,9 +200,9 @@ def _drawn_module(draw, ctx, shifts, columns):
     cols = []
     for _ in range(columns):
         degree = draw(st.integers(max(low, 1), low + 2 if ctx.nvars == 3 else low + 3))
-        cols.append(VectorPolynomial(tuple(_random_form(draw, ctx, degree - s) for s in shifts)))
+        cols.append(VectorPolynomial(tuple(random_form(draw, ctx, degree - s) for s in shifts)))
     top = 2 if ctx.nvars == 3 else 3
-    ideal = [_random_form(draw, ctx, draw(st.integers(1, top)))
+    ideal = [random_form(draw, ctx, draw(st.integers(1, top)))
              for _ in range(draw(st.integers(0, 2), label="ideal generators"))]
     zero = ctx.zero()
     gens = cols + [VectorPolynomial(tuple(g if c == k else zero for k in range(rank)))
@@ -277,8 +271,8 @@ def test_engine_hands_out_coefficients_reduced_mod_p(data):
     inside = VectorPolynomial((ctx.zero(),) * rank)
     for g in gens:
         if not g.is_zero() and degree(g) <= d:
-            inside = inside + g.scale(_random_form(draw, ctx, d - degree(g)))
-    drawn = VectorPolynomial(tuple(_random_form(draw, ctx, d - s) if d >= s else ctx.zero() for s in shifts))
+            inside = inside + g.scale(random_form(draw, ctx, d - degree(g)))
+    drawn = VectorPolynomial(tuple(random_form(draw, ctx, d - s) if d >= s else ctx.zero() for s in shifts))
     terms = lambda vs: [[f.terms for f in v.components] for v in vs]
     args = (p, nvars, rank)
     before = next(islice(oracles.module_hilbert_function(*args, terms(gens), [], shifts=shifts), d, None))

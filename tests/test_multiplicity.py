@@ -39,6 +39,7 @@ from brimlab.rings import make_ring, quotient_basis, submodule_colength
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 import oracles
+from conftest import random_form
 
 
 def corpus_pair(name):
@@ -75,13 +76,6 @@ def test_lambda_infinite(k):
     assert lambda_value(mat, k) is INFINITE
 
 
-def _random_form(draw, ctx, degree):
-    """A homogeneous form of the given degree with drawn coefficients."""
-    items = [(e, draw(st.integers(0, ctx.p - 1)))
-             for e in oracles.monomials_of_degree(ctx.nvars, degree)]
-    return Polynomial.from_terms(ctx, items)
-
-
 @given(st.data())
 @settings(max_examples=40, deadline=None)
 def test_lambda_matches_brute_force_oracle(data):
@@ -94,7 +88,7 @@ def test_lambda_matches_brute_force_oracle(data):
     p = draw(st.sampled_from([2, 3, 5, 101]), label="p")
     names = ["x", "y", "z"][:draw(st.sampled_from([2, 3]), label="nvars")]
     ctx = PolyContext(p, names)
-    ideal = [_random_form(draw, ctx, draw(st.integers(1, 2)))
+    ideal = [random_form(draw, ctx, draw(st.integers(1, 2)))
              for _ in range(draw(st.integers(0, len(names) - 1), label="ideal generators"))]
     ring = make_ring(p, names, ideal)
     r = draw(st.integers(1, 2), label="rank")
@@ -103,7 +97,7 @@ def test_lambda_matches_brute_force_oracle(data):
     top = 3 if apart else 2
     degrees = draw(st.lists(st.integers(1, top), min_size=n, max_size=n), label="column degrees")
     shifts = (0, apart)[:r]
-    entries = [[ring.element(_random_form(draw, ctx, degrees[j] - shifts[i]))
+    entries = [[ring.element(random_form(draw, ctx, degrees[j] - shifts[i]))
                 if degrees[j] > shifts[i] else ring.zero() for j in range(n)] for i in range(r)]
     mat = ModuleMatrix(ring, entries)
     cols = dict_columns(mat)
@@ -217,7 +211,7 @@ def test_lambda_matches_per_k_route(data):
     n = draw(st.integers(r, d + r - heavy), label="columns")
     top = 1 if heavy and d > 1 else 2
     degrees = draw(st.lists(st.integers(1, top), min_size=n, max_size=n), label="column degrees")
-    entries = [[ring.element(_random_form(draw, ring.ctx, degrees[j])) for j in range(n)]
+    entries = [[ring.element(random_form(draw, ring.ctx, degrees[j])) for j in range(n)]
                for _ in range(r)]
     mat = ModuleMatrix(ring, entries)
     try:
@@ -337,8 +331,8 @@ def test_theorem_check_e4():
     _, mat = corpus_pair("E4")
     rep = theorem_check(mat)
     assert rep.ok
-    assert rep.e0 == 2
-    assert rep.len_f_mod_n == 4 and rep.len_a_mod_in == 3
+    assert rep.table.e0 == 2
+    assert rep.parameter.colength == 4 and rep.len_a_mod_in == 3
     # the two colengths differ here, which the theory permits, and neither
     # equals e0, so there is no Cohen-Macaulay witness; both verdicts are
     # descriptive and leave ok untouched
@@ -362,8 +356,8 @@ def test_theorem_check_infinite_case():
     _, mat = build(parse(
         "ring { p = 101 vars = [x, y] }\nmodule { rank = 1 matrix = [[x]] }\n"))
     rep = theorem_check(mat)
-    assert rep.len_f_mod_n is INFINITE
-    assert rep.e0 is None and rep.table is None
+    assert rep.parameter.colength is INFINITE
+    assert rep.table is None
     assert rep.verdicts["finite_colength"] is False
     assert rep.verdicts["chi_nonnegative"] is None
     assert rep.ok  # no theorem is violated, the input just is not finite
@@ -514,13 +508,13 @@ def test_symmetric_power_arguments_are_contract_errors():
 
 
 def test_random_parameter_matrix_does_not_retry_real_errors(monkeypatch):
-    koszul_mod = importlib.import_module("brimlab.koszul")
+    multiplicity_mod = importlib.import_module("brimlab.multiplicity")
     ring, _ = corpus_pair("E1")
 
     def broken(*args, **kwargs):
         raise RuntimeError("bug")
 
-    monkeypatch.setattr(koszul_mod, "ModuleMatrix", broken)
+    monkeypatch.setattr(multiplicity_mod, "ModuleMatrix", broken)
     with pytest.raises(RuntimeError):
         random_parameter_matrix(ring, 1, random.Random(3))
 
@@ -538,7 +532,7 @@ def test_lambda_one_must_equal_the_colength(monkeypatch):
 
     _, mat = corpus_pair("E4")
     rep = theorem_check(mat)
-    assert rep.table.values[0] == rep.len_f_mod_n == 4
+    assert rep.table.values[0] == rep.parameter.colength == 4
     monkeypatch.setattr(multiplicity_mod, "br_function_table", off_by_one)
     with pytest.raises(RuntimeError, match="lambda"):
         theorem_check(mat)
@@ -627,7 +621,7 @@ def test_hilbert_count_skips_only_zero_reductions(data):
     degrees = draw(st.lists(st.integers(max(apart, 0) + 1, top + max(apart, 0)), min_size=n, max_size=n),
                    label="column degrees")
     shifts = (0, apart)[:r]
-    entries = [[ring.element(_random_form(draw, ctx, degrees[j] - shifts[i]))
+    entries = [[ring.element(random_form(draw, ctx, degrees[j] - shifts[i]))
                 if degrees[j] > shifts[i] else ring.zero() for j in range(n)] for i in range(r)]
     try:
         mat = ModuleMatrix(ring, entries)

@@ -14,7 +14,7 @@ import pytest
 from brimlab.corpus import ENTRIES, by_name
 from brimlab.dsl import ProblemSpec, parse
 from brimlab.homology import EulerTable, HomologyPresentation
-from brimlab.multiplicity import ChiRow, SpreadSample
+from brimlab.multiplicity import SpreadSample
 from brimlab.rings import ParameterVerdict
 from brimlab.verify import Violation
 
@@ -22,25 +22,25 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def test_fields_cannot_be_assigned_or_deleted():
-    row = ChiRow(1, (2, 0), (2, 0))
+    row = EulerTable(1, (2, 0), (2, 0))
     with pytest.raises(AttributeError):
         row.t = 2
     with pytest.raises(AttributeError):
         del row.chis
     with pytest.raises(AttributeError):
         row.extra = 0  # no __dict__ to fall back on
-    assert row == ChiRow(1, (2, 0), (2, 0))
+    assert row == EulerTable(1, (2, 0), (2, 0))
 
 
 def test_equality_is_by_value_within_one_type():
-    row = ChiRow(1, (2, 0), (2, 0))
-    assert row == ChiRow(t=1, h_lengths=(2, 0), chis=(2, 0)) and hash(row) == hash(ChiRow(1, (2, 0), (2, 0)))
-    assert row != ChiRow(1, (2, 0), (2, 1))
+    row = EulerTable(1, (2, 0), (2, 0))
+    assert row == EulerTable(t=1, lengths=(2, 0), chis=(2, 0)) and hash(row) == hash(EulerTable(1, (2, 0), (2, 0)))
+    assert row != EulerTable(1, (2, 0), (2, 1))
     # the same field values in another record type, or in a plain tuple, are never equal
     assert SpreadSample("x", 1, 2) != Violation("x", 1, 2)
     assert Violation("x", 1, 2) != SpreadSample("x", 1, 2)
     assert row != (1, (2, 0), (2, 0)) and (1, (2, 0), (2, 0)) != row
-    assert EulerTable((1,), (1,)) != ChiRow((1,), (1,), 0)
+    assert EulerTable(0, (1,), (1,)) != SpreadSample(0, (1,), (1,))
     assert len({SpreadSample("x", 1, 2), Violation("x", 1, 2), SpreadSample("x", 1, 2)}) == 2
 
 
@@ -55,7 +55,7 @@ def test_corpus_entry_hashes_without_its_homology_dict():
 def test_presentation_repr_omits_complex_basis_and_hilbert_function():
     pres = HomologyPresentation(1, (), 3, "CX", "BASIS", {0: 3})
     assert repr(pres) == "HomologyPresentation(p=1, cycles=(), length=3)"
-    assert repr(ChiRow(0, (1,), (1,))) == "ChiRow(t=0, h_lengths=(1,), chis=(1,))"
+    assert repr(EulerTable(0, (1,), (1,))) == "EulerTable(t=0, lengths=(1,), chis=(1,))"
     bare = HomologyPresentation(1, (), 3, cx="CX")
     assert bare.basis is None and bare.hilbert_function is None
 
@@ -70,14 +70,14 @@ def test_each_problem_spec_gets_a_fresh_options_dict():
 
 @pytest.mark.parametrize("args, kwargs, says", [
     ((1, 2), {}, "missing"),                                  # chis missing
-    ((), {"t": 1, "h_lengths": ()}, "missing"),
+    ((), {"t": 1, "lengths": ()}, "missing"),
     ((1, 2, 3), {"colour": 4}, "by position and colour by name"),  # unknown
     ((1, 2), {"t": 1, "chis": ()}, "2 by position and t, chis"),   # t by position and by name
     ((1, 2, 3, 4), {}, "got 4 by position"),                       # too many positional
 ])
 def test_wrong_fields_raise_type_error(args, kwargs, says):
     with pytest.raises(TypeError, match=says):
-        ChiRow(*args, **kwargs)
+        EulerTable(*args, **kwargs)
 
 
 def test_replace_builds_a_copy_and_leaves_the_original():
@@ -94,7 +94,7 @@ def test_replace_builds_a_copy_and_leaves_the_original():
     by_name("E3"),
     parse(by_name("E2").text),
     ParameterVerdict(False, True, False, float("inf"), None),
-    EulerTable((6, 0, 0), (6, 0, 0)),
+    EulerTable(1, (6, 0, 0), (6, 0, 0)),
 ])
 def test_pickle_and_copy_round_trip(value):
     for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):

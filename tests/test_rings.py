@@ -21,6 +21,7 @@ from brimlab.rings import (
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 import oracles
+from conftest import random_form
 
 CTX = PolyContext(101, ["x", "y"])
 X = CTX.variable(0)
@@ -182,13 +183,6 @@ RINGS = {  # name -> (variables, ideal generators as {exponents: coefficient})
 }
 
 
-def _form(draw, ring, degree):
-    """A drawn form of the given degree as an element of ring."""
-    items = [(e, draw(st.integers(0, ring.p - 1)))
-             for e in oracles.monomials_of_degree(ring.ctx.nvars, degree)]
-    return ring.element(Polynomial.from_terms(ring.ctx, items))
-
-
 @given(st.data())
 @settings(max_examples=120, deadline=None)
 def test_mu_from_the_colength_run_matches_the_dense_oracle(data):
@@ -209,13 +203,13 @@ def test_mu_from_the_colength_run_matches_the_dense_oracle(data):
     cols = []  # (degree, column)
     for _ in range(draw(st.integers(rank + ring.dimension - 1, rank + ring.dimension), label="columns")):
         d = draw(st.integers(low, low + (2 if ctx.nvars < 3 else 1)), label="degree")
-        cols.append((d, [_form(draw, ring, d - s) for s in shifts]))
+        cols.append((d, [ring.element(random_form(draw, ring.ctx, d - s)) for s in shifts]))
     for _ in range(draw(st.integers(0, 2), label="redundant columns")):
         d = draw(st.integers(low + 1, low + 2), label="degree")
         acc = [ring.zero()] * rank
         for dj, col in draw(st.lists(st.sampled_from(cols), min_size=1, max_size=3), label="multiplied"):
             if dj <= d:
-                g = _form(draw, ring, d - dj)
+                g = ring.element(random_form(draw, ring.ctx, d - dj))
                 acc = [a + g * c for a, c in zip(acc, col)]
         cols.append((d, acc))
     gens = [cols[k][1] for k in draw(st.permutations(range(len(cols))), label="order")]
